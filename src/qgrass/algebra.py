@@ -460,24 +460,3 @@ class AlgebraElement:
             parts.append(f"({c:.6g})*{mono}")
         return " + ".join(parts)
 
-
-# Module-level aliases matching the operation vocabulary.
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def conjugate(a: AlgebraElement) -> AlgebraElement:
-    return a.conjugate()
-
-
-def scale_variable(a: AlgebraElement, v: Variable, c: complex) -> AlgebraElement:
-    return a.scale_variable(v, c)
-
-
-def berezin_integrate(a: AlgebraElement, v: Variable) -> AlgebraElement:
-    return a.berezin_integrate(v)
-
-
-def multi_integrate(a: AlgebraElement, order: Sequence[Variable]) -> AlgebraElement:
-    return a.multi_integrate(order)

@@ -150,7 +150,7 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return 2
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         sys.stderr.write(f"error: bad parameters for {args.id!r}: {exc}\n")
         return 2
 
@@ -233,11 +233,11 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
             basis = monomial_basis(ctx, variables, basis_spec.get("max_exponent"))
         else:
             basis = [monomial_from_dict(d) for d in basis_spec]
+        solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
     except (KeyError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: malformed solve spec: {exc}\n")
         return 2
 
-    solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
     report = Report("solve-weight", _config_dict(config))
     payload = solution_to_dict(solution, grade_n=ctx.n)
     status = "pass" if solution.feasible else "flagged"

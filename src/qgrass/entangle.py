@@ -2,7 +2,11 @@
 
 The central operation multiplies a Grassmann weight function onto a
 product of graded states from the left and Berezin-integrates the listed
-variables (rightmost differential first).  A successful construction is
+variables (rightmost differential first).  Since integral d(theta)
+theta**e = delta(e, n-1), a weight monomial w and a state term m|k> only
+contribute when w_d + m_d = n-1 on every differential slot d, so the
+product and the integrals run as one join on the differential exponents
+and the dead pairs are never multiplied.  A successful construction is
 Grassmann-free afterwards; leftover monomials signal an incomplete
 differential list.
 
@@ -12,9 +16,9 @@ normalization), bipartition Schmidt spectra, and the maximal-entanglement
 test (every single-site reduction maximally mixed).
 
 solve_weight inverts the pipeline: it assembles the linear map from
-weight coefficients on a monomial basis to integrated amplitudes and
-returns the minimum-norm least-squares weight, re-verified through the
-actual integration pipeline.
+weight coefficients on a monomial basis to integrated amplitudes in one
+join over the whole basis and returns the minimum-norm least-squares
+weight, re-verified through integrate_graded.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, Monomial, MONOMIAL_ONE, Variable
+from .algebra import left_extraction_exponent, normal_order, q_power
 from .qstate import BasisKet, GradedState, PlainState
 
 DEFAULT_TOL = 1e-9
@@ -44,9 +49,55 @@ class IntegralSpec:
             raise ValueError("differentials must be distinct")
 
 
+def _integrate_columns(
+    weights: Sequence[Mapping[Monomial, complex]],
+    differentials: Sequence[Variable],
+    state: GradedState,
+) -> list[dict[tuple[Monomial, BasisKet], complex]]:
+    """Unpruned terms of integral(weights[j] * state) for every column j.
+
+    Weight terms are bucketed by their exponents on the differentials; a
+    state term meets only the bucket keyed n-1-m_d, the one pairing that
+    survives every integral.  Each surviving product is summed in the
+    order left_multiply would sum it, then its differential blocks are
+    extracted rightmost first.
+    """
+    n, table = state.ctx.n, state.ctx.phase_table
+    buckets: dict[tuple[int, ...], list] = {}
+    for j, terms in enumerate(weights):
+        for mono, c in terms.items():
+            slot = tuple(mono.exponent(d) for d in differentials)
+            buckets.setdefault(slot, []).append((j, mono.exps, c))
+    products: list[dict] = [{} for _ in weights]
+    for (mono, ket), c in state.terms.items():
+        need = tuple(n - 1 - mono.exponent(d) for d in differentials)
+        for j, wexps, wc in buckets.get(need, ()):
+            qexp, new = normal_order(wexps + mono.exps, table, n)
+            if new is not None:
+                col = products[j]
+                col[new, ket] = col.get((new, ket), 0.0) + wc * c * q_power(n, qexp)
+    columns = []
+    for col in products:
+        out = {}
+        for (mono, ket), c in col.items():
+            for v in reversed(differentials):
+                c = c * q_power(n, left_extraction_exponent(mono, v, table))
+                mono = mono.without(v)
+            out[mono, ket] = c
+        columns.append(out)
+    return columns
+
+
 def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
-    """weight * state, integrated right-to-left; may retain Grassmann terms."""
-    return state.left_multiply(spec.weight).multi_integrate(spec.differentials)
+    """weight * state, integrated right-to-left; may retain Grassmann terms.
+
+    Equals state.left_multiply(weight).multi_integrate(differentials), but
+    only pairs with w_d + m_d = n-1 on every differential d are multiplied.
+    """
+    if spec.weight.ctx != state.ctx:
+        raise ValueError("weight and state use different algebra contexts")
+    (terms,) = _integrate_columns([spec.weight.terms], spec.differentials, state)
+    return GradedState(state.ctx, state.space, terms)
 
 
 def apply_weight_and_integrate(
@@ -199,6 +250,7 @@ class WeightSolution:
     basis: tuple[Monomial, ...]
     rank: int
     coefficients: np.ndarray = field(repr=False, default=None)
+    singular_values: np.ndarray = field(repr=False, default=None)
 
 
 def monomial_basis(
@@ -223,10 +275,13 @@ def solve_weight(
 ) -> WeightSolution:
     """Solve min || integrate(w * state) - target || over weights on the basis.
 
+    Column j is integral(basis[j] * state), pruned at prune_tol; all
+    columns come from one join pass, in which a basis monomial w meets
+    only the state terms with w_d + m_d = n-1 on every differential d.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
     clean Grassmann-free match.  The reported residual is recomputed by
-    running the assembled weight back through the integration pipeline.
+    running the assembled weight back through integrate_graded.
     """
     if not basis:
         raise ValueError("empty weight basis")
@@ -235,13 +290,13 @@ def solve_weight(
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
 
-    columns = []
+    columns = [
+        {key: c for key, c in col.items() if abs(c) >= ctx.prune_tol}
+        for col in _integrate_columns([{m: 1.0} for m in basis], differentials, state)
+    ]
     row_keys: dict[tuple[Monomial, BasisKet], int] = {}
-    for mono in basis:
-        w = AlgebraElement(ctx, {mono: 1.0})
-        result = integrate_graded(IntegralSpec(w, differentials), state)
-        columns.append(result.terms)
-        for key in result.terms:
+    for col in columns:
+        for key in col:
             row_keys.setdefault(key, len(row_keys))
     for ket in target.terms(tol=0.0):
         row_keys.setdefault((MONOMIAL_ONE, ket), len(row_keys))
@@ -256,8 +311,11 @@ def solve_weight(
         if mono == MONOMIAL_ONE:
             rhs[idx] = target.coefficient(ket)
 
-    x, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-    weight = AlgebraElement(ctx, {m: c for m, c in zip(basis, x)})
+    x, _, rank, singular_values = np.linalg.lstsq(mat, rhs, rcond=None)
+    terms: dict[Monomial, complex] = {}
+    for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
+        terms[m] = terms.get(m, 0.0) + c
+    weight = AlgebraElement(ctx, terms)
 
     # independent residual through the real pipeline
     result = integrate_graded(IntegralSpec(weight, differentials), state)
@@ -276,4 +334,5 @@ def solve_weight(
         basis=tuple(basis),
         rank=int(rank),
         coefficients=x,
+        singular_values=singular_values,
     )

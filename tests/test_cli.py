@@ -191,6 +191,54 @@ def test_solve_weight_malformed_spec_exits_two(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_construct_builder_value_error_exits_two(capsys):
+    code, out, err = run_cli(capsys, "construct", "ghz_n", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _ghz2_spec(**overrides):
+    amp = 1.0 / math.sqrt(2.0)
+    spec = {
+        "grade_n": 2,
+        "factors": [
+            {"kind": "coherent", "variable": "theta_1", "d": 2},
+            {"kind": "coherent", "variable": "theta_2", "d": 2},
+        ],
+        "differentials": ["theta_1", "theta_2"],
+        "target": {
+            "sites": [2, 2],
+            "terms": [
+                {"coeff": [amp, 0], "ket": [0, 0]},
+                {"coeff": [amp, 0], "ket": [1, 1]},
+            ],
+        },
+        "basis": {"variables": ["theta_1", "theta_2"]},
+    }
+    spec.update(overrides)
+    return spec
+
+
+def test_solve_weight_target_dims_mismatch_exits_two(tmp_path, capsys):
+    path = tmp_path / "dims.json"
+    target = {"sites": [2, 2, 2], "terms": [{"coeff": [1, 0], "ket": [0, 0, 0]}]}
+    path.write_text(json.dumps(_ghz2_spec(target=target)))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_weight_empty_basis_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_ghz2_spec(basis=[])))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_written_to_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -10,11 +10,19 @@ import math
 import numpy as np
 import pytest
 
-from qgrass.algebra import AlgebraContext, Monomial
+from qgrass.algebra import (
+    AlgebraContext,
+    AlgebraElement,
+    Monomial,
+    MONOMIAL_ONE,
+    PhaseTable,
+    Variable,
+)
 from qgrass.entangle import (
     IntegralSpec,
     apply_weight_and_integrate,
     bipartition_spectrum,
+    integrate_graded,
     is_maximally_entangled,
     monomial_basis,
     purity_linear,
@@ -24,12 +32,15 @@ from qgrass.entangle import (
     solve_weight,
 )
 from qgrass.qstate import (
+    GradedState,
     GrassmannResidueError,
+    LevelSpace,
     PlainState,
     coherent_state,
     squeezed_state_symmetric,
     tensor,
 )
+from qgrass.serialize import solution_to_dict
 
 AMP2 = 1.0 / math.sqrt(2.0)
 AMP3 = 1.0 / math.sqrt(3.0)
@@ -222,8 +233,6 @@ def test_solver_round_trip_recovers_random_weight_image():
     state = tensor([coherent_state(ctx, t1, 3), coherent_state(ctx, t2, 3)])
     basis = monomial_basis(ctx, [t1, t2])
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    from qgrass.algebra import AlgebraElement
-
     weight = AlgebraElement(ctx, dict(zip(basis, coeffs)))
     image = apply_weight_and_integrate(IntegralSpec(weight, (t1, t2)), state)
     solution = solve_weight(state, (t1, t2), image, basis)
@@ -267,3 +276,128 @@ def test_solver_feasibility_forbids_grassmann_residue():
     solution = solve_weight(state, (t,), target, [Monomial(((t, 2),))])
     # theta^2 weight kills every residue channel and lands on |00>
     assert solution.feasible
+
+
+# -- join kernel against the left_multiply / multi_integrate composition ------
+
+T1, T2, TB1 = Variable(1), Variable(2), Variable(1, barred=True)
+JOIN_VARIABLES = [TB1, T1, T2]  # canonical order
+JOIN_CASES = {
+    # name: (phase table, differentials)
+    "default": (PhaseTable(), (T2, TB1, T1)),
+    "override": (PhaseTable(overrides=((T1, T2, 2), (TB1, T2, -1))), (T1, T2, TB1)),
+    "residue": (PhaseTable(), (T1,)),
+    "empty": (PhaseTable(), ()),
+}
+
+
+def _random_monomial(rng, n):
+    exps = rng.integers(0, n, len(JOIN_VARIABLES))
+    return Monomial(tuple((v, int(e)) for v, e in zip(JOIN_VARIABLES, exps) if e))
+
+
+def _random_graded(ctx, rng, dims=(2, 3), nterms=40):
+    terms = {}
+    for _ in range(nterms):
+        ket = tuple(int(rng.integers(d)) for d in dims)
+        terms[(_random_monomial(rng, ctx.n), ket)] = complex(*rng.standard_normal(2))
+    return GradedState(ctx, LevelSpace(dims), terms)
+
+
+def _random_weight(ctx, rng, basis):
+    return AlgebraElement(ctx, {m: complex(*rng.standard_normal(2)) for m in basis})
+
+
+def _assert_terms_close(got, want, tol=1e-12):
+    assert want, "reference result is empty; the comparison would prove nothing"
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= tol, key
+
+
+@pytest.mark.parametrize("case", sorted(JOIN_CASES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
+    table, diffs = JOIN_CASES[case]
+    ctx = AlgebraContext(n, phase_table=table)
+    rng = np.random.default_rng(100 * n + sorted(JOIN_CASES).index(case))
+    state = _random_graded(ctx, rng)
+    # every basis monomial, so non-differential variables ride along
+    weight = _random_weight(ctx, rng, monomial_basis(ctx, JOIN_VARIABLES))
+    want = state.left_multiply(weight).multi_integrate(diffs).terms
+    got = integrate_graded(IntegralSpec(weight, diffs), state).terms
+    _assert_terms_close(got, want)
+    if case == "residue":
+        assert any(mono != MONOMIAL_ONE for mono, _ in want)
+
+
+def _reference_solve(state, diffs, target, basis):
+    """Per-column assembly: one left_multiply / multi_integrate per monomial."""
+    ctx = state.ctx
+    columns = [
+        state.left_multiply(AlgebraElement(ctx, {m: 1.0})).multi_integrate(diffs).terms
+        for m in basis
+    ]
+    rows = {}
+    for col in columns:
+        for key in col:
+            rows.setdefault(key, len(rows))
+    for ket in target.terms():
+        rows.setdefault((MONOMIAL_ONE, ket), len(rows))
+    mat = np.zeros((len(rows), len(basis)), dtype=complex)
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            mat[rows[key], j] = c
+    rhs = np.zeros(len(rows), dtype=complex)
+    for (mono, ket), i in rows.items():
+        if mono == MONOMIAL_ONE:
+            rhs[i] = target.coefficient(ket)
+    x, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
+    weight = ctx.zero()
+    for m, c in zip(basis, x):
+        weight = weight + AlgebraElement(ctx, {m: c})
+    image = state.left_multiply(weight).multi_integrate(diffs).terms
+    keys = set(image) | {(MONOMIAL_ONE, ket) for ket in target.terms()}
+    residual = math.sqrt(sum(
+        abs(image.get(key, 0.0) - (target.coefficient(key[1]) if key[0] == MONOMIAL_ONE else 0.0)) ** 2
+        for key in keys
+    ))
+    return int(rank), residual, mat.shape
+
+
+@pytest.mark.parametrize("case", ["default", "override", "residue"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solve_weight_matches_per_column_assembly(n, case):
+    table, diffs = JOIN_CASES[case]
+    ctx = AlgebraContext(n, phase_table=table)
+    rng = np.random.default_rng(200 * n + len(diffs))
+    state = _random_graded(ctx, rng)
+    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    basis = basis + basis[1:4]  # repeated monomials get their own columns
+    image = integrate_graded(
+        IntegralSpec(_random_weight(ctx, rng, basis), diffs), state
+    ).plain_projection()
+    noise = PlainState((2, 3), rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    for target in (image, noise):
+        solution = solve_weight(state, diffs, target, basis)
+        rank, residual, _ = _reference_solve(state, diffs, target, basis)
+        assert solution.rank == rank
+        assert solution.feasible == (residual < 1e-9)
+        assert abs(solution.residual - residual) <= 1e-12
+    if case != "residue":
+        assert solve_weight(state, diffs, image, basis).feasible
+
+
+def test_solver_singular_values_match_rank():
+    ctx = AlgebraContext(3)
+    rng = np.random.default_rng(7)
+    state = _random_graded(ctx, rng)
+    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    target = PlainState((2, 3), rng.standard_normal(6))
+    solution = solve_weight(state, (T1, T2), target, basis)
+    _, _, shape = _reference_solve(state, (T1, T2), target, basis)
+    sv = solution.singular_values
+    assert len(sv) == min(shape)
+    rcond = np.finfo(float).eps * max(shape)
+    assert int(np.sum(sv > rcond * sv[0])) == solution.rank
+    assert "singular_values" not in repr(solution)
+    assert "singular_values" not in solution_to_dict(solution)
