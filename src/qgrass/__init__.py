@@ -8,7 +8,6 @@ products of coherent / squeezed states into entangled target states.
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
-    GradeConfig,
     Monomial,
     MONOMIAL_ONE,
     PhaseTable,
@@ -31,7 +30,6 @@ from .qstate import (
     eigenstate_check,
     nilpotent_polynomial_state,
     q_commutator,
-    quantize_swap,
     squeezed_state_exp,
     squeezed_state_symmetric,
     tensor,

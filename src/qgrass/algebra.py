@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-12
 CMP_TOL = 1e-9
@@ -42,28 +42,9 @@ CMP_TOL = 1e-9
 Blocks = Sequence[tuple["Variable", int]]
 
 
-@dataclass(frozen=True)
-class GradeConfig:
-    """Nilpotency order n and the primitive root q = exp(2*pi*i/n)."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"grade must be >= 2, got {self.n}")
-
-    @property
-    def q(self) -> complex:
-        return q_power(self.n, 1)
-
-    @property
-    def q_bar(self) -> complex:
-        return q_power(self.n, -1)
-
-
-def q_power(n_or_cfg: Union[int, GradeConfig], k: int) -> complex:
+def q_power(n: int, k: int) -> complex:
     """exp(2*pi*i*k/n), with the exponent reduced mod n before evaluation."""
-    n = n_or_cfg.n if isinstance(n_or_cfg, GradeConfig) else int(n_or_cfg)
+    n = int(n)
     k = k % n
     if k == 0:
         return 1.0 + 0.0j
@@ -151,18 +132,11 @@ class Monomial:
                 return e
         return 0
 
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
     def degree_split(self) -> tuple[int, int]:
         """(total unbarred exponent, total barred exponent)."""
         unbarred = sum(e for v, e in self.exps if not v.barred)
         barred = sum(e for v, e in self.exps if v.barred)
         return unbarred, barred
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self.exps)
 
     def without(self, v: Variable) -> "Monomial":
         return Monomial(tuple((u, e) for (u, e) in self.exps if u != v))
@@ -232,10 +206,6 @@ class AlgebraContext:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"grade must be >= 2, got {self.n}")
-
-    @property
-    def cfg(self) -> GradeConfig:
-        return GradeConfig(self.n)
 
     @property
     def q(self) -> complex:
@@ -441,15 +411,8 @@ class AlgebraElement:
         )
 
     @property
-    def is_scalar(self) -> bool:
-        return all(m == MONOMIAL_ONE for m in self.terms)
-
-    @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def max_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
 
     def __repr__(self) -> str:
         if not self.terms:

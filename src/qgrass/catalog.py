@@ -28,6 +28,7 @@ from .entangle import (
     EntanglementReport,
     IntegralSpec,
     WeightSolution,
+    cut_spectra,
     entanglement_report,
     integrate_graded,
     monomial_basis,
@@ -73,16 +74,12 @@ def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAUL
         if abs(abs(phase) - 1.0) <= tol and np.max(np.abs(a - phase * b)) <= tol:
             return MATCH_GLOBAL_PHASE
     if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
-        ra = entanglement_report(computed.normalized(), tol=tol)
-        rb = entanglement_report(target.normalized(), tol=tol)
+        sa = cut_spectra(computed.normalized())
+        sb = cut_spectra(target.normalized())
         same_spectra = all(
-            len(ra.bipartition_schmidt[cut]) == len(rb.bipartition_schmidt[cut])
-            and max(
-                abs(x - y)
-                for x, y in zip(ra.bipartition_schmidt[cut], rb.bipartition_schmidt[cut])
-            )
-            <= tol
-            for cut in ra.bipartition_schmidt
+            len(sa[cut]) == len(sb[cut])
+            and max(abs(x - y) for x, y in zip(sa[cut], sb[cut])) <= tol
+            for cut in sa
         )
         if same_spectra:
             return MATCH_SIGNATURE

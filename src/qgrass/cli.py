@@ -177,6 +177,11 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     if args.n is not None and args.suite == "algebra":
         from .suites import suite_algebra
 
+        try:
+            AlgebraContext(args.n)
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
         items = suite_algebra(seed=config.seed, tol=config.tolerance, grades=(args.n,))
     else:
         items = run_suites(names, seed=config.seed, tol=config.tolerance)
@@ -239,7 +244,7 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         return 2
 
     report = Report("solve-weight", _config_dict(config))
-    payload = solution_to_dict(solution, grade_n=ctx.n)
+    payload = solution_to_dict(solution)
     status = "pass" if solution.feasible else "flagged"
     report.add("solve_weight", status, payload, [])
     _emit(report, config)
@@ -313,7 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         "solve-weight": cmd_solve_weight,
         "list": cmd_list,
     }
-    return handlers[args.command](args, config)
+    try:
+        return handlers[args.command](args, config)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -202,11 +202,23 @@ class EntanglementReport:
     max_entangled: bool
 
 
-def _all_cuts(nsites: int) -> list[tuple[int, ...]]:
-    cuts = []
+def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
+    """Schmidt spectrum of every proper cut, keyed by the cut's sites.
+
+    A cut and its complement share one spectrum, so each unordered pair is
+    decomposed once and stored under both keys; keys run by cut size, then
+    lexicographically.
+    """
+    nsites = state.nsites
+    spectra: dict[tuple[int, ...], list[float]] = {}
     for r in range(1, nsites):
-        cuts.extend(itertools.combinations(range(nsites), r))
-    return cuts
+        for cut in itertools.combinations(range(nsites), r):
+            rest = tuple(k for k in range(nsites) if k not in cut)
+            if rest in spectra:
+                spectra[cut] = spectra[rest]
+            else:
+                spectra[cut] = [float(x) for x in bipartition_spectrum(state, cut)]
+    return spectra
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:
@@ -222,11 +234,7 @@ def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> Entangle
         purity, kind = purity_viola(state), "qubit-average"
     else:
         purity, kind = purity_linear(state), "linear-entropy"
-    schmidt = {
-        cut: [float(x) for x in bipartition_spectrum(state, cut)]
-        for cut in _all_cuts(state.nsites)
-    }
-    return EntanglementReport(purity, kind, spectra, schmidt, max_ent)
+    return EntanglementReport(purity, kind, spectra, cut_spectra(state), max_ent)
 
 
 def is_maximally_entangled(

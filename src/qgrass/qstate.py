@@ -9,9 +9,9 @@ the quantization relation
     theta_bar |m> = conj(q)**(m-1)|m> theta_bar
 
 (the barred relation follows by Hermitian conjugation of the bra rule).
-quantize_swap reports the phase of that left-to-right relation; pulling a
-monomial from the right of a ket to the left therefore multiplies the
-coefficient by the conjugate phase.
+quantize_exponent gives the q-exponent of that left-to-right relation;
+pulling a monomial from the right of a ket to the left therefore
+multiplies the coefficient by the conjugate phase.
 
 The module also provides the d-level ladder matrices b, b_dag and their
 q-commutator closures, plus the coherent / squeezed state builders.
@@ -76,17 +76,6 @@ def quantize_exponent(mono: Monomial, ket: BasisKet) -> int:
     unbarred, barred = mono.degree_split()
     weight = unbarred - barred
     return sum((m - 1) for m in ket) * weight
-
-
-def quantize_swap(ctx: AlgebraContext, mono: Monomial, ket: BasisKet):
-    """Phase and canonical term for commuting a monomial across a ket.
-
-    Returns (phase, (mono, ket)) with  mono |ket> = phase * |ket> mono.
-    Canonicalizing a term written as |ket> mono therefore multiplies its
-    coefficient by conj(phase).
-    """
-    phase = q_power(ctx.n, quantize_exponent(mono, ket))
-    return phase, (mono, ket)
 
 
 class GradedState:
@@ -193,18 +182,11 @@ class GradedState:
             ** 0.5
         )
 
-    def is_grassmann_free(self, tol: float = 0.0) -> bool:
-        return self.grassmann_part_norm() <= tol
-
     def to_plain(self, tol: float = 1e-9) -> "PlainState":
         residual = self.grassmann_part_norm()
         if residual > tol:
             raise GrassmannResidueError(residual, self)
-        amps: dict[BasisKet, complex] = {}
-        for (mono, ket), c in self.terms.items():
-            if mono == MONOMIAL_ONE:
-                amps[ket] = amps.get(ket, 0.0) + c
-        return PlainState.from_terms(self.space.dims, amps)
+        return self.plain_projection()
 
     def plain_projection(self) -> "PlainState":
         """Grassmann-free part, discarding any residual monomial terms."""

@@ -54,15 +54,6 @@ def element_to_dict(e: AlgebraElement) -> dict[str, Any]:
     return {"grade_n": e.ctx.n, "terms": terms}
 
 
-def element_from_dict(d: dict[str, Any], ctx: AlgebraContext | None = None) -> AlgebraElement:
-    ctx = ctx or AlgebraContext(int(d["grade_n"]))
-    terms: dict[Monomial, complex] = {}
-    for t in d["terms"]:
-        mono = monomial_from_dict(t.get("monomial", {}))
-        terms[mono] = terms.get(mono, 0.0) + _pair2c(t["coeff"])
-    return AlgebraElement(ctx, terms)
-
-
 def graded_to_dict(s: GradedState) -> dict[str, Any]:
     terms = [
         {
@@ -104,15 +95,9 @@ def plain_from_dict(d: dict[str, Any]) -> PlainState:
     return PlainState.from_terms(dims, terms)
 
 
-def solution_to_dict(sol: WeightSolution, grade_n: int | None = None) -> dict[str, Any]:
+def solution_to_dict(sol: WeightSolution) -> dict[str, Any]:
     return {
-        "weight": {
-            "grade_n": grade_n,
-            "terms": [
-                {"coeff": _c2pair(c), "monomial": monomial_to_dict(m)}
-                for m, c in sorted(sol.weight.terms.items(), key=lambda mc: str(mc[0]))
-            ],
-        },
+        "weight": element_to_dict(sol.weight),
         "residual": float(sol.residual),
         "feasible": bool(sol.feasible),
         "rank": int(sol.rank),
@@ -138,5 +123,5 @@ def construction_to_dict(r: ConstructionResult) -> dict[str, Any]:
         "rdm_spectra": [[float(x) for x in spec] for spec in r.report.rdm_spectra],
         "computed": plain_to_dict(r.computed, grade_n),
         "target": plain_to_dict(r.target, grade_n),
-        "solver": None if r.solver is None else solution_to_dict(r.solver, grade_n),
+        "solver": None if r.solver is None else solution_to_dict(r.solver),
     }

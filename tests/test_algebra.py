@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from qgrass.algebra import (
     AlgebraContext,
-    GradeConfig,
     Monomial,
     Variable,
     normal_order,
@@ -52,7 +51,7 @@ def oracle_sort(word, ctx):
 def test_q_power_identity_and_periodicity():
     assert q_power(3, 0) == 1
     assert q_power(3, 3) == 1
-    assert q_power(GradeConfig(3), -3) == 1
+    assert q_power(3, -3) == 1
 
 
 def test_q_power_quarter_turn():
@@ -61,7 +60,7 @@ def test_q_power_quarter_turn():
 
 def test_grade_config_rejects_small_n():
     with pytest.raises(ValueError):
-        GradeConfig(1)
+        AlgebraContext(1)
 
 
 # -- multiplication -----------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qgrass import catalog
 from qgrass.catalog import (
     MATCH_EXACT,
     MATCH_GLOBAL_PHASE,
@@ -28,30 +29,40 @@ def plain(dims, terms):
 # -- comparison policy ---------------------------------------------------------
 
 
-def test_compare_exact():
+@pytest.fixture
+def no_reports(monkeypatch):
+    """Comparisons must classify without building entanglement reports."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare_states built an entanglement report")
+
+    monkeypatch.setattr(catalog, "entanglement_report", refuse)
+
+
+def test_compare_exact(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     assert compare_states(a, a) == MATCH_EXACT
 
 
-def test_compare_global_phase():
+def test_compare_global_phase(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 0): 1j * AMP2, (1, 1): 1j * AMP2})
     assert compare_states(b, a) == MATCH_GLOBAL_PHASE
 
 
-def test_compare_signature():
+def test_compare_signature(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 0): AMP2, (1, 1): -AMP2})
     assert compare_states(b, a) == MATCH_SIGNATURE
 
 
-def test_compare_mismatch():
+def test_compare_mismatch(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 1): AMP2, (1, 0): AMP2})
     assert compare_states(b, a) == MATCH_MISMATCH
 
 
-def test_signature_requires_equal_spectra_not_just_magnitudes():
+def test_signature_requires_equal_spectra_not_just_magnitudes(no_reports):
     # equal per-term magnitudes but different Schmidt spectra must not pass
     a = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
     b = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.5})

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from qgrass.cli import main
 from qgrass.serialize import graded_from_dict, graded_to_dict, plain_from_dict, plain_to_dict
 from qgrass.algebra import AlgebraContext
@@ -234,6 +236,24 @@ def test_solve_weight_empty_basis_exits_two(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(_ghz2_spec(basis=[])))
     code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grade", ["1", "0"])
+def test_verify_algebra_bad_grade_exits_two(capsys, grade):
+    code, out, err = run_cli(capsys, "verify", "algebra", "--n", grade)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_into_missing_directory_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "construct", "w_n", "--n", "3", "--out", str(out_path)
+    )
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

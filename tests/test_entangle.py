@@ -5,11 +5,13 @@ dense linear algebra (partial traces and SVDs written out by hand here),
 independent of the library's implementations.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qgrass import entangle
 from qgrass.algebra import (
     AlgebraContext,
     AlgebraElement,
@@ -22,6 +24,7 @@ from qgrass.entangle import (
     IntegralSpec,
     apply_weight_and_integrate,
     bipartition_spectrum,
+    entanglement_report,
     integrate_graded,
     is_maximally_entangled,
     monomial_basis,
@@ -191,6 +194,39 @@ def test_spectrum_invariant_under_local_diagonal_phases():
         a = bipartition_spectrum(state, cut)
         b = bipartition_spectrum(twisted_state, cut)
         assert np.allclose(a, b, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(2,), (2, 3), (2, 3, 2), (3, 2, 2, 2), (2,) * 6],
+    ids=lambda dims: "x".join(map(str, dims)),
+)
+def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
+    rng = np.random.default_rng(sum(dims) * 31 + len(dims))
+    size = math.prod(dims)
+    state = PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    original = entangle.bipartition_spectrum
+    calls = []
+
+    def counted(st, cut):
+        calls.append(tuple(cut))
+        return original(st, cut)
+
+    monkeypatch.setattr(entangle, "bipartition_spectrum", counted)
+    report = entanglement_report(state)
+    nsites = len(dims)
+    assert len(calls) == 2 ** (nsites - 1) - 1
+    cuts = [
+        cut
+        for r in range(1, nsites)
+        for cut in itertools.combinations(range(nsites), r)
+    ]
+    assert list(report.bipartition_schmidt) == cuts
+    for cut in cuts:
+        fresh = original(state, cut)
+        got = report.bipartition_schmidt[cut]
+        assert len(got) == len(fresh)
+        assert np.max(np.abs(np.asarray(got) - fresh)) <= 1e-12
 
 
 def test_is_maximally_entangled_families():
