@@ -25,9 +25,10 @@ evaluated operationally: the integrated variable's block is commuted to
 the leftmost position (collecting q-phases), then the term survives iff
 the block's exponent is exactly n - 1.
 
-All q-phases are tracked as integer exponents reduced mod n and converted
-to a complex scalar only at the end, so repeated reordering accumulates no
-floating-point phase drift.
+monomial_product and integrate_monomial apply the two rules to canonical
+monomials; normal_order folds monomial_product over an arbitrary word.
+All q-phases are tracked as integer exponents and converted to a complex
+scalar once per term, so reordering accumulates no phase drift.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ from typing import Iterable, Mapping, Sequence
 
 PRUNE_TOL = 1e-12
 CMP_TOL = 1e-9
-
-Blocks = Sequence[tuple["Variable", int]]
-
 
 def q_power(n: int, k: int) -> complex:
     """exp(2*pi*i*k/n), with the exponent reduced mod n before evaluation."""
@@ -138,9 +136,6 @@ class Monomial:
         barred = sum(e for v, e in self.exps if v.barred)
         return unbarred, barred
 
-    def without(self, v: Variable) -> "Monomial":
-        return Monomial(tuple((u, e) for (u, e) in self.exps if u != v))
-
     def __str__(self) -> str:
         if not self.exps:
             return "1"
@@ -150,19 +145,53 @@ class Monomial:
 MONOMIAL_ONE = Monomial(())
 
 
-def normal_order(blocks: Blocks, table: PhaseTable, n: int):
-    """Sort a word of (variable, exponent) blocks into canonical order.
+def monomial_product(a: Monomial, b: Monomial, table: PhaseTable, n: int):
+    """(q_exponent, Monomial) with a * b = q**q_exponent * monomial, a and b canonical.
 
-    Returns (q_exponent, Monomial) with
-
-        word = q**q_exponent * monomial,
-
-    or (0, None) when the word vanishes by nilpotency.  Insertion sort on
-    blocks; moving a block of y**ey leftwards past x**ex (with y < x)
-    rewrites x**ex * y**ey = q**(-eps(y,x)*ex*ey) * y**ey * x**ex.
+    (0, None) when the product vanishes by nilpotency.  Each block y**e of b
+    passes every larger block x**f of a, collecting -eps(y, x)*f*e; equal
+    variables add their exponents.
     """
-    out: list[list] = []  # list of [Variable, exponent]
-    qexp = 0
+    ax, out, qexp, i = a.exps, [], 0, 0
+    for (y, e) in b.exps:
+        while i < len(ax) and ax[i][0] < y:
+            out.append(ax[i])
+            i += 1
+        for (x, f) in ax[i:]:  # eps(y, y) = 0
+            qexp -= table.eps(y, x) * f * e
+        if i < len(ax) and ax[i][0] == y:
+            e += ax[i][1]
+            i += 1
+            if e >= n:
+                return 0, None
+        out.append((y, e))
+    return qexp, Monomial(tuple(out) + ax[i:])
+
+
+def integrate_monomial(mono: Monomial, order: Sequence[Variable], table: PhaseTable, n: int):
+    """Iterated integral of a canonical monomial, rightmost differential first.
+
+    (q_exponent, rest) with integral = q**q_exponent * rest, or (0, None)
+    unless every differential carries exponent n-1.  Each differential's
+    block commutes to the far left past the blocks still present, then goes.
+    """
+    exps, qexp = mono.exps, 0
+    for v in reversed(order):
+        pos = next((i for i, block in enumerate(exps) if block == (v, n - 1)), None)
+        if pos is None:
+            return 0, None
+        qexp += sum(table.eps(u, v) * e for (u, e) in exps[:pos]) * (n - 1)
+        exps = exps[:pos] + exps[pos + 1:]
+    return qexp, Monomial(exps)
+
+
+def normal_order(blocks: Sequence[tuple[Variable, int]], table: PhaseTable, n: int):
+    """(q_exponent, Monomial) with word = q**q_exponent * monomial, blocks in any order.
+
+    (0, None) when the word vanishes by nilpotency.  A left fold of
+    monomial_product over the word's blocks.
+    """
+    qexp, acc = 0, MONOMIAL_ONE
     for (v, e) in blocks:
         if e == 0:
             continue
@@ -170,28 +199,11 @@ def normal_order(blocks: Blocks, table: PhaseTable, n: int):
             raise ValueError("negative exponent in monomial word")
         if e >= n:
             return 0, None
-        pos = len(out)
-        while pos > 0 and v < out[pos - 1][0]:
-            qexp -= table.eps(v, out[pos - 1][0]) * out[pos - 1][1] * e
-            pos -= 1
-        if pos > 0 and out[pos - 1][0] == v:
-            out[pos - 1][1] += e
-            if out[pos - 1][1] >= n:
-                return 0, None
-        else:
-            out.insert(pos, [v, e])
-    return qexp, Monomial(tuple((v, e) for v, e in out))
-
-
-def left_extraction_exponent(mono: Monomial, v: Variable, table: PhaseTable) -> int:
-    """q-exponent collected when commuting the v-block of mono to the far left."""
-    ev = mono.exponent(v)
-    qexp = 0
-    for (u, e) in mono.exps:
-        if u == v:
-            break
-        qexp += table.eps(u, v) * e * ev
-    return qexp
+        k, acc = monomial_product(acc, Monomial(((v, e),)), table, n)
+        if acc is None:
+            return 0, None
+        qexp += k
+    return qexp, acc
 
 
 @dataclass(frozen=True)
@@ -230,10 +242,7 @@ class AlgebraContext:
         return AlgebraElement(self, {})
 
     def gen(self, v: Variable, power: int = 1) -> "AlgebraElement":
-        qexp, mono = normal_order([(v, power)], self.phase_table, self.n)
-        if mono is None:
-            return self.zero()
-        return AlgebraElement(self, {mono: q_power(self.n, qexp)})
+        return self.word([(v, power)])
 
     def word(self, blocks_or_vars: Iterable) -> "AlgebraElement":
         """Element for an arbitrarily ordered word of variables.
@@ -280,6 +289,8 @@ class AlgebraElement:
 
     def __add__(self, other) -> "AlgebraElement":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check_ctx(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -292,33 +303,34 @@ class AlgebraElement:
         return AlgebraElement(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "AlgebraElement":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, float, complex)):
             return AlgebraElement(
                 self.ctx, {m: c * other for m, c in self.terms.items()}
             )
-        other = self._coerce(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_ctx(other)
         n = self.ctx.n
         table = self.ctx.phase_table
         out: dict[Monomial, complex] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                qexp, mono = normal_order(ma.exps + mb.exps, table, n)
+                qexp, mono = monomial_product(ma, mb, table, n)
                 if mono is None:
                     continue
                 out[mono] = out.get(mono, 0.0) + ca * cb * q_power(n, qexp)
         return AlgebraElement(self.ctx, out)
 
     def __rmul__(self, other) -> "AlgebraElement":
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return self._coerce(other) * self
+        return self * other if isinstance(other, (int, float, complex)) else NotImplemented
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -362,25 +374,20 @@ class AlgebraElement:
 
     def berezin_integrate(self, v: Variable) -> "AlgebraElement":
         """Keep terms where v has exponent n-1, after extracting v's block leftwards."""
-        n = self.ctx.n
-        table = self.ctx.phase_table
-        out: dict[Monomial, complex] = {}
-        for mono, c in self.terms.items():
-            if mono.exponent(v) != n - 1:
-                continue
-            qexp = left_extraction_exponent(mono, v, table)
-            new = mono.without(v)
-            out[new] = out.get(new, 0.0) + c * q_power(n, qexp)
-        return AlgebraElement(self.ctx, out)
+        return self.multi_integrate((v,))
 
     def multi_integrate(self, order: Sequence[Variable]) -> "AlgebraElement":
         """Iterated integral; the differential written last acts first."""
         if len(set(order)) != len(order):
             raise ValueError("repeated variable in integration order")
-        acc = self
-        for v in reversed(order):
-            acc = acc.berezin_integrate(v)
-        return acc
+        n = self.ctx.n
+        table = self.ctx.phase_table
+        out: dict[Monomial, complex] = {}
+        for mono, c in self.terms.items():
+            qexp, rest = integrate_monomial(mono, order, table, n)
+            if rest is not None:  # distinct surviving terms keep distinct rests
+                out[rest] = c * q_power(n, qexp)
+        return AlgebraElement(self.ctx, out)
 
     # -- queries ----------------------------------------------------------
 
@@ -409,10 +416,6 @@ class AlgebraElement:
         return all(
             abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __repr__(self) -> str:
         if not self.terms:

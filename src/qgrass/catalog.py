@@ -120,10 +120,6 @@ class ConstructionResult:
     norm_ratio: float = 1.0
     notes: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return match_at_least(self.match, MATCH_SIGNATURE)
-
 
 # -- target state helpers -----------------------------------------------------
 

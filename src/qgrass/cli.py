@@ -127,6 +127,11 @@ def _emit(report: Report, config: RunConfig) -> None:
         text = json.dumps(_json_safe(report.to_dict()), indent=2, sort_keys=True) + "\n"
     else:
         text = report.to_text()
+    _write(text, config)
+
+
+def _write(text: str, config: RunConfig) -> None:
+    """Write to --out when given, else to standard output."""
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)
@@ -297,8 +302,13 @@ def make_parser() -> argparse.ArgumentParser:
 def cmd_list(args: argparse.Namespace, config: RunConfig) -> int:
     from .catalog import catalog_ids
 
-    for entry_id in catalog_ids():
-        sys.stdout.write(entry_id + "\n")
+    ids = catalog_ids()
+    if config.fmt == "json":
+        payload = {"command": "list", "config": _config_dict(config), "ids": ids}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(entry_id + "\n" for entry_id in ids)
+    _write(text, config)
     return 0
 
 

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, Monomial, MONOMIAL_ONE, Variable
-from .algebra import left_extraction_exponent, normal_order, q_power
+from .algebra import integrate_monomial, monomial_product, q_power
 from .qstate import BasisKet, GradedState, PlainState
 
 DEFAULT_TOL = 1e-9
@@ -58,33 +58,26 @@ def _integrate_columns(
 
     Weight terms are bucketed by their exponents on the differentials; a
     state term meets only the bucket keyed n-1-m_d, the one pairing that
-    survives every integral.  Each surviving product is summed in the
-    order left_multiply would sum it, then its differential blocks are
-    extracted rightmost first.
+    survives every integral.  Surviving pairs go through monomial_product
+    and integrate_monomial and are summed in the order left_multiply sums
+    them (removing the differential blocks is injective).
     """
     n, table = state.ctx.n, state.ctx.phase_table
     buckets: dict[tuple[int, ...], list] = {}
     for j, terms in enumerate(weights):
         for mono, c in terms.items():
             slot = tuple(mono.exponent(d) for d in differentials)
-            buckets.setdefault(slot, []).append((j, mono.exps, c))
-    products: list[dict] = [{} for _ in weights]
+            buckets.setdefault(slot, []).append((j, mono, c))
+    columns: list[dict] = [{} for _ in weights]
     for (mono, ket), c in state.terms.items():
         need = tuple(n - 1 - mono.exponent(d) for d in differentials)
-        for j, wexps, wc in buckets.get(need, ()):
-            qexp, new = normal_order(wexps + mono.exps, table, n)
+        for j, wmono, wc in buckets.get(need, ()):
+            qexp, new = monomial_product(wmono, mono, table, n)
             if new is not None:
-                col = products[j]
-                col[new, ket] = col.get((new, ket), 0.0) + wc * c * q_power(n, qexp)
-    columns = []
-    for col in products:
-        out = {}
-        for (mono, ket), c in col.items():
-            for v in reversed(differentials):
-                c = c * q_power(n, left_extraction_exponent(mono, v, table))
-                mono = mono.without(v)
-            out[mono, ket] = c
-        columns.append(out)
+                # the bucket key gives every differential exponent n-1
+                iexp, rest = integrate_monomial(new, differentials, table, n)
+                col = columns[j]
+                col[rest, ket] = col.get((rest, ket), 0.0) + wc * c * q_power(n, qexp + iexp)
     return columns
 
 
@@ -158,18 +151,24 @@ def purity_viola(state: PlainState) -> float:
     """(2/n) sum_i tr rho_i^2 - 1 over qubit sites; 0 on maximally entangled."""
     if any(d != 2 for d in state.dims):
         raise ValueError("qubit purity needs two-level sites; use purity_linear")
-    n = state.nsites
-    total = sum(reduced_density(state, [i]).purity() for i in range(n))
-    return (2.0 / n) * total - 1.0
+    return _qubit_average(_site_purities(state))
 
 
 def purity_linear(state: PlainState) -> float:
     """Average of (d_i tr rho_i^2 - 1)/(d_i - 1); matches the qubit formula at d=2."""
-    vals = []
-    for i, d in enumerate(state.dims):
-        p = reduced_density(state, [i]).purity()
-        vals.append((d * p - 1.0) / (d - 1.0))
-    return float(np.mean(vals))
+    return _linear_entropy(state.dims, _site_purities(state))
+
+
+def _site_purities(state: PlainState) -> list[float]:
+    return [reduced_density(state, [i]).purity() for i in range(state.nsites)]
+
+
+def _qubit_average(purities: Sequence[float]) -> float:
+    return (2.0 / len(purities)) * sum(purities) - 1.0
+
+
+def _linear_entropy(dims: Sequence[int], purities: Sequence[float]) -> float:
+    return float(np.mean([(d * p - 1.0) / (d - 1.0) for d, p in zip(dims, purities)]))
 
 
 def bipartition_spectrum(state: PlainState, cut: Iterable[int]) -> np.ndarray:
@@ -222,18 +221,17 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:
-    spectra = [
-        [float(x) for x in reduced_density(state, [i]).spectrum()]
-        for i in range(state.nsites)
-    ]
+    rdms = [reduced_density(state, [i]) for i in range(state.nsites)]
+    spectra = [[float(x) for x in rho.spectrum()] for rho in rdms]
     max_ent = all(
         all(abs(lam - 1.0 / d) <= tol for lam in spec)
         for spec, d in zip(spectra, state.dims)
     )
+    purities = [rho.purity() for rho in rdms]
     if all(d == 2 for d in state.dims):
-        purity, kind = purity_viola(state), "qubit-average"
+        purity, kind = _qubit_average(purities), "qubit-average"
     else:
-        purity, kind = purity_linear(state), "linear-entropy"
+        purity, kind = _linear_entropy(state.dims, purities), "linear-entropy"
     return EntanglementReport(purity, kind, spectra, cut_spectra(state), max_ent)
 
 
@@ -289,11 +287,14 @@ def solve_weight(
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
     clean Grassmann-free match.  The reported residual is recomputed by
-    running the assembled weight back through integrate_graded.
+    running the assembled weight back through integrate_graded.  Every
+    basis exponent must lie in 1..n-1 (ValueError otherwise).
     """
     if not basis:
         raise ValueError("empty weight basis")
     ctx = state.ctx
+    if any(not 1 <= e < ctx.n for m in basis for _, e in m.exps):
+        raise ValueError(f"basis exponents must lie in 1..{ctx.n - 1}")
     if target.dims != state.space.dims:
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)

@@ -31,8 +31,8 @@ from .algebra import (
     Monomial,
     MONOMIAL_ONE,
     Variable,
-    left_extraction_exponent,
-    normal_order,
+    integrate_monomial,
+    monomial_product,
     q_power,
 )
 
@@ -144,7 +144,7 @@ class GradedState:
         out: dict[tuple[Monomial, BasisKet], complex] = {}
         for (mono, ket), c in self.terms.items():
             for wm, wc in w.terms.items():
-                qexp, new = normal_order(wm.exps + mono.exps, table, n)
+                qexp, new = monomial_product(wm, mono, table, n)
                 if new is None:
                     continue
                 key = (new, ket)
@@ -153,25 +153,18 @@ class GradedState:
 
     # -- integration -------------------------------------------------------
 
-    def berezin_integrate(self, v: Variable) -> "GradedState":
+    def multi_integrate(self, order: Sequence[Variable]) -> "GradedState":
+        """Iterated integral; the differential written last acts first."""
+        if len(set(order)) != len(order):
+            raise ValueError("repeated variable in integration order")
         n = self.ctx.n
         table = self.ctx.phase_table
         out: dict[tuple[Monomial, BasisKet], complex] = {}
         for (mono, ket), c in self.terms.items():
-            if mono.exponent(v) != n - 1:
-                continue
-            qexp = left_extraction_exponent(mono, v, table)
-            key = (mono.without(v), ket)
-            out[key] = out.get(key, 0.0) + c * q_power(n, qexp)
+            qexp, rest = integrate_monomial(mono, order, table, n)
+            if rest is not None:  # distinct surviving terms keep distinct rests
+                out[rest, ket] = c * q_power(n, qexp)
         return GradedState(self.ctx, self.space, out)
-
-    def multi_integrate(self, order: Sequence[Variable]) -> "GradedState":
-        if len(set(order)) != len(order):
-            raise ValueError("repeated variable in integration order")
-        acc = self
-        for v in reversed(order):
-            acc = acc.berezin_integrate(v)
-        return acc
 
     # -- queries -----------------------------------------------------------
 
@@ -247,8 +240,8 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     """Tensor product with canonicalization.
 
     Monomials of later factors are commuted across the kets of earlier
-    factors (conjugate quantization phases) and normal-ordered against the
-    earlier monomials.
+    factors (conjugate quantization phases) and merged into the earlier
+    monomials with monomial_product.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -268,7 +261,7 @@ def _tensor2(a: GradedState, b: GradedState) -> GradedState:
     for (ma, ka), ca in a.terms.items():
         for (mb, kb), cb in b.terms.items():
             cross = -quantize_exponent(mb, ka)  # conj of the left-to-right phase
-            qexp, mono = normal_order(ma.exps + mb.exps, table, n)
+            qexp, mono = monomial_product(ma, mb, table, n)
             if mono is None:
                 continue
             key = (mono, ka + kb)

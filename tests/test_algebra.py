@@ -14,10 +14,14 @@ from hypothesis import given, settings, strategies as st
 from qgrass.algebra import (
     AlgebraContext,
     Monomial,
+    PhaseTable,
     Variable,
+    integrate_monomial,
+    monomial_product,
     normal_order,
     q_power,
 )
+from qgrass.suites import oracle_reorder
 
 
 def oracle_sort(word, ctx):
@@ -77,7 +81,7 @@ def test_reorder_two_generators_n3():
 def test_nilpotency_square_at_n2():
     ctx = AlgebraContext(2)
     t = ctx.gen(ctx.theta(1))
-    assert (t * t).is_zero
+    assert not (t * t).terms
 
 
 def test_mixed_word_reorders_like_the_oracle():
@@ -96,6 +100,23 @@ def test_mixed_context_multiplication_rejected():
     b = AlgebraContext(3).one()
     with pytest.raises(ValueError):
         a * b
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a: a + "x",
+        lambda a: "x" + a,
+        lambda a: a - "x",
+        lambda a: "x" - a,
+        lambda a: a * "x",
+        lambda a: "x" * a,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_unsupported_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(AlgebraContext(3).one())
 
 
 # -- conjugation ----------------------------------------------------------------
@@ -151,8 +172,8 @@ def test_berezin_keeps_top_power_only():
     ctx = AlgebraContext(3)
     t = ctx.theta(1)
     assert ctx.gen(t, 2).berezin_integrate(t).isclose(ctx.one())
-    assert ctx.gen(t, 1).berezin_integrate(t).is_zero
-    assert ctx.one().berezin_integrate(t).is_zero
+    assert not ctx.gen(t, 1).berezin_integrate(t).terms
+    assert not ctx.one().berezin_integrate(t).terms
 
 
 def test_berezin_extraction_phase():
@@ -185,7 +206,7 @@ def test_multi_integral_empty_order_is_identity():
 def test_multi_integral_missing_top_power_vanishes():
     ctx = AlgebraContext(2)
     t1, t2 = ctx.theta(1), ctx.theta(2)
-    assert ctx.gen(t1).multi_integrate((t1, t2)).is_zero
+    assert not ctx.gen(t1).multi_integrate((t1, t2)).terms
 
 
 def test_multi_integral_rejects_repeats():
@@ -298,7 +319,7 @@ def test_property_nilpotency(data, index):
     ctx, (a,) = data
     v = Variable(index, False)
     for k in range(1, ctx.n):
-        assert (ctx.gen(v, k) * (ctx.gen(v, ctx.n - k) * a)).is_zero
+        assert not (ctx.gen(v, k) * (ctx.gen(v, ctx.n - k) * a)).terms
 
 
 def test_coefficient_of_word_divides_out_the_phase():
@@ -324,3 +345,88 @@ def test_phase_table_override_flips_reordering():
     assert (flipped.gen(t3) * flipped.gen(t1)).isclose(
         flipped.qp(-1) * flipped.word([t1, t3])
     )
+
+
+# -- monomial primitives against the adjacent-swap oracle ---------------------
+
+PRIMITIVE_VARIABLES = sorted(Variable(i, b) for i in (1, 2, 3) for b in (True, False))
+PRIMITIVE_TABLES = {
+    "default": PhaseTable(),
+    "override": PhaseTable(
+        overrides=(
+            (Variable(1), Variable(2), 2),
+            (Variable(1, True), Variable(3), -1),
+            (Variable(2, True), Variable(2), 3),
+        )
+    ),
+}
+
+
+def _flatten(mono):
+    return [v for v, e in mono.exps for _ in range(e)]
+
+
+def _random_canonical(rng, n):
+    return Monomial(
+        tuple((v, int(rng.integers(1, n))) for v in PRIMITIVE_VARIABLES if rng.random() < 0.5)
+    )
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_monomial_product_matches_oracle(n, table):
+    ctx = AlgebraContext(n, PRIMITIVE_TABLES[table])
+    rng = np.random.default_rng(100 * n + len(table))
+    outcomes = set()
+    for _ in range(60):
+        a, b = _random_canonical(rng, n), _random_canonical(rng, n)
+        qexp, mono = monomial_product(a, b, ctx.phase_table, n)
+        want_exp, want_mono = oracle_reorder(_flatten(a) + _flatten(b), ctx, rng)
+        assert mono == want_mono
+        if mono is not None:
+            assert qexp % n == want_exp
+        outcomes.add(mono is None)
+    assert outcomes == {True, False}  # both nilpotent collapse and survivors
+
+
+def _reference_integral(mono, order, ctx, rng):
+    """Integrate from the right: cur = q**-e * (v**(n-1) rest) with word = q**e cur."""
+    qexp, cur = 0, mono
+    for v in reversed(order):
+        if cur.exponent(v) != ctx.n - 1:
+            return None
+        rest = Monomial(tuple(b for b in cur.exps if b[0] != v))
+        e, word_mono = oracle_reorder([v] * (ctx.n - 1) + _flatten(rest), ctx, rng)
+        assert word_mono == cur
+        qexp -= e
+        cur = rest
+    return qexp % ctx.n, cur
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integrate_monomial_matches_oracle(n, table):
+    ctx = AlgebraContext(n, PRIMITIVE_TABLES[table])
+    rng = np.random.default_rng(200 * n + len(table))
+    outcomes = set()
+    for _ in range(60):
+        size = int(rng.integers(0, 4))
+        order = [PRIMITIVE_VARIABLES[i] for i in rng.permutation(6)[:size]]
+        blocks = []
+        for v in PRIMITIVE_VARIABLES:
+            r = rng.random()
+            if v in order and r < 0.8:
+                blocks.append((v, n - 1))
+            elif v in order and r < 0.9 and n > 2:
+                blocks.append((v, int(rng.integers(1, n - 1))))  # below n-1
+            elif v not in order and r < 0.5:
+                blocks.append((v, int(rng.integers(1, n))))
+        mono = Monomial(tuple(blocks))
+        qexp, rest = integrate_monomial(mono, order, ctx.phase_table, n)
+        want = _reference_integral(mono, order, ctx, rng)
+        if want is None:
+            assert rest is None
+        else:
+            assert (qexp % n, rest) == want
+        outcomes.add(rest is None)
+    assert outcomes == {True, False}

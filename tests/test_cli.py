@@ -281,3 +281,61 @@ def test_state_serialization_round_trip():
 
     plain = PlainState.from_terms((2, 2), {(0, 1): 0.5j, (1, 0): -0.5})
     assert plain_from_dict(plain_to_dict(plain)).isclose(plain)
+
+
+def _qutrit_pair_spec(basis):
+    amp = 1.0 / math.sqrt(3.0)
+    return {
+        "grade_n": 3,
+        "factors": [
+            {"kind": "coherent", "variable": "theta_1", "d": 3},
+            {"kind": "coherent", "variable": "theta_2", "d": 3},
+        ],
+        "differentials": ["theta_1"],
+        "target": {
+            "sites": [3, 3],
+            "terms": [{"coeff": [amp, 0], "ket": [i, i]} for i in range(3)],
+        },
+        "basis": basis,
+    }
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        {"variables": ["theta_1", "theta_2"], "max_exponent": 3},
+        {"variables": ["theta_1", "theta_2"], "max_exponent": 4},
+        [{"theta_1": 2}, {"theta_1": 0}],
+    ],
+    ids=["max_exponent_n", "max_exponent_above_n", "zero_exponent"],
+)
+def test_solve_weight_basis_exponent_out_of_range_exits_two(tmp_path, capsys, basis):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_qutrit_pair_spec(basis)))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+
+
+def test_list_text_output_is_one_id_per_line(capsys):
+    from qgrass.catalog import catalog_ids
+
+    code, out, _ = run_cli(capsys, "list")
+    assert code == 0
+    assert out == "".join(entry_id + "\n" for entry_id in catalog_ids())
+
+
+def test_list_honours_format_and_out(tmp_path, capsys):
+    from qgrass.catalog import catalog_ids
+
+    out_path = tmp_path / "ids.json"
+    code, out, _ = run_cli(capsys, "list", "--format", "json", "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    payload = json.loads(out_path.read_text())
+    assert payload == {
+        "command": "list",
+        "config": {"tolerance": 1e-9, "seed": 0, "format": "json"},
+        "ids": catalog_ids(),
+    }

@@ -229,6 +229,30 @@ def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
         assert np.max(np.abs(np.asarray(got) - fresh)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "dims", [(2,), (2, 2, 2), (3, 2), (2, 3, 4)], ids=lambda dims: "x".join(map(str, dims))
+)
+def test_entanglement_report_builds_each_site_density_once(monkeypatch, dims):
+    rng = np.random.default_rng(sum(dims) * 17 + len(dims))
+    size = math.prod(dims)
+    state = PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    original = entangle.reduced_density
+    calls = []
+
+    def counted(st, keep):
+        calls.append(tuple(keep))
+        return original(st, keep)
+
+    monkeypatch.setattr(entangle, "reduced_density", counted)
+    report = entanglement_report(state)
+    assert calls == [(i,) for i in range(len(dims))]
+    monkeypatch.setattr(entangle, "reduced_density", original)
+    qubits = all(d == 2 for d in dims)
+    assert report.purity == (purity_viola(state) if qubits else purity_linear(state))
+    for i, spectrum in enumerate(report.rdm_spectra):
+        assert spectrum == [float(x) for x in original(state, [i]).spectrum()]
+
+
 def test_is_maximally_entangled_families():
     mes3 = plain((3, 3), {(i, i): AMP3 for i in range(3)})
     ok, report = is_maximally_entangled(mes3)
