@@ -37,7 +37,6 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-PRUNE_TOL = 1e-12
 CMP_TOL = 1e-9
 
 def q_power(n: int, k: int) -> complex:
@@ -93,11 +92,10 @@ def parse_variable(name: str) -> Variable:
 class PhaseTable:
     """eps(x, y) for canonically ordered pairs x < y.
 
-    x*y = q**eps(x,y) * y*x.  eps is antisymmetric and defaults to +1 for
-    every pair; individual pairs can be overridden.
+    x*y = q**eps(x,y) * y*x.  eps is antisymmetric and is +1 for every
+    pair unless overridden.
     """
 
-    default_eps: int = 1
     overrides: tuple[tuple[Variable, Variable, int], ...] = ()
 
     def eps(self, x: Variable, y: Variable) -> int:
@@ -110,7 +108,7 @@ class PhaseTable:
                 return e
             if (a, b) == (y, x):
                 return -e
-        return self.default_eps
+        return 1
 
 
 @dataclass(frozen=True)
@@ -208,12 +206,10 @@ def normal_order(blocks: Sequence[tuple[Variable, int]], table: PhaseTable, n: i
 
 @dataclass(frozen=True)
 class AlgebraContext:
-    """Grade, phase table and tolerances shared by a family of elements."""
+    """Grade and phase table shared by a family of elements."""
 
     n: int
     phase_table: PhaseTable = field(default_factory=PhaseTable)
-    prune_tol: float = PRUNE_TOL
-    cmp_tol: float = CMP_TOL
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -269,17 +265,16 @@ class AlgebraContext:
 class AlgebraElement:
     """Finite sum of complex coefficients times canonical monomials.
 
-    Immutable by convention: every operation returns a new element.
-    Coefficients below ctx.prune_tol are dropped at construction time.
+    Immutable by convention: every operation returns a new element.  A
+    term is dropped at construction only when its coefficient is exactly 0,
+    so small but genuine coefficients (1/15! at grade 16) survive.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: AlgebraContext, terms: Mapping[Monomial, complex]):
         self.ctx = ctx
-        self.terms = {
-            m: complex(c) for m, c in terms.items() if abs(c) >= ctx.prune_tol
-        }
+        self.terms = {m: complex(c) for m, c in terms.items() if c != 0}
 
     # -- ring structure -------------------------------------------------
 
@@ -409,13 +404,12 @@ class AlgebraElement:
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self.terms.values()) ** 0.5
 
-    def isclose(self, other: "AlgebraElement", tol: float | None = None) -> bool:
-        other = self._coerce(other)
-        tol = self.ctx.cmp_tol if tol is None else tol
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
+    def isclose(self, other: "AlgebraElement", tol: float = CMP_TOL) -> bool:
+        rhs = self._coerce(other)
+        if rhs is NotImplemented:
+            raise TypeError(f"cannot compare an algebra element with {type(other).__name__}")
+        keys = set(self.terms) | set(rhs.terms)
+        return all(abs(self.terms.get(k, 0.0) - rhs.terms.get(k, 0.0)) <= tol for k in keys)
 
     def __repr__(self) -> str:
         if not self.terms:

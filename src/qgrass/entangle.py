@@ -54,13 +54,14 @@ def _integrate_columns(
     differentials: Sequence[Variable],
     state: GradedState,
 ) -> list[dict[tuple[Monomial, BasisKet], complex]]:
-    """Unpruned terms of integral(weights[j] * state) for every column j.
+    """Terms of integral(weights[j] * state) for every column j.
 
     Weight terms are bucketed by their exponents on the differentials; a
     state term meets only the bucket keyed n-1-m_d, the one pairing that
     survives every integral.  Surviving pairs go through monomial_product
-    and integrate_monomial and are summed in the order left_multiply sums
-    them (removing the differential blocks is injective).
+    and integrate_monomial.  Per ket the join sums state terms outer and
+    weight terms inner, the reverse of left_multiply's w * f_k, so the two
+    agree up to rounding (removing the differential blocks is injective).
     """
     n, table = state.ctx.n, state.ctx.phase_table
     buckets: dict[tuple[int, ...], list] = {}
@@ -69,15 +70,16 @@ def _integrate_columns(
             slot = tuple(mono.exponent(d) for d in differentials)
             buckets.setdefault(slot, []).append((j, mono, c))
     columns: list[dict] = [{} for _ in weights]
-    for (mono, ket), c in state.terms.items():
-        need = tuple(n - 1 - mono.exponent(d) for d in differentials)
-        for j, wmono, wc in buckets.get(need, ()):
-            qexp, new = monomial_product(wmono, mono, table, n)
-            if new is not None:
-                # the bucket key gives every differential exponent n-1
-                iexp, rest = integrate_monomial(new, differentials, table, n)
-                col = columns[j]
-                col[rest, ket] = col.get((rest, ket), 0.0) + wc * c * q_power(n, qexp + iexp)
+    for ket, f in state.parts.items():
+        for mono, c in f.terms.items():
+            need = tuple(n - 1 - mono.exponent(d) for d in differentials)
+            for j, wmono, wc in buckets.get(need, ()):
+                qexp, new = monomial_product(wmono, mono, table, n)
+                if new is not None:
+                    # the bucket key gives every differential exponent n-1
+                    iexp, rest = integrate_monomial(new, differentials, table, n)
+                    col = columns[j]
+                    col[rest, ket] = col.get((rest, ket), 0.0) + wc * c * q_power(n, qexp + iexp)
     return columns
 
 
@@ -281,9 +283,9 @@ def solve_weight(
 ) -> WeightSolution:
     """Solve min || integrate(w * state) - target || over weights on the basis.
 
-    Column j is integral(basis[j] * state), pruned at prune_tol; all
-    columns come from one join pass, in which a basis monomial w meets
-    only the state terms with w_d + m_d = n-1 on every differential d.
+    Column j is integral(basis[j] * state); all columns come from one join
+    pass, in which a basis monomial w meets only the state terms with
+    w_d + m_d = n-1 on every differential d.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
     clean Grassmann-free match.  The reported residual is recomputed by
@@ -299,10 +301,7 @@ def solve_weight(
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
 
-    columns = [
-        {key: c for key, c in col.items() if abs(c) >= ctx.prune_tol}
-        for col in _integrate_columns([{m: 1.0} for m in basis], differentials, state)
-    ]
+    columns = _integrate_columns([{m: 1.0} for m in basis], differentials, state)
     row_keys: dict[tuple[Monomial, BasisKet], int] = {}
     for col in columns:
         for key in col:
@@ -327,13 +326,13 @@ def solve_weight(
     weight = AlgebraElement(ctx, terms)
 
     # independent residual through the real pipeline
-    result = integrate_graded(IntegralSpec(weight, differentials), state)
-    keys = set(result.terms) | {(MONOMIAL_ONE, k) for k in target.terms(tol=0.0)}
+    image = integrate_graded(IntegralSpec(weight, differentials), state).terms
+    keys = set(image) | {(MONOMIAL_ONE, k) for k in target.terms(tol=0.0)}
     sq = 0.0
     for key in keys:
         mono, ket = key
         want = target.coefficient(ket) if mono == MONOMIAL_ONE else 0.0
-        sq += abs(result.terms.get(key, 0.0) - want) ** 2
+        sq += abs(image.get(key, 0.0) - want) ** 2
     residual = math.sqrt(sq)
 
     return WeightSolution(

@@ -1,17 +1,19 @@
 """Multi-qudit kets coupled to the graded Grassmann algebra.
 
-A GradedState is a finite sum of complex coefficients times
-(Grassmann monomial) x (basis ket), always stored in canonical form with
-the monomial to the LEFT of its ket.  Moving a variable across a ket uses
-the quantization relation
+A GradedState is a sum over basis kets k of f_k(theta)|k>: one nonzero
+AlgebraElement f_k per ket, with the monomials to the LEFT of the ket, and
+every state operation is an AlgebraElement operation applied ket by ket.
+Moving a variable across a ket uses the quantization relation
 
     theta     |m> = q**(m-1)      |m> theta
     theta_bar |m> = conj(q)**(m-1)|m> theta_bar
 
 (the barred relation follows by Hermitian conjugation of the bra rule).
-quantize_exponent gives the q-exponent of that left-to-right relation;
-pulling a monomial from the right of a ket to the left therefore
-multiplies the coefficient by the conjugate phase.
+A monomial of unbarred degree u and barred degree b therefore crosses
+kets with a phase q**(k*(u-b)), so quantization is a grading twist of the
+algebra element by one integer k.  quantize_exponent gives the q-exponent
+of the left-to-right relation; tensor pulls a later factor's elements
+leftwards across the earlier kets with the conjugate twist.
 
 The module also provides the d-level ladder matrices b, b_dag and their
 q-commutator closures, plus the coherent / squeezed state builders.
@@ -26,13 +28,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (
+    CMP_TOL,
     AlgebraContext,
     AlgebraElement,
     Monomial,
     MONOMIAL_ONE,
     Variable,
-    integrate_monomial,
-    monomial_product,
     q_power,
 )
 
@@ -78,10 +79,28 @@ def quantize_exponent(mono: Monomial, ket: BasisKet) -> int:
     return sum((m - 1) for m in ket) * weight
 
 
-class GradedState:
-    """Sum of coefficient * monomial * |ket> terms in canonical form."""
+def _twist(f: AlgebraElement, k: int) -> AlgebraElement:
+    """Grading twist: every term of f times q**(k*(unbarred - barred)).
 
-    __slots__ = ("ctx", "space", "terms")
+    f|ket> = |ket> _twist(f, sum(m-1 over ket)), and b f = _twist(f, 1) b.
+    """
+    n = f.ctx.n
+    out = {}
+    for mono, c in f.terms.items():
+        unbarred, barred = mono.degree_split()
+        out[mono] = c * q_power(n, k * (unbarred - barred))
+    return AlgebraElement(f.ctx, out)
+
+
+class GradedState:
+    """Sum over basis kets k of f_k|k>, one nonzero AlgebraElement per ket.
+
+    Built from flat {(Monomial, ket): coefficient} terms.  ``parts`` maps
+    each ket to its element; ``terms`` is the flat view, rebuilt on every
+    access.
+    """
+
+    __slots__ = ("ctx", "space", "parts")
 
     def __init__(
         self,
@@ -91,13 +110,24 @@ class GradedState:
     ):
         self.ctx = ctx
         self.space = space
-        clean: dict[tuple[Monomial, BasisKet], complex] = {}
+        grouped: dict[BasisKet, dict[Monomial, complex]] = {}
         for (mono, ket), c in terms.items():
-            if abs(c) < ctx.prune_tol:
-                continue
-            space.check_ket(ket)
-            clean[(mono, tuple(ket))] = complex(c)
-        self.terms = clean
+            grouped.setdefault(tuple(ket), {})[mono] = c
+        self._set({k: AlgebraElement(ctx, t) for k, t in grouped.items()})
+
+    def _set(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
+        """Store the nonempty elements of parts, checking their kets."""
+        self.parts = {k: f for k, f in parts.items() if f.terms}
+        for ket in self.parts:
+            self.space.check_ket(ket)
+        return self
+
+    def _with(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
+        return GradedState(self.ctx, self.space, {})._set(parts)
+
+    @property
+    def terms(self) -> dict[tuple[Monomial, BasisKet], complex]:
+        return {(m, k): c for k, f in self.parts.items() for m, c in f.terms.items()}
 
     # -- construction helpers -------------------------------------------
 
@@ -108,72 +138,51 @@ class GradedState:
         space: LevelSpace,
         pairs: Iterable[tuple[AlgebraElement, BasisKet]],
     ) -> "GradedState":
-        terms: dict[tuple[Monomial, BasisKet], complex] = {}
-        for element, ket in pairs:
-            for mono, c in element.terms.items():
-                key = (mono, tuple(ket))
-                terms[key] = terms.get(key, 0.0) + c
-        return cls(ctx, space, terms)
+        parts: dict[BasisKet, AlgebraElement] = {}
+        for element, ket in pairs:  # the sum rejects an element of another context
+            ket = tuple(ket)
+            parts[ket] = parts.get(ket, ctx.zero()) + element
+        return cls(ctx, space, {})._set(parts)
 
     # -- linear structure --------------------------------------------------
 
     def __add__(self, other: "GradedState") -> "GradedState":
         if self.ctx != other.ctx or self.space != other.space:
             raise ValueError("cannot add states from different contexts/spaces")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return GradedState(self.ctx, self.space, out)
+        parts = dict(self.parts)
+        for ket, f in other.parts.items():
+            parts[ket] = parts[ket] + f if ket in parts else f
+        return self._with(parts)
 
     def __sub__(self, other: "GradedState") -> "GradedState":
         return self + (other * -1.0)
 
     def __mul__(self, scalar: complex) -> "GradedState":
-        return GradedState(
-            self.ctx, self.space, {k: c * scalar for k, c in self.terms.items()}
-        )
+        if not isinstance(scalar, (int, float, complex)):
+            return NotImplemented  # an element times f_k would skip the ket's twist
+        return self._with({k: f * scalar for k, f in self.parts.items()})
 
     __rmul__ = __mul__
 
     def left_multiply(self, w: AlgebraElement) -> "GradedState":
-        """Multiply by an algebra element from the left of every term."""
+        """Multiply by an algebra element from the left: w * f_k on every ket."""
         if w.ctx != self.ctx:
             raise ValueError("weight and state use different algebra contexts")
-        n = self.ctx.n
-        table = self.ctx.phase_table
-        out: dict[tuple[Monomial, BasisKet], complex] = {}
-        for (mono, ket), c in self.terms.items():
-            for wm, wc in w.terms.items():
-                qexp, new = monomial_product(wm, mono, table, n)
-                if new is None:
-                    continue
-                key = (new, ket)
-                out[key] = out.get(key, 0.0) + wc * c * q_power(n, qexp)
-        return GradedState(self.ctx, self.space, out)
+        return self._with({k: w * f for k, f in self.parts.items()})
 
     # -- integration -------------------------------------------------------
 
     def multi_integrate(self, order: Sequence[Variable]) -> "GradedState":
-        """Iterated integral; the differential written last acts first."""
-        if len(set(order)) != len(order):
-            raise ValueError("repeated variable in integration order")
-        n = self.ctx.n
-        table = self.ctx.phase_table
-        out: dict[tuple[Monomial, BasisKet], complex] = {}
-        for (mono, ket), c in self.terms.items():
-            qexp, rest = integrate_monomial(mono, order, table, n)
-            if rest is not None:  # distinct surviving terms keep distinct rests
-                out[rest, ket] = c * q_power(n, qexp)
-        return GradedState(self.ctx, self.space, out)
+        """Iterated integral on every ket; the differential written last acts first."""
+        return self._with({k: f.multi_integrate(order) for k, f in self.parts.items()})
 
     # -- queries -----------------------------------------------------------
 
     def grassmann_part_norm(self) -> float:
         """Norm of the terms that still carry Grassmann content."""
-        return (
-            sum(abs(c) ** 2 for (m, _), c in self.terms.items() if m != MONOMIAL_ONE)
-            ** 0.5
-        )
+        return sum(
+            abs(c) ** 2 for f in self.parts.values() for m, c in f.terms.items() if m.exps
+        ) ** 0.5
 
     def to_plain(self, tol: float = 1e-9) -> "PlainState":
         residual = self.grassmann_part_norm()
@@ -183,44 +192,37 @@ class GradedState:
 
     def plain_projection(self) -> "PlainState":
         """Grassmann-free part, discarding any residual monomial terms."""
-        amps: dict[BasisKet, complex] = {}
-        for (mono, ket), c in self.terms.items():
-            if mono == MONOMIAL_ONE:
-                amps[ket] = amps.get(ket, 0.0) + c
+        amps = {k: f.coefficient(MONOMIAL_ONE) for k, f in self.parts.items()}
         return PlainState.from_terms(self.space.dims, amps)
 
+    def _part(self, ket: BasisKet) -> AlgebraElement:
+        return self.parts.get(tuple(ket)) or self.ctx.zero()
+
     def coefficient(self, mono: Monomial, ket: BasisKet) -> complex:
-        return self.terms.get((mono, tuple(ket)), 0.0 + 0.0j)
+        return self._part(ket).coefficient(mono)
 
     def coefficient_of_word(self, blocks_or_vars, ket: BasisKet) -> complex:
         """Coefficient relative to an arbitrarily ordered monomial word."""
-        w = self.ctx.word(blocks_or_vars)
-        if len(w.terms) != 1:
-            raise ValueError("word vanishes by nilpotency")
-        ((mono, phase),) = w.terms.items()
-        return self.coefficient(mono, ket) / phase
+        return self._part(ket).coefficient_of_word(blocks_or_vars)
 
-    def isclose(self, other: "GradedState", tol: float | None = None) -> bool:
-        tol = self.ctx.cmp_tol if tol is None else tol
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
-        )
+    def isclose(self, other: "GradedState", tol: float = CMP_TOL) -> bool:
+        if not isinstance(other, GradedState):
+            raise TypeError(f"cannot compare a graded state with {type(other).__name__}")
+        keys = self.parts.keys() | other.parts.keys()
+        return all(self._part(k).isclose(other._part(k), tol) for k in keys)
 
     def norm(self) -> float:
-        return sum(abs(c) ** 2 for c in self.terms.values()) ** 0.5
+        return sum(f.norm() ** 2 for f in self.parts.values()) ** 0.5
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for (mono, ket) in sorted(
-            self.terms, key=lambda mk: (mk[1], str(mk[0]))
-        ):
-            c = self.terms[(mono, ket)]
+        for (mono, ket) in sorted(terms, key=lambda mk: (mk[1], str(mk[0]))):
             ketstr = "".join(str(m) for m in ket)
             head = "" if mono == MONOMIAL_ONE else f"{mono}*"
-            parts.append(f"({c:.6g})*{head}|{ketstr}>")
+            parts.append(f"({terms[mono, ket]:.6g})*{head}|{ketstr}>")
         return " + ".join(parts)
 
 
@@ -239,9 +241,9 @@ class GrassmannResidueError(ValueError):
 def tensor(states: Sequence[GradedState]) -> GradedState:
     """Tensor product with canonicalization.
 
-    Monomials of later factors are commuted across the kets of earlier
-    factors (conjugate quantization phases) and merged into the earlier
-    monomials with monomial_product.
+    Each later factor's element is pulled leftwards across the earlier kets
+    (the conjugate quantization twist) and multiplied onto the earlier
+    element: (fa|ka>)(fb|kb>) = fa * _twist(fb, -sum(m-1 over ka)) |ka kb>.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -255,18 +257,16 @@ def _tensor2(a: GradedState, b: GradedState) -> GradedState:
     if a.ctx != b.ctx:
         raise ValueError("tensor factors use different algebra contexts")
     n = a.ctx.n
-    table = a.ctx.phase_table
     space = LevelSpace(a.space.dims + b.space.dims)
-    out: dict[tuple[Monomial, BasisKet], complex] = {}
-    for (ma, ka), ca in a.terms.items():
-        for (mb, kb), cb in b.terms.items():
-            cross = -quantize_exponent(mb, ka)  # conj of the left-to-right phase
-            qexp, mono = monomial_product(ma, mb, table, n)
-            if mono is None:
-                continue
-            key = (mono, ka + kb)
-            out[key] = out.get(key, 0.0) + ca * cb * q_power(n, cross + qexp)
-    return GradedState(a.ctx, space, out)
+    twisted: dict[int, list] = {}  # b's parts, twisted once per shift mod n
+    parts: dict[BasisKet, AlgebraElement] = {}
+    for ka, fa in a.parts.items():
+        shift = -sum(m - 1 for m in ka) % n
+        if shift not in twisted:
+            twisted[shift] = [(kb, _twist(fb, shift)) for kb, fb in b.parts.items()]
+        for kb, fb in twisted[shift]:
+            parts[ka + kb] = fa * fb
+    return GradedState(a.ctx, space, {})._set(parts)
 
 
 # -- plain (Grassmann-free) states ----------------------------------------
@@ -355,14 +355,14 @@ def coherent_state(
     return GradedState(ctx, LevelSpace((d,)), terms)
 
 
-def squeezed_state_symmetric(ctx: AlgebraContext, v: Variable, d: int = 3) -> GradedState:
+def squeezed_state_symmetric(ctx: AlgebraContext, v: Variable) -> GradedState:
     """(1 - (1/4) v vbar)|0> + (1/sqrt(2)) v |2> on a three-level site.
 
     Expansion of exp[(v b_dag^2 - vbar b^2)/2] |0> using b^3 = 0; only
-    defined at grade 3 with d = 3.
+    defined at grade 3.
     """
-    if ctx.n != 3 or d != 3:
-        raise ValueError("symmetric squeezed state is defined at grade 3, d = 3 only")
+    if ctx.n != 3:
+        raise ValueError("symmetric squeezed state is defined at grade 3 only")
     vb = v.conjugate
     element0 = ctx.one() - 0.25 * ctx.word([(v, 1), (vb, 1)])
     element2 = (1.0 / math.sqrt(2.0)) * ctx.gen(v)
@@ -383,10 +383,8 @@ def squeezed_state_exp(ctx: AlgebraContext, v: Variable, d: int) -> GradedState:
     return GradedState(ctx, LevelSpace((d,)), terms)
 
 
-def nilpotent_polynomial_state(coeffs: Sequence[complex], sites: int = 2) -> PlainState:
+def nilpotent_polynomial_state(coeffs: Sequence[complex]) -> PlainState:
     """a0|00> + a1|10> + a2|01> + a3|11> from polynomial raising coefficients."""
-    if sites != 2:
-        raise ValueError("only the two-site polynomial expansion is defined")
     if len(coeffs) != 4:
         raise ValueError("expected four coefficients a0..a3")
     a0, a1, a2, a3 = (complex(c) for c in coeffs)
@@ -514,24 +512,18 @@ def check_squeeze_closure(d: int = 3, tol: float = 1e-12) -> ClosureReport:
 
 
 def apply_annihilation(state: GradedState, site: int = 0) -> GradedState:
-    """Apply the site annihilation operator b, commuting it past monomials.
+    """Apply the site annihilation operator b, commuting it past the elements.
 
     b crosses an unbarred power with phase q and a barred power with
-    conj(q) per unit exponent ([b, theta]_q = 0 and its conjugates).
+    conj(q) per unit exponent ([b, theta]_q = 0 and its conjugates), so
+    b f|m> = _twist(f, 1) sqrt(m)|m-1> on the site.
     """
-    d = state.space.dims[site]
-    n = state.ctx.n
-    out: dict[tuple[Monomial, BasisKet], complex] = {}
-    for (mono, ket), c in state.terms.items():
-        unbarred, barred = mono.degree_split()
-        phase = q_power(n, unbarred - barred)
+    parts: dict[BasisKet, AlgebraElement] = {}
+    for ket, f in state.parts.items():
         m = ket[site]
-        if m == 0:
-            continue
-        new_ket = ket[:site] + (m - 1,) + ket[site + 1 :]
-        key = (mono, new_ket)
-        out[key] = out.get(key, 0.0) + c * phase * math.sqrt(m)
-    return GradedState(state.ctx, state.space, out)
+        if m:
+            parts[ket[:site] + (m - 1,) + ket[site + 1 :]] = _twist(f, 1) * math.sqrt(m)
+    return state._with(parts)
 
 
 def eigenstate_check(state: GradedState, v: Variable) -> float:

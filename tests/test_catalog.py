@@ -210,6 +210,22 @@ def test_qudit_mes_n2_reduces_to_bell():
     assert abs(target.coefficient((1, 1)) - AMP2) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 19, 22])
+def test_qudit_mes_keeps_small_coefficients_at_large_grade(n):
+    # the |n-1 n-1> amplitude carries 1/(n-1)!, below 1e-12 from n = 16 on
+    result = catalog_construct("qudit_mes_n", n=n, solver_check=False)
+    assert result.match == MATCH_EXACT
+    assert abs(result.norm_ratio - 1.0) < 1e-9
+    assert result.flags == ["QUDIT_WEIGHT_INDEXING"]
+
+
+def test_qudit_mes_solver_reaches_full_rank_at_grade_16():
+    result = catalog_construct("qudit_mes_n", n=16)
+    assert result.match == MATCH_EXACT
+    assert result.solver.rank == 16 * 16
+    assert result.solver.feasible
+
+
 def test_squeezed_qudit_entries():
     r3 = catalog_construct("qudit_squeezed_mes_n", n=3)
     assert match_at_least(r3.match, MATCH_SIGNATURE)

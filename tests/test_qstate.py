@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from qgrass.algebra import AlgebraContext, Monomial, q_power
+from qgrass.algebra import (
+    AlgebraContext,
+    Monomial,
+    PhaseTable,
+    Variable,
+    integrate_monomial,
+    monomial_product,
+    q_power,
+)
+from qgrass.entangle import monomial_basis
 from qgrass.qstate import (
     GradedState,
     GrassmannResidueError,
@@ -320,3 +329,176 @@ def test_apply_annihilation_crosses_monomials_with_q_phase():
     lowered = apply_annihilation(state)
     shifted = state.left_multiply(ctx.gen(t))
     assert (lowered - shifted).norm() < 1e-12
+
+
+def test_squeezed_symmetric_takes_no_level_count():
+    ctx = AlgebraContext(3)
+    with pytest.raises(TypeError):
+        squeezed_state_symmetric(ctx, ctx.theta(1), 3)
+
+
+# -- isclose operands ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case", ["element-str", "state-str", "state-element", "element-scalar"]
+)
+def test_isclose_rejects_foreign_operand(case):
+    ctx = AlgebraContext(3)
+    state = coherent_state(ctx, ctx.theta(1), 3)
+    left, right = {
+        "element-str": (ctx.one(), "x"),
+        "state-str": (state, "x"),
+        "state-element": (state, ctx.one()),
+        "element-scalar": (ctx.scalar(2.0), 2.0),
+    }[case]
+    if case == "element-scalar":
+        assert left.isclose(right)
+        return
+    with pytest.raises(TypeError):
+        left.isclose(right)
+
+
+def test_from_pairs_sums_elements_per_ket_and_checks_context():
+    ctx = AlgebraContext(3)
+    t = ctx.theta(1)
+    state = GradedState.from_pairs(
+        ctx, LevelSpace((3,)), [(ctx.gen(t), (1,)), (ctx.one(), (0,)), (ctx.gen(t), [1])]
+    )
+    assert state.terms == {(Monomial(()), (0,)): 1.0, (Monomial(((t, 1),)), (1,)): 2.0}
+    other = AlgebraContext(4)
+    with pytest.raises(ValueError):
+        GradedState.from_pairs(ctx, LevelSpace((3,)), [(other.one(), (0,))])
+
+
+def test_state_times_element_is_rejected():
+    # only scalars scale a state; an element must go through left_multiply
+    ctx = AlgebraContext(3)
+    state = coherent_state(ctx, ctx.theta(1), 3)
+    for make in (lambda: state * ctx.one(), lambda: ctx.one() * state):
+        with pytest.raises(TypeError):
+            make()
+
+
+# -- per-ket operations against the flat per-term loops they replaced -------------------
+#
+# The references below are the flat {(monomial, ket): c} loops the state
+# operations used before a state became one algebra element per ket.
+
+TB1, T1, TB2, T2 = Variable(1, True), Variable(1), Variable(2, True), Variable(2)
+REF_VARIABLES = [TB1, T1, TB2, T2]  # canonical order
+REF_TABLES = {
+    "default": PhaseTable(),
+    "override": PhaseTable(overrides=((T1, T2, 2), (TB1, T2, -1), (T1, TB2, 3))),
+}
+
+
+def _ref_left_multiply(ctx, w, terms):
+    n, table = ctx.n, ctx.phase_table
+    out = {}
+    for (mono, ket), c in terms.items():
+        for wm, wc in w.terms.items():
+            qexp, new = monomial_product(wm, mono, table, n)
+            if new is None:
+                continue
+            key = (new, ket)
+            out[key] = out.get(key, 0.0) + wc * c * q_power(n, qexp)
+    return out
+
+
+def _ref_multi_integrate(ctx, terms, order):
+    n, table = ctx.n, ctx.phase_table
+    out = {}
+    for (mono, ket), c in terms.items():
+        qexp, rest = integrate_monomial(mono, order, table, n)
+        if rest is not None:
+            out[rest, ket] = c * q_power(n, qexp)
+    return out
+
+
+def _ref_tensor2(ctx, a, b):
+    n, table = ctx.n, ctx.phase_table
+    out = {}
+    for (ma, ka), ca in a.items():
+        for (mb, kb), cb in b.items():
+            cross = -quantize_exponent(mb, ka)
+            qexp, mono = monomial_product(ma, mb, table, n)
+            if mono is None:
+                continue
+            key = (mono, ka + kb)
+            out[key] = out.get(key, 0.0) + ca * cb * q_power(n, cross + qexp)
+    return out
+
+
+def _ref_annihilation(ctx, terms, site):
+    out = {}
+    for (mono, ket), c in terms.items():
+        unbarred, barred = mono.degree_split()
+        phase = q_power(ctx.n, unbarred - barred)
+        m = ket[site]
+        if m == 0:
+            continue
+        key = (mono, ket[:site] + (m - 1,) + ket[site + 1 :])
+        out[key] = out.get(key, 0.0) + c * phase * math.sqrt(m)
+    return out
+
+
+def _random_monomial(rng, n, density=1.0):
+    exps = rng.integers(0, n, 4) * (rng.random(4) < density)
+    return Monomial(tuple((v, int(e)) for v, e in zip(REF_VARIABLES, exps) if e))
+
+
+def _random_factor(ctx, rng):
+    d = int(rng.integers(2, ctx.n + 1))
+    terms = {}
+    for m in range(d):
+        for _ in range(2):
+            # sparse monomials, so three factors rarely vanish by nilpotency
+            terms[_random_monomial(rng, ctx.n, 0.4), (m,)] = complex(*rng.standard_normal(2))
+    return GradedState(ctx, LevelSpace((d,)), terms)
+
+
+def _assert_same_terms(got, want, tol=1e-12):
+    assert want, "reference result is empty; the comparison would prove nothing"
+    assert set(got) == set(want)
+    for key, c in want.items():
+        assert abs(got[key] - c) <= tol, key
+
+
+@pytest.mark.parametrize("table", sorted(REF_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_per_ket_operations_match_flat_reference(n, table):
+    ctx = AlgebraContext(n, REF_TABLES[table])
+    rng = np.random.default_rng(300 * n + sorted(REF_TABLES).index(table))
+    for nfactors in (1, 2, 3):
+        factors = [_random_factor(ctx, rng) for _ in range(nfactors)]
+        state = tensor(factors)
+        ref = factors[0].terms
+        for factor in factors[1:]:
+            ref = _ref_tensor2(ctx, ref, factor.terms)
+        _assert_same_terms(state.terms, ref)
+        assert GradedState(ctx, state.space, state.terms).isclose(state, tol=0.0)
+        assert abs(state.norm() - math.sqrt(sum(abs(c) ** 2 for c in ref.values()))) <= 1e-12
+        for (mono, ket), c in list(ref.items())[:20]:
+            word = list(reversed(mono.exps))
+            ((_, phase),) = ctx.word(word).terms.items()
+            assert abs(state.coefficient_of_word(word, ket) - c / phase) <= 1e-12
+
+        for site in range(nfactors):
+            lowered = _ref_annihilation(ctx, ref, site)
+            if lowered:
+                _assert_same_terms(apply_annihilation(state, site).terms, lowered)
+
+        # the differentials' full basis reaches n-1 on every slot of every term
+        order = [REF_VARIABLES[i] for i in rng.permutation(4)[: int(rng.integers(1, 3))]]
+        weight_terms = {_random_monomial(rng, n): complex(*rng.standard_normal(2))
+                        for _ in range(5)}
+        for mono in monomial_basis(ctx, order):
+            weight_terms[mono] = complex(*rng.standard_normal(2))
+        weight = ctx.element(weight_terms)
+        product = _ref_left_multiply(ctx, weight, ref)
+        _assert_same_terms(state.left_multiply(weight).terms, product)
+        _assert_same_terms(
+            state.left_multiply(weight).multi_integrate(order).terms,
+            _ref_multi_integrate(ctx, product, order),
+        )
