@@ -13,7 +13,10 @@ differential list.
 Measures operate on plain states: reduced density matrices, the two
 purity conventions (qubit average and the d-level linear-entropy
 normalization), bipartition Schmidt spectra, and the maximal-entanglement
-test (every single-site reduction maximally mixed).
+test (every single-site reduction maximally mixed).  cut_spectra
+decomposes every unordered cut of a state from its nonzero amplitudes
+only, as small matrices stacked by shape into a few batched SVDs;
+bipartition_spectrum is the dense one-cut routine.
 
 solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
@@ -64,15 +67,25 @@ def _integrate_columns(
     agree up to rounding (removing the differential blocks is injective).
     """
     n, table = state.ctx.n, state.ctx.phase_table
+    slot_of = {d: i for i, d in enumerate(differentials)}
+
+    def slots(mono: Monomial) -> list[int]:
+        """Exponent of mono on each differential, in one pass over its blocks."""
+        out = [0] * len(differentials)
+        for v, e in mono.exps:
+            i = slot_of.get(v)
+            if i is not None:
+                out[i] = e
+        return out
+
     buckets: dict[tuple[int, ...], list] = {}
     for j, terms in enumerate(weights):
         for mono, c in terms.items():
-            slot = tuple(mono.exponent(d) for d in differentials)
-            buckets.setdefault(slot, []).append((j, mono, c))
+            buckets.setdefault(tuple(slots(mono)), []).append((j, mono, c))
     columns: list[dict] = [{} for _ in weights]
     for ket, f in state.parts.items():
         for mono, c in f.terms.items():
-            need = tuple(n - 1 - mono.exponent(d) for d in differentials)
+            need = tuple(n - 1 - e for e in slots(mono))
             for j, wmono, wc in buckets.get(need, ()):
                 qexp, new = monomial_product(wmono, mono, table, n)
                 if new is not None:
@@ -177,6 +190,8 @@ def bipartition_spectrum(state: PlainState, cut: Iterable[int]) -> np.ndarray:
     """Normalized Schmidt coefficients across the cut (descending)."""
     cut = sorted(set(int(k) for k in cut))
     nsites = state.nsites
+    if any(k < 0 or k >= nsites for k in cut):
+        raise ValueError(f"cut sites {cut} out of range for {nsites} sites")
     if not cut or len(cut) >= nsites:
         raise ValueError("cut must be a nonempty proper subset of sites")
     rest = [ax for ax in range(nsites) if ax not in cut]
@@ -203,23 +218,103 @@ class EntanglementReport:
     max_entangled: bool
 
 
+# entries per stacked SVD: bounds the memory a large dense state needs
+_STACK_ENTRIES = 1 << 16
+
+
 def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
     """Schmidt spectrum of every proper cut, keyed by the cut's sites.
 
     A cut and its complement share one spectrum, so each unordered pair is
     decomposed once and stored under both keys; keys run by cut size, then
-    lexicographically.
+    lexicographically.  Each list has min(d_cut, d_rest) values, descending
+    and of unit norm, like bipartition_spectrum.
+
+    The state is normalized once and only its K nonzero amplitudes enter.
+    One matrix product of their digits with per-cut place values gives each
+    amplitude's row key (its digits on the larger side of the cut) and
+    column key (the smaller side) for every cut at once.  A cut's matrix is
+    min(K, d_large) x min(K, d_small): an axis longer than K is indexed by
+    the rank of its key instead, which only drops zero rows or columns, so
+    the nonzero singular values are those of the full matrix; the spectrum
+    is padded with 0.0.  Cuts with the same matrix shape are decomposed in
+    one stacked SVD.
     """
     nsites = state.nsites
-    spectra: dict[tuple[int, ...], list[float]] = {}
+    if nsites < 2:
+        return {}
+    psi = state.normalized().amps
+    support = np.flatnonzero(psi)
+    amps, nsupp = psi[support], len(support)
+    # keys are integers below 2**53, so BLAS float64 products give them exactly
+    digits = np.stack(np.unravel_index(support, state.dims), axis=1).astype(float)  # K x S
+
+    # Complementing reverses lexicographic order: the i-th of the C cuts of
+    # size r is the complement of the (C-1-i)-th cut of size S-r.
+    cuts: list[tuple[int, ...]] = []
+    reps: list[tuple[int, ...]] = []  # the first-listed cut of each pair
+    pair: list[int] = []  # per cut, the index of its pair in reps
+    first: dict[int, int] = {}  # cut size -> index in reps of its first cut
     for r in range(1, nsites):
-        for cut in itertools.combinations(range(nsites), r):
-            rest = tuple(k for k in range(nsites) if k not in cut)
-            if rest in spectra:
-                spectra[cut] = spectra[rest]
-            else:
-                spectra[cut] = [float(x) for x in bipartition_spectrum(state, cut)]
-    return spectra
+        sized = list(itertools.combinations(range(nsites), r))
+        total = len(sized)
+        new = total if 2 * r < nsites else total // 2 if 2 * r == nsites else 0
+        first[r] = len(reps)
+        reps += sized[:new]
+        pair += range(first[r], first[r] + new)
+        if new < total:
+            start = first[nsites - r]
+            pair += range(start + total - 1 - new, start - 1, -1)
+        cuts += sized
+
+    dims = np.array(state.dims, dtype=np.int64)
+    on_rows = np.zeros((len(reps), nsites), dtype=bool)
+    on_rows[np.repeat(np.arange(len(reps)), [len(c) for c in reps]),
+            list(itertools.chain.from_iterable(reps))] = True
+    # rows take the larger side: a transpose keeps the spectrum, and numpy's
+    # SVD is faster on tall matrices
+    cut_size = np.prod(np.where(on_rows, dims, 1), axis=1)
+    on_rows ^= (cut_size * cut_size < psi.size)[:, None]
+    # C-order place values of each site within its side of every pair
+    place, size = [], []
+    for side in (on_rows, ~on_rows):
+        factors = np.where(side, dims, 1)
+        tail = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]  # product over sites >= s
+        place.append(np.where(side, tail // factors, 0).T.astype(float))  # S x pairs
+        size.append(tail[:, 0])
+    (row_place, col_place), (da, db) = place, size
+    nrows, ncols = np.minimum(da, nsupp), np.minimum(db, nsupp)
+
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, shape in enumerate(zip(nrows.tolist(), ncols.tolist(), db.tolist())):
+        groups.setdefault(shape, []).append(i)
+    spectra: list[list[float]] = [[] for _ in reps]
+    for (rows, cols, m), members in groups.items():
+        step = max(1, _STACK_ENTRIES // (rows * cols))
+        for lo in range(0, len(members), step):
+            idx = np.array(members[lo : lo + step])
+            rkeys = _axis_index(digits @ row_place[:, idx], da[idx], nsupp)
+            ckeys = _axis_index(digits @ col_place[:, idx], db[idx], nsupp)
+            stack = np.zeros((len(idx), rows * cols), dtype=complex)
+            stack[np.arange(len(idx))[:, None], (rkeys * cols + ckeys).T] = amps
+            s = np.linalg.svd(stack.reshape(-1, rows, cols), compute_uv=False)
+            s = s / np.linalg.norm(s, axis=1, keepdims=True)
+            pad = [0.0] * (m - s.shape[1])
+            for i, row in zip(idx.tolist(), s.tolist()):
+                spectra[i] = row + pad
+    return {cut: spectra[p] for cut, p in zip(cuts, pair)}
+
+
+def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
+    """Matrix index of each key (K x cuts): the key itself when every
+    cut's axis is at most K long, else the key's rank among its cut's keys."""
+    keys = keys.astype(np.int64)
+    if np.all(length <= nsupp):
+        return keys
+    span = int(keys.max()) + 1  # shift each cut's keys into its own range
+    _, inverse = np.unique(keys + span * np.arange(keys.shape[1]), return_inverse=True)
+    inverse = inverse.reshape(keys.shape)
+    return inverse - inverse.min(axis=0)
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:

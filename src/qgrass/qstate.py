@@ -113,11 +113,18 @@ class GradedState:
         grouped: dict[BasisKet, dict[Monomial, complex]] = {}
         for (mono, ket), c in terms.items():
             grouped.setdefault(tuple(ket), {})[mono] = c
-        self._set({k: AlgebraElement(ctx, t) for k, t in grouped.items()})
+        self._set({k: AlgebraElement(ctx, t) for k, t in grouped.items()})._check_kets()
 
     def _set(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
-        """Store the nonempty elements of parts, checking their kets."""
+        """Store the nonempty elements of parts, whose kets must be valid.
+
+        Kets are checked where they enter (the constructor and from_pairs);
+        operations on valid states only keep, join or lower valid kets.
+        """
         self.parts = {k: f for k, f in parts.items() if f.terms}
+        return self
+
+    def _check_kets(self) -> "GradedState":
         for ket in self.parts:
             self.space.check_ket(ket)
         return self
@@ -142,7 +149,7 @@ class GradedState:
         for element, ket in pairs:  # the sum rejects an element of another context
             ket = tuple(ket)
             parts[ket] = parts.get(ket, ctx.zero()) + element
-        return cls(ctx, space, {})._set(parts)
+        return cls(ctx, space, {})._set(parts)._check_kets()
 
     # -- linear structure --------------------------------------------------
 

@@ -20,6 +20,7 @@ from qgrass.algebra import (
     PhaseTable,
     Variable,
 )
+from qgrass.catalog import ghz_target, w_target
 from qgrass.entangle import (
     IntegralSpec,
     apply_weight_and_integrate,
@@ -196,6 +197,60 @@ def test_spectrum_invariant_under_local_diagonal_phases():
         assert np.allclose(a, b, atol=1e-9)
 
 
+@pytest.mark.parametrize("cut", [[5], [-1], [0, 1, 2, 5]], ids=str)
+def test_bipartition_spectrum_rejects_out_of_range_sites(cut):
+    state = plain((2, 2, 2), {(0, 0, 0): AMP2, (1, 1, 1): AMP2})
+    with pytest.raises(ValueError, match="out of range"):
+        bipartition_spectrum(state, cut)
+
+
+def _random_dense(dims, seed):
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    return PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def _tiny_and_zero_amplitudes():
+    rng = np.random.default_rng(5)
+    amps = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * (rng.random(64) < 0.3)
+    amps[[3, 40]] = [1e-300, -2e-300j]
+    return PlainState((2,) * 6, amps)
+
+
+CUT_SPECTRA_STATES = {
+    "dense-2^8": lambda: _random_dense((2,) * 8, 1),
+    "dense-3x3x2x2x2x2": lambda: _random_dense((3, 3, 2, 2, 2, 2), 2),
+    "dense-2x3x4": lambda: _random_dense((2, 3, 4), 3),
+    "ghz7": lambda: ghz_target(7),
+    "w6": lambda: w_target(6),
+    "w2-qutrits": lambda: plain((3, 3), {(0, 1): AMP2, (1, 0): AMP2}),
+    "product-K1": lambda: plain((2, 3, 4), {(1, 2, 0): 0.5j}),
+    "tiny-and-zero": _tiny_and_zero_amplitudes,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUT_SPECTRA_STATES))
+def test_cut_spectra_matches_bipartition_spectrum(name):
+    state = CUT_SPECTRA_STATES[name]()
+    nsites = state.nsites
+    spectra = entangle.cut_spectra(state)
+    cuts = [c for r in range(1, nsites) for c in itertools.combinations(range(nsites), r)]
+    assert list(spectra) == cuts
+    for cut in cuts:
+        want = bipartition_spectrum(state, cut)
+        assert len(spectra[cut]) == len(want)
+        assert all(type(x) is float for x in spectra[cut])
+        assert np.max(np.abs(np.asarray(spectra[cut]) - want)) <= 1e-12
+        rest = tuple(k for k in range(nsites) if k not in cut)
+        assert spectra[cut] is spectra[rest]
+
+
+def test_cut_spectra_single_site_and_zero_state():
+    assert entangle.cut_spectra(plain((3,), {(1,): 1.0})) == {}
+    with pytest.raises(ValueError, match="zero state"):
+        entangle.cut_spectra(PlainState((2, 3), np.zeros(6)))
+
+
 @pytest.mark.parametrize(
     "dims",
     [(2,), (2, 3), (2, 3, 2), (3, 2, 2, 2), (2,) * 6],
@@ -205,17 +260,18 @@ def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
     rng = np.random.default_rng(sum(dims) * 31 + len(dims))
     size = math.prod(dims)
     state = PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    original = entangle.bipartition_spectrum
-    calls = []
+    original = np.linalg.svd
+    matrices = []
 
-    def counted(st, cut):
-        calls.append(tuple(cut))
-        return original(st, cut)
+    def counted(a, *args, **kwargs):
+        matrices.append(math.prod(np.shape(a)[:-2]))  # a stack of matrices counts each
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(entangle, "bipartition_spectrum", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     report = entanglement_report(state)
+    monkeypatch.undo()
     nsites = len(dims)
-    assert len(calls) == 2 ** (nsites - 1) - 1
+    assert sum(matrices) == 2 ** (nsites - 1) - 1
     cuts = [
         cut
         for r in range(1, nsites)
@@ -223,7 +279,7 @@ def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
     ]
     assert list(report.bipartition_schmidt) == cuts
     for cut in cuts:
-        fresh = original(state, cut)
+        fresh = bipartition_spectrum(state, cut)
         got = report.bipartition_schmidt[cut]
         assert len(got) == len(fresh)
         assert np.max(np.abs(np.asarray(got) - fresh)) <= 1e-12

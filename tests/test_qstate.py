@@ -213,6 +213,17 @@ def test_tensor_rejects_context_mismatch():
         tensor([a, b])
 
 
+@pytest.mark.parametrize("ket", [(3,), (-1,), (0, 0)], ids=str)
+def test_graded_state_rejects_out_of_range_ket(ket):
+    # kets are checked where they enter; tensor and arithmetic do not re-check
+    ctx = AlgebraContext(3)
+    space = LevelSpace((3,))
+    with pytest.raises(ValueError, match="out of range"):
+        GradedState(ctx, space, {(Monomial(()), ket): 1.0})
+    with pytest.raises(ValueError, match="out of range"):
+        GradedState.from_pairs(ctx, space, [(ctx.one(), ket)])
+
+
 def test_tensor_canonical_form_is_stable():
     # stored terms are already canonical: rebuilding from them is a no-op
     ctx = AlgebraContext(3)
