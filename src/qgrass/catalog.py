@@ -16,6 +16,7 @@ with stable discrepancy ids, never silently accepted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -61,7 +62,12 @@ def match_at_least(match: str, floor: str) -> bool:
 
 
 def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAULT_TOL) -> str:
-    """Classify how the computed state relates to the target (both normalized)."""
+    """Classify how the computed state relates to the target (both normalized).
+
+    Both states must have the same site dimensions (ValueError otherwise).
+    """
+    if computed.dims != target.dims:
+        raise ValueError(f"cannot compare dims {computed.dims} with {target.dims}")
     if computed.norm() == 0.0:
         return MATCH_MISMATCH
     a = computed.normalized().amps
@@ -74,14 +80,10 @@ def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAUL
         if abs(abs(phase) - 1.0) <= tol and np.max(np.abs(a - phase * b)) <= tol:
             return MATCH_GLOBAL_PHASE
     if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
-        sa = cut_spectra(computed.normalized())
-        sb = cut_spectra(target.normalized())
-        same_spectra = all(
-            len(sa[cut]) == len(sb[cut])
-            and max(abs(x - y) for x, y in zip(sa[cut], sb[cut])) <= tol
-            for cut in sa
-        )
-        if same_spectra:
+        # equal dims give both sides the same cuts in the same order; the
+        # leading 0.0 keeps a one-site state, which has no cuts, comparable
+        sa, sb = (np.concatenate([[0.0], *cut_spectra(s).values()]) for s in (computed, target))
+        if np.max(np.abs(sa - sb)) <= tol:
             return MATCH_SIGNATURE
     return MATCH_MISMATCH
 
@@ -97,15 +99,15 @@ class Recipe:
     weight: AlgebraElement
     differentials: tuple[Variable, ...]
     target: PlainState
-    solver_basis: tuple[Monomial, ...] = field(init=False)
     phase_flag: str | None = None
     mismatch_flag: str | None = None
     extra_flags: tuple[str, ...] = ()
     notes: str = ""
 
-    def __post_init__(self) -> None:
-        # the solver cross-check runs over the full basis of the differentials
-        self.solver_basis = tuple(monomial_basis(self.ctx, self.differentials))
+    @functools.cached_property
+    def solver_basis(self) -> tuple[Monomial, ...]:
+        """Full monomial basis of the differentials, for the solver cross-check."""
+        return tuple(monomial_basis(self.ctx, self.differentials))
 
 
 @dataclass
@@ -468,9 +470,7 @@ def _qudit_squeezed_mes(n: int = 3) -> Recipe:
         )
     return Recipe(
         "qudit_squeezed_mes_n", {"n": n}, ctx, state, weight, (xi,), target,
-        phase_flag="PHASE_CONVENTION",
-        mismatch_flag="SQUEEZED_QUDIT_WEIGHT",
-        extra_flags=("SQUEEZED_QUDIT_WEIGHT",), notes=notes,
+        phase_flag="PHASE_CONVENTION", extra_flags=("SQUEEZED_QUDIT_WEIGHT",), notes=notes,
     )
 
 
@@ -543,11 +543,6 @@ def catalog_construct(
             tol=tol,
         )
 
-    seen: list[str] = []
-    for f in flags:
-        if f not in seen:
-            seen.append(f)
-
     return ConstructionResult(
         entry_id=entry_id,
         params=recipe.params,
@@ -556,7 +551,7 @@ def catalog_construct(
         match=match,
         report=report,
         solver=solver,
-        flags=seen,
+        flags=flags,
         grassmann_residual=residual,
         norm_ratio=float(norm_ratio),
         notes=recipe.notes,

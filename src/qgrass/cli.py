@@ -1,7 +1,8 @@
 """Command-line front end.
 
     qgrass construct <id> [--n N] [--sign +|-] [--omega-power K] ...
-    qgrass verify {algebra,catalog,closure,boson,all} [--n N] [--seed S] ...
+    qgrass verify {algebra,catalog,closure,boson,all} [--seed S] ...
+    qgrass verify algebra --n N ...
     qgrass solve-weight --spec FILE ...
 
 Common flags: --tol, --seed, --format {text,json}, --out PATH.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -40,8 +42,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # also rejects nan
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass
@@ -179,7 +181,10 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if args.n is not None and args.suite == "algebra":
+    if args.n is not None and args.suite != "algebra":
+        sys.stderr.write("error: --n applies to the algebra suite only\n")
+        return 2
+    if args.n is not None:
         from .suites import suite_algebra
 
         try:

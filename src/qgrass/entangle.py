@@ -397,22 +397,14 @@ def solve_weight(
     differentials = tuple(differentials)
 
     columns = _integrate_columns([{m: 1.0} for m in basis], differentials, state)
-    row_keys: dict[tuple[Monomial, BasisKet], int] = {}
-    for col in columns:
-        for key in col:
-            row_keys.setdefault(key, len(row_keys))
-    for ket in target.terms(tol=0.0):
-        row_keys.setdefault((MONOMIAL_ONE, ket), len(row_keys))
+    want = {(MONOMIAL_ONE, ket): c for ket, c in target.terms(tol=0.0).items()}
+    row_of = {key: i for i, key in enumerate(dict.fromkeys(itertools.chain(*columns, want)))}
 
-    mat = np.zeros((len(row_keys), len(basis)), dtype=complex)
+    mat = np.zeros((len(row_of), len(basis)), dtype=complex)
     for j, col in enumerate(columns):
         for key, c in col.items():
-            mat[row_keys[key], j] = c
-    rhs = np.zeros(len(row_keys), dtype=complex)
-    for key, idx in row_keys.items():
-        mono, ket = key
-        if mono == MONOMIAL_ONE:
-            rhs[idx] = target.coefficient(ket)
+            mat[row_of[key], j] = c
+    rhs = np.array([want.get(key, 0.0) for key in row_of], dtype=complex)
 
     x, _, rank, singular_values = np.linalg.lstsq(mat, rhs, rcond=None)
     terms: dict[Monomial, complex] = {}
@@ -422,13 +414,8 @@ def solve_weight(
 
     # independent residual through the real pipeline
     image = integrate_graded(IntegralSpec(weight, differentials), state).terms
-    keys = set(image) | {(MONOMIAL_ONE, k) for k in target.terms(tol=0.0)}
-    sq = 0.0
-    for key in keys:
-        mono, ket = key
-        want = target.coefficient(ket) if mono == MONOMIAL_ONE else 0.0
-        sq += abs(image.get(key, 0.0) - want) ** 2
-    residual = math.sqrt(sq)
+    keys = set(image) | set(want)
+    residual = math.sqrt(sum(abs(image.get(k, 0.0) - want.get(k, 0.0)) ** 2 for k in keys))
 
     return WeightSolution(
         weight=weight,

@@ -16,8 +16,9 @@ from qgrass.catalog import (
     compare_states,
     match_at_least,
 )
-from qgrass.entangle import bipartition_spectrum, reduced_density, schmidt_rank
+from qgrass.entangle import bipartition_spectrum, monomial_basis, reduced_density, schmidt_rank
 from qgrass.qstate import PlainState
+from qgrass.suites import CATALOG_RUNS
 
 AMP2 = 1.0 / math.sqrt(2.0)
 
@@ -67,6 +68,24 @@ def test_signature_requires_equal_spectra_not_just_magnitudes(no_reports):
     a = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
     b = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.5})
     assert compare_states(a, b) == MATCH_MISMATCH
+    # |0> (x) the pair above: cut (0,) agrees on both sides, only the later
+    # cuts separate them, so every cut must enter the comparison
+    a3 = plain((2, 2, 2), {(0, *k): 0.5 for k in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    b3 = plain((2, 2, 2), {(0, 0, 0): 0.5, (0, 0, 1): 0.5, (0, 1, 0): 0.5, (0, 1, 1): -0.5})
+    assert bipartition_spectrum(a3, [0]) == pytest.approx(bipartition_spectrum(b3, [0]))
+    assert compare_states(a3, b3) == MATCH_MISMATCH
+
+
+def test_one_site_states_with_equal_magnitudes_are_signature(no_reports):
+    a = PlainState((2,), np.array([AMP2, AMP2]))
+    b = PlainState((2,), np.array([AMP2, -AMP2]))
+    assert compare_states(a, b) == MATCH_SIGNATURE
+
+
+def test_compare_states_rejects_different_dims():
+    amps = np.arange(1.0, 7.0)
+    with pytest.raises(ValueError, match="dims"):
+        compare_states(PlainState((2, 3), amps), PlainState((3, 2), amps))
 
 
 def test_match_ordering():
@@ -252,3 +271,40 @@ def test_every_mes_target_entry_is_maximally_entangled():
     for entry_id, params in runs:
         result = catalog_construct(entry_id, **params)
         assert result.report.max_entangled, entry_id
+
+
+# -- verification path builds each input once -----------------------------------
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Count the calls catalog makes to monomial_basis."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return monomial_basis(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "monomial_basis", counting)
+    return calls
+
+
+def test_construct_without_solver_builds_no_basis(basis_calls):
+    result = catalog_construct("ghz_n", n=4, solver_check=False)
+    assert result.solver is None
+    assert basis_calls == []
+
+
+def test_solver_basis_is_built_once_on_first_read(basis_calls):
+    recipe = catalog.build_recipe("qutrit_biseparable", sign=-1)
+    assert basis_calls == []
+    first, second = recipe.solver_basis, recipe.solver_basis
+    assert first is second
+    assert first == tuple(monomial_basis(recipe.ctx, recipe.differentials))
+    assert len(basis_calls) == 1
+
+
+def test_catalog_runs_list_each_flag_once():
+    for entry_id, params, _floor in CATALOG_RUNS:
+        flags = catalog_construct(entry_id, solver_check=False, **params).flags
+        assert len(set(flags)) == len(flags), (entry_id, params, flags)

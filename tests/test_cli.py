@@ -283,6 +283,33 @@ def test_state_serialization_round_trip():
     assert plain_from_dict(plain_to_dict(plain)).isclose(plain)
 
 
+@pytest.mark.parametrize("exponent", [0, 3, 4])
+def test_graded_from_dict_rejects_exponent_outside_1_to_n_minus_1(exponent):
+    data = {
+        "grade_n": 3,
+        "sites": [3],
+        "terms": [{"coeff": [1.0, 0.0], "monomial": {"theta_1": exponent}, "ket": [0]}],
+    }
+    with pytest.raises(ValueError, match=f"exponent {exponent} of theta_1"):
+        graded_from_dict(data)
+
+
+@pytest.mark.parametrize("suite", ["catalog", "closure", "boson", "all"])
+def test_verify_n_outside_algebra_suite_exits_two(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n applies to the algebra suite only\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_non_finite_or_non_positive_tolerance_exits_two(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "all", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance") and err.count("\n") == 1
+
+
 def _qutrit_pair_spec(basis):
     amp = 1.0 / math.sqrt(3.0)
     return {

@@ -381,6 +381,14 @@ def test_solver_rejects_empty_basis():
         solve_weight(state, (t,), ghz(2), [])
 
 
+def test_solver_rejects_repeated_differentials():
+    ctx = AlgebraContext(2)
+    t = ctx.theta(1)
+    state = tensor([coherent_state(ctx, t, 2)] * 2)
+    with pytest.raises(ValueError, match="distinct"):
+        solve_weight(state, (t, t), ghz(2), monomial_basis(ctx, [t]))
+
+
 def test_solver_feasibility_forbids_grassmann_residue():
     # the symmetric squeezed factor leaves conjugate-variable residue under
     # a single differential, so even its own image is infeasible unless the
