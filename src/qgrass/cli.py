@@ -44,6 +44,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < math.inf:  # also rejects nan
             raise ValueError("tolerance must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

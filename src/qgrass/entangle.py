@@ -21,7 +21,9 @@ bipartition_spectrum is the dense one-cut routine.
 solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
 join over the whole basis and returns the minimum-norm least-squares
-weight, re-verified through integrate_graded.
+weight, re-verified through integrate_graded.  The map is block diagonal
+up to a permutation (columns sharing a row form a block), so it is solved
+block by block under lstsq's one global cutoff and never stored densely.
 """
 
 from __future__ import annotations
@@ -353,6 +355,7 @@ class WeightSolution:
     basis: tuple[Monomial, ...]
     rank: int
     coefficients: np.ndarray = field(repr=False, default=None)
+    # every block's values, descending, zero-padded to min(rows, basis) as lstsq
     singular_values: np.ndarray = field(repr=False, default=None)
 
 
@@ -369,6 +372,70 @@ def monomial_basis(
     return basis
 
 
+def _block_lstsq(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, shape: tuple[int, int]
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """np.linalg.lstsq(A, rhs, rcond=None) for A[rows, cols] = vals, never building A.
+
+    Columns that share a row form one block (union-find over the shared
+    rows); the min-norm solution, residual and spectrum of A are those of
+    its blocks together.  A one-column block c has x = <c, b> / |c|^2 and
+    singular value |c|, batched over all such blocks; a larger block gets
+    its own SVD; a column without rows gets x = 0 and no value.  As in
+    lstsq, one cutoff eps * max(M, N) * s_max over all blocks zeroes the
+    small values, rank counts the rest, and the values come back sorted
+    descending, padded with zeros to min(M, N).
+    """
+    m, n = shape
+    parent = list(range(n))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first: dict[int, int] = {}
+    shared = np.bincount(rows, minlength=m)[rows] > 1
+    for r, j in zip(rows[shared].tolist(), cols[shared].tolist()):
+        a, b = find(j), find(first.setdefault(r, j))
+        if a != b:
+            parent[a] = b
+    root = np.array([find(j) for j in range(n)], dtype=np.intp)
+    single = np.bincount(root, minlength=n)[root] == 1
+
+    norm = np.sqrt(np.bincount(cols, np.abs(vals) ** 2, minlength=n))
+    dot = vals.conj() * rhs[rows]
+    dot = np.bincount(cols, dot.real, minlength=n) + 1j * np.bincount(cols, dot.imag, minlength=n)
+    values = [norm[single & (np.bincount(cols, minlength=n) > 0)]]
+    blocks = []
+    multi = ~single[cols]
+    if multi.any():
+        order = np.argsort(root[cols[multi]], kind="stable")
+        r, c, v = rows[multi][order], cols[multi][order], vals[multi][order]
+        cuts = np.flatnonzero(np.diff(root[c])) + 1
+        for rb, cb, vb in zip(np.split(r, cuts), np.split(c, cuts), np.split(v, cuts)):
+            block_rows, ri = np.unique(rb, return_inverse=True)
+            block_cols, ci = np.unique(cb, return_inverse=True)
+            a = np.zeros((len(block_rows), len(block_cols)), dtype=complex)
+            a[ri, ci] = vb
+            u, s, vh = np.linalg.svd(a, full_matrices=False)
+            blocks.append((block_cols, vh.conj().T, u.conj().T @ rhs[block_rows], s))
+            values.append(s)
+
+    values = np.sort(np.concatenate(values))[::-1]
+    cutoff = np.finfo(float).eps * max(m, n) * (values[0] if len(values) else 0.0)
+    x = np.zeros(n, dtype=complex)
+    keep = single & (norm > cutoff)
+    x[keep] = dot[keep] / norm[keep] ** 2
+    for block_cols, v, ub, s in blocks:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
+        x[block_cols] = v @ (ub * inv)
+    padded = np.zeros(min(m, n))
+    padded[: len(values)] = values
+    return x, int(np.sum(values > cutoff)), padded
+
+
 def solve_weight(
     state: GradedState,
     differentials: Sequence[Variable],
@@ -383,7 +450,11 @@ def solve_weight(
     w_d + m_d = n-1 on every differential d.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
-    clean Grassmann-free match.  The reported residual is recomputed by
+    clean Grassmann-free match.  The least-squares step is _block_lstsq:
+    one block per set of columns that share rows, one cutoff
+    eps * max(rows, basis) * s_max over all of them, so rank and
+    singular_values read as np.linalg.lstsq's on the dense matrix, which
+    is never built.  The reported residual is recomputed by
     running the assembled weight back through integrate_graded.  Every
     basis exponent must lie in 1..n-1 (ValueError otherwise).
     """
@@ -400,13 +471,11 @@ def solve_weight(
     want = {(MONOMIAL_ONE, ket): c for ket, c in target.terms(tol=0.0).items()}
     row_of = {key: i for i, key in enumerate(dict.fromkeys(itertools.chain(*columns, want)))}
 
-    mat = np.zeros((len(row_of), len(basis)), dtype=complex)
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            mat[row_of[key], j] = c
+    cols = np.repeat(np.arange(len(basis)), [len(col) for col in columns])
+    rows = np.fromiter((row_of[key] for col in columns for key in col), np.intp, len(cols))
+    vals = np.fromiter((c for col in columns for c in col.values()), complex, len(cols))
     rhs = np.array([want.get(key, 0.0) for key in row_of], dtype=complex)
-
-    x, _, rank, singular_values = np.linalg.lstsq(mat, rhs, rcond=None)
+    x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(row_of), len(basis)))
     terms: dict[Monomial, complex] = {}
     for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
         terms[m] = terms.get(m, 0.0) + c

@@ -62,10 +62,12 @@ class LevelSpace:
         return out
 
     def check_ket(self, ket: BasisKet) -> None:
-        if len(ket) != len(self.dims) or any(
-            not (0 <= m < d) for m, d in zip(ket, self.dims)
-        ):
-            raise ValueError(f"ket {ket} out of range for dims {self.dims}")
+        _check_ket(ket, self.dims)
+
+
+def _check_ket(ket: BasisKet, dims: tuple[int, ...]) -> None:
+    if len(ket) != len(dims) or any(not (0 <= m < d) for m, d in zip(ket, dims)):
+        raise ValueError(f"ket {ket} out of range for dims {dims}")
 
 
 def quantize_exponent(mono: Monomial, ket: BasisKet) -> int:
@@ -302,7 +304,9 @@ class PlainState:
             size *= d
         amps = np.zeros(size, dtype=complex)
         for ket, c in terms.items():
-            amps[int(np.ravel_multi_index(tuple(ket), dims))] += c
+            ket = tuple(ket)
+            _check_ket(ket, dims)
+            amps[int(np.ravel_multi_index(ket, dims))] += c
         return cls(dims, amps)
 
     @property

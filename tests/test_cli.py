@@ -310,6 +310,25 @@ def test_non_finite_or_non_positive_tolerance_exits_two(capsys, tol):
     assert err.startswith("error: tolerance") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", ["algebra", "boson", "all"])
+def test_negative_seed_exits_two(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be non-negative\n"
+
+
+def test_solve_weight_target_ket_out_of_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "ket.json"
+    target = {"sites": [2, 2], "terms": [{"coeff": [1, 0], "ket": [0, 7]}]}
+    path.write_text(json.dumps(_ghz2_spec(target=target)))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ket (0, 7) out of range for dims (2, 2)" in err
+
+
 def _qutrit_pair_spec(basis):
     amp = 1.0 / math.sqrt(3.0)
     return {

@@ -454,8 +454,8 @@ def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
         assert any(mono != MONOMIAL_ONE for mono, _ in want)
 
 
-def _reference_solve(state, diffs, target, basis):
-    """Per-column assembly: one left_multiply / multi_integrate per monomial."""
+def _dense_problem(state, diffs, target, basis):
+    """Dense matrix and right-hand side, one left_multiply / multi_integrate per monomial."""
     ctx = state.ctx
     columns = [
         state.left_multiply(AlgebraElement(ctx, {m: 1.0})).multi_integrate(diffs).terms
@@ -475,6 +475,13 @@ def _reference_solve(state, diffs, target, basis):
     for (mono, ket), i in rows.items():
         if mono == MONOMIAL_ONE:
             rhs[i] = target.coefficient(ket)
+    return mat, rhs
+
+
+def _reference_solve(state, diffs, target, basis):
+    """Per-column assembly solved densely; the residual through left_multiply."""
+    ctx = state.ctx
+    mat, rhs = _dense_problem(state, diffs, target, basis)
     x, _, rank, _ = np.linalg.lstsq(mat, rhs, rcond=None)
     weight = ctx.zero()
     for m, c in zip(basis, x):
@@ -525,3 +532,59 @@ def test_solver_singular_values_match_rank():
     assert int(np.sum(sv > rcond * sv[0])) == solution.rank
     assert "singular_values" not in repr(solution)
     assert "singular_values" not in solution_to_dict(solution)
+
+
+def _state_with_block_structure(ctx, rng, nterms=40):
+    """Random terms over TB1, T1, T2 with T1 exponent >= 1 and no ket (1, 2).
+
+    Under the single differential T1, a weight with T1**(n-1) meets no state
+    term (empty column), the target row of |12> meets no column, and a
+    weight's T2 and TB1 powers ride along into the rows, so weights that
+    differ off T1 share rows (multi-column blocks).
+    """
+    kets = [k for k in itertools.product(range(2), range(3)) if k != (1, 2)]
+    terms = {}
+    for _ in range(nterms):
+        exps = rng.integers(ctx.n), rng.integers(1, ctx.n), rng.integers(ctx.n)  # TB1, T1, T2
+        mono = Monomial(tuple((v, int(e)) for v, e in zip(JOIN_VARIABLES, exps) if e))
+        ket = kets[int(rng.integers(len(kets)))]
+        terms[(mono, ket)] = complex(*rng.standard_normal(2))
+    return GradedState(ctx, LevelSpace((2, 3)), terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [3, 4])
+def test_block_solve_matches_dense_lstsq(n, seed):
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(1000 * n + seed)
+    state = _state_with_block_structure(ctx, rng)
+    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    basis = basis + basis[1:4] + basis[-2:]  # repeats make rank-deficient blocks
+    image = integrate_graded(
+        IntegralSpec(_random_weight(ctx, rng, basis), (T1,)), state
+    ).terms
+    noise = PlainState((2, 3), rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    reached = PlainState.from_terms(
+        (2, 3), {k: c for (m, k), c in image.items() if m == MONOMIAL_ONE}
+    )
+    mat, rhs = _dense_problem(state, (T1,), noise, basis)
+    # the structure this test is about is really there
+    nonzero = mat != 0
+    assert not nonzero.any(axis=0).all()  # an empty column
+    assert (~nonzero.any(axis=1) & (rhs != 0)).any()  # a target row no column reaches
+    shared = nonzero[nonzero.sum(axis=1) > 1]
+    assert any(len({basis[j] for j in np.flatnonzero(row)}) > 1 for row in shared)
+
+    for target in (noise, reached):
+        mat, rhs = _dense_problem(state, (T1,), target, basis)
+        x, _, rank, sv = np.linalg.lstsq(mat, rhs, rcond=None)
+        assert rank < nonzero.any(axis=0).sum()  # a rank-deficient block
+        residual = float(np.linalg.norm(mat @ x - rhs))
+        solution = solve_weight(state, (T1,), target, basis)
+        assert solution.rank == rank
+        assert solution.feasible == (residual < 1e-9)
+        assert abs(solution.residual - residual) <= 1e-12
+        bound = 1e-12 * max(1.0, np.max(np.abs(x)))
+        assert np.max(np.abs(solution.coefficients - x)) <= bound
+        assert len(solution.singular_values) == len(sv)
+        assert np.max(np.abs(solution.singular_values - sv)) <= 1e-12

@@ -21,6 +21,7 @@ from qgrass.qstate import (
     GrassmannResidueError,
     LadderSet,
     LevelSpace,
+    PlainState,
     apply_annihilation,
     check_squeeze_closure,
     check_su_q2_closure,
@@ -222,6 +223,12 @@ def test_graded_state_rejects_out_of_range_ket(ket):
         GradedState(ctx, space, {(Monomial(()), ket): 1.0})
     with pytest.raises(ValueError, match="out of range"):
         GradedState.from_pairs(ctx, space, [(ctx.one(), ket)])
+
+
+@pytest.mark.parametrize("ket", [(0, 3), (-1, 0), (0,), (0, 0, 0)], ids=str)
+def test_plain_state_from_terms_rejects_out_of_range_ket(ket):
+    with pytest.raises(ValueError, match=r"ket .* out of range for dims \(2, 3\)"):
+        PlainState.from_terms((2, 3), {(0, 0): 0.5, ket: 0.5})
 
 
 def test_tensor_canonical_form_is_stable():
