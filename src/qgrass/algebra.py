@@ -17,6 +17,11 @@ every ordered pair this single rule gives
 simultaneously.  The phase table is plain data and can be overridden per
 context for experiments with other commutation conventions.
 
+Variables and monomials are tuples in canonical order: a Variable is
+(index, 0 if barred else 1) and a Monomial is a tuple of (Variable,
+exponent) blocks, so equality, hashing and ordering are native tuple
+operations.
+
 Berezin integration is the linear functional
 
     integral d(theta) theta**k = delta(k, n-1),
@@ -34,7 +39,9 @@ scalar once per term, so reordering accumulates no phase drift.
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 CMP_TOL = 1e-9
@@ -48,96 +55,120 @@ def q_power(n: int, k: int) -> complex:
     return cmath.exp(2j * cmath.pi * k / n)
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A Grassmann generator theta_index (barred=False) or tbar_index."""
+class Variable(tuple):
+    """A Grassmann generator theta_index (barred=False) or tbar_index.
 
-    index: int
-    barred: bool = False
+    Stored as the tuple (index, 0 if barred else 1), so native tuple
+    equality, hashing and order are the canonical ones.
+    """
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    __slots__ = ()
+
+    def __new__(cls, index: int, barred: bool = False) -> "Variable":
+        if index < 1:
             raise ValueError("variable index must be >= 1")
+        return tuple.__new__(cls, (index, 0 if barred else 1))
+
+    def __getnewargs__(self) -> tuple[int, bool]:
+        return self[0], not self[1]
+
+    index = property(itemgetter(0))
+
+    @property
+    def barred(self) -> bool:
+        return not self[1]
 
     @property
     def sort_key(self) -> tuple[int, int]:
         # barred partner precedes the plain variable at the same index
-        return (self.index, 0 if self.barred else 1)
+        return tuple(self)
 
     @property
     def name(self) -> str:
-        return f"theta_bar_{self.index}" if self.barred else f"theta_{self.index}"
+        return f"theta_{self[0]}" if self[1] else f"theta_bar_{self[0]}"
 
     @property
     def conjugate(self) -> "Variable":
-        return Variable(self.index, not self.barred)
-
-    def __lt__(self, other: "Variable") -> bool:
-        return self.sort_key < other.sort_key
+        return tuple.__new__(Variable, (self[0], 1 - self[1]))
 
     def __repr__(self) -> str:
         return self.name
 
 
+_VARIABLE_NAME = re.compile(r"theta_(bar_)?([1-9][0-9]*)")
+
+
 def parse_variable(name: str) -> Variable:
-    """Inverse of Variable.name ('theta_3', 'theta_bar_1')."""
-    if name.startswith("theta_bar_"):
-        return Variable(int(name[len("theta_bar_"):]), barred=True)
-    if name.startswith("theta_"):
-        return Variable(int(name[len("theta_"):]), barred=False)
-    raise ValueError(f"cannot parse variable name {name!r}")
+    """Inverse of Variable.name ('theta_3', 'theta_bar_1'); no other spelling."""
+    match = _VARIABLE_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is None:
+        raise ValueError(f"cannot parse variable name {name!r}")
+    return Variable(int(match[2]), barred=bool(match[1]))
 
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """eps(x, y) for canonically ordered pairs x < y.
+    """eps(x, y) for pairs of generators.
 
     x*y = q**eps(x,y) * y*x.  eps is antisymmetric and is +1 for every
-    pair unless overridden.
+    canonically ordered pair x < y unless overridden.  An override
+    (a, b, e) sets eps(a, b) = e and eps(b, a) = -e; `signed` holds both
+    orientations of every override, built once here.
     """
 
     overrides: tuple[tuple[Variable, Variable, int], ...] = ()
+    signed: dict[tuple[Variable, Variable], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        signed: dict[tuple[Variable, Variable], int] = {}
+        for (a, b, e) in self.overrides:
+            if a == b:
+                raise ValueError(f"phase override pairs {a!r} with itself")
+            for key, value in (((a, b), e), ((b, a), -e)):
+                if signed.setdefault(key, value) != value:
+                    raise ValueError(f"conflicting phase overrides for {a!r} and {b!r}")
+        object.__setattr__(self, "signed", signed)
 
     def eps(self, x: Variable, y: Variable) -> int:
-        if x == y:
-            return 0
-        if y < x:
-            return -self.eps(y, x)
-        for (a, b, e) in self.overrides:
-            if (a, b) == (x, y):
-                return e
-            if (a, b) == (y, x):
-                return -e
-        return 1
+        e = self.signed.get((x, y))
+        if e is not None:
+            return e
+        return 0 if x == y else 1 if x < y else -1
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(tuple):
     """Product of generator powers in canonical variable order.
 
-    exps is a tuple of (Variable, exponent) with variables strictly
-    increasing and every exponent in 1..n-1.  The empty tuple is the
-    scalar monomial 1.
+    A tuple of (Variable, exponent) blocks with variables strictly
+    increasing and every exponent in 1..n-1, so native tuple equality,
+    hashing and order apply.  The empty tuple is the scalar monomial 1.
     """
 
-    exps: tuple[tuple[Variable, int], ...] = ()
+    __slots__ = ()
+
+    @property
+    def exps(self) -> "Monomial":
+        return self
 
     def exponent(self, v: Variable) -> int:
-        for (u, e) in self.exps:
+        for (u, e) in self:
             if u == v:
                 return e
         return 0
 
     def degree_split(self) -> tuple[int, int]:
         """(total unbarred exponent, total barred exponent)."""
-        unbarred = sum(e for v, e in self.exps if not v.barred)
-        barred = sum(e for v, e in self.exps if v.barred)
+        unbarred = sum(e for v, e in self if v[1])
+        barred = sum(e for v, e in self if not v[1])
         return unbarred, barred
 
     def __str__(self) -> str:
-        if not self.exps:
+        if not self:
             return "1"
-        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self.exps)
+        return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in self)
+
+    def __repr__(self) -> str:
+        return f"Monomial(exps={tuple(self)!r})"
 
 
 MONOMIAL_ONE = Monomial(())
@@ -150,20 +181,22 @@ def monomial_product(a: Monomial, b: Monomial, table: PhaseTable, n: int):
     passes every larger block x**f of a, collecting -eps(y, x)*f*e; equal
     variables add their exponents.
     """
-    ax, out, qexp, i = a.exps, [], 0, 0
-    for (y, e) in b.exps:
-        while i < len(ax) and ax[i][0] < y:
-            out.append(ax[i])
+    signed, out, qexp, i, na = table.signed, [], 0, 0, len(a)
+    for (y, e) in b:
+        while i < na and a[i][0] < y:
+            out.append(a[i])
             i += 1
-        for (x, f) in ax[i:]:  # eps(y, y) = 0
-            qexp -= table.eps(y, x) * f * e
-        if i < len(ax) and ax[i][0] == y:
-            e += ax[i][1]
-            i += 1
+        j = i + 1 if i < na and a[i][0] == y else i
+        for (x, f) in a[j:]:  # y < x, so eps(y, x) is +1 unless overridden
+            qexp -= signed.get((y, x), 1) * f * e
+        if j > i:
+            e += a[i][1]
+            i = j
             if e >= n:
                 return 0, None
         out.append((y, e))
-    return qexp, Monomial(tuple(out) + ax[i:])
+    out.extend(a[i:])
+    return qexp, Monomial(out)
 
 
 def integrate_monomial(mono: Monomial, order: Sequence[Variable], table: PhaseTable, n: int):
@@ -173,12 +206,14 @@ def integrate_monomial(mono: Monomial, order: Sequence[Variable], table: PhaseTa
     unless every differential carries exponent n-1.  Each differential's
     block commutes to the far left past the blocks still present, then goes.
     """
-    exps, qexp = mono.exps, 0
+    signed, exps, qexp = table.signed, mono, 0
     for v in reversed(order):
-        pos = next((i for i, block in enumerate(exps) if block == (v, n - 1)), None)
-        if pos is None:
+        block = (v, n - 1)
+        if block not in exps:
             return 0, None
-        qexp += sum(table.eps(u, v) * e for (u, e) in exps[:pos]) * (n - 1)
+        pos = exps.index(block)
+        # every block before pos has u < v, so eps(u, v) is +1 unless overridden
+        qexp += sum(signed.get((u, v), 1) * e for (u, e) in exps[:pos]) * (n - 1)
         exps = exps[:pos] + exps[pos + 1:]
     return qexp, Monomial(exps)
 
@@ -279,7 +314,7 @@ class AlgebraElement:
     # -- ring structure -------------------------------------------------
 
     def _check_ctx(self, other: "AlgebraElement") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("operands belong to different algebra contexts")
 
     def __add__(self, other) -> "AlgebraElement":
@@ -350,7 +385,7 @@ class AlgebraElement:
         table = self.ctx.phase_table
         out: dict[Monomial, complex] = {}
         for mono, c in self.terms.items():
-            blocks = [(v.conjugate, e) for (v, e) in reversed(mono.exps)]
+            blocks = [(v.conjugate, e) for (v, e) in reversed(mono)]
             qexp, new = normal_order(blocks, table, n)
             if new is None:
                 continue
@@ -415,7 +450,7 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: tuple(v.sort_key + (e,) for v, e in m.exps)):
+        for mono in sorted(self.terms):
             c = self.terms[mono]
             parts.append(f"({c:.6g})*{mono}")
         return " + ".join(parts)

@@ -223,6 +223,8 @@ def _build_factor(ctx: AlgebraContext, spec: dict):
 
 def _build_state(ctx: AlgebraContext, spec: dict):
     if "combination" in spec:
+        if not spec["combination"]:
+            raise ValueError("combination names no product")
         state = None
         for part in spec["combination"]:
             coeff = part.get("coeff", [1.0, 0.0])

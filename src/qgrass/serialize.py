@@ -39,11 +39,10 @@ def monomial_to_dict(mono: Monomial) -> dict[str, int]:
 
 
 def monomial_from_dict(d: dict[str, int]) -> Monomial:
-    pairs = sorted(
-        ((parse_variable(name), int(e)) for name, e in d.items()),
-        key=lambda ve: ve[0].sort_key,
-    )
-    return Monomial(tuple(pairs))
+    pairs = sorted((parse_variable(name), int(e)) for name, e in d.items())
+    if len({v for v, _ in pairs}) != len(pairs):
+        raise ValueError(f"monomial {d!r} repeats a variable")
+    return Monomial(pairs)
 
 
 def element_to_dict(e: AlgebraElement) -> dict[str, Any]:

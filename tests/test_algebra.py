@@ -5,13 +5,16 @@ oracle (sort a flat variable word one swap at a time using only the
 two-variable exchange rule) and frozen against the production path.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgrass.algebra import (
+    MONOMIAL_ONE,
     AlgebraContext,
     Monomial,
     PhaseTable,
@@ -19,8 +22,10 @@ from qgrass.algebra import (
     integrate_monomial,
     monomial_product,
     normal_order,
+    parse_variable,
     q_power,
 )
+from qgrass.serialize import monomial_from_dict
 from qgrass.suites import oracle_reorder
 
 
@@ -430,3 +435,152 @@ def test_integrate_monomial_matches_oracle(n, table):
             assert (qexp % n, rest) == want
         outcomes.add(rest is None)
     assert outcomes == {True, False}
+
+
+# -- native-tuple values and the flat phase table -----------------------------
+
+
+def _canonical_key(v):
+    return (v.index, 0 if v.barred else 1)
+
+
+def _recursive_eps(table, x, y):
+    """eps(x, y) as the recursive scan over the overrides defined it."""
+    if x == y:
+        return 0
+    if _canonical_key(y) < _canonical_key(x):
+        return -_recursive_eps(table, y, x)
+    for (a, b, e) in table.overrides:
+        if (a, b) == (x, y):
+            return e
+        if (a, b) == (y, x):
+            return -e
+    return 1
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+def test_flat_eps_matches_recursive_definition(table):
+    phase = PRIMITIVE_TABLES[table]
+    for x in PRIMITIVE_VARIABLES:
+        for y in PRIMITIVE_VARIABLES:
+            assert phase.eps(x, y) == _recursive_eps(phase, x, y), (x, y)
+
+
+def test_phase_table_rejects_an_override_of_a_variable_with_itself():
+    with pytest.raises(ValueError, match="with itself"):
+        PhaseTable(overrides=((Variable(2), Variable(2), 1),))
+
+
+@pytest.mark.parametrize(
+    "second", [(2, 1, 2), (1, 2, -1)], ids=["reversed_same_sign", "same_order_other_value"]
+)
+def test_phase_table_rejects_disagreeing_overrides_of_one_pair(second):
+    t = {1: Variable(1), 2: Variable(2)}
+    a, b, e = second
+    with pytest.raises(ValueError, match="conflicting"):
+        PhaseTable(overrides=((t[1], t[2], 2), (t[a], t[b], e)))
+
+
+def test_phase_table_accepts_agreeing_overrides_in_either_orientation():
+    t1, t2 = Variable(1), Variable(2)
+    table = PhaseTable(overrides=((t1, t2, 2), (t2, t1, -2), (t1, t2, 2)))
+    assert (table.eps(t1, t2), table.eps(t2, t1)) == (2, -2)
+    # equality and hash come from the overrides alone
+    twin = PhaseTable(overrides=((t1, t2, 2), (t2, t1, -2), (t1, t2, 2)))
+    assert twin == table and hash(twin) == hash(table)
+    assert AlgebraContext(3, twin) == AlgebraContext(3, table)
+    assert PhaseTable() != table
+
+
+def _pickle_round_trip(value):
+    return [pickle.loads(pickle.dumps(value, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: [copy.copy(v)], lambda v: [copy.deepcopy(v)], _pickle_round_trip],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_variables_and_monomials_survive_copy_and_pickle(clone):
+    tb2 = Variable(2, barred=True)
+    mono = Monomial(((Variable(1), 2), (tb2, 1)))
+    for value in (Variable(1), tb2, mono, MONOMIAL_ONE):
+        for twin in clone(value):
+            assert twin == value and hash(twin) == hash(value)
+            assert type(twin) is type(value)
+    for twin in clone(tb2):
+        assert (twin.index, twin.barred, twin.name) == (2, True, "theta_bar_2")
+    for twin in clone(mono):
+        assert all(type(v) is Variable for v, _ in twin)
+        assert str(twin) == "theta_1^2*theta_bar_2"
+
+
+def test_variables_sort_canonically_and_keep_their_names():
+    mixed = [Variable(10), Variable(2), Variable(1), Variable(2, True), Variable(10, True), Variable(1, True)]
+    assert [v.name for v in sorted(mixed)] == [
+        "theta_bar_1", "theta_1", "theta_bar_2", "theta_2", "theta_bar_10", "theta_10",
+    ]
+    assert sorted(mixed) == sorted(mixed, key=_canonical_key)
+    tb3 = Variable(3, barred=True)
+    assert repr(tb3) == str(tb3) == tb3.name == "theta_bar_3"
+    assert (tb3.index, tb3.barred, tb3.sort_key) == (3, True, (3, 0))
+    assert tb3.conjugate == Variable(3) and type(tb3.conjugate) is Variable
+    assert Variable(3).conjugate == tb3
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            Variable(bad)
+
+
+def test_monomial_keeps_its_strings_and_queries():
+    t1, tb2 = Variable(1), Variable(2, barred=True)
+    mono = Monomial(((t1, 3), (tb2, 1)))
+    assert str(mono) == "theta_1^3*theta_bar_2"
+    assert repr(mono) == "Monomial(exps=((theta_1, 3), (theta_bar_2, 1)))"
+    assert str(MONOMIAL_ONE) == "1" and MONOMIAL_ONE == Monomial(())
+    assert mono.exps == mono
+    assert (mono.exponent(t1), mono.exponent(tb2), mono.exponent(Variable(2))) == (3, 1, 0)
+    assert mono.degree_split() == (3, 1)
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_normal_order_matches_oracle_on_random_words(n, table):
+    ctx = AlgebraContext(n, PRIMITIVE_TABLES[table])
+    rng = np.random.default_rng(300 * n + len(table))
+    outcomes = set()
+    for _ in range(80):
+        blocks = [
+            (PRIMITIVE_VARIABLES[int(rng.integers(0, 6))], int(rng.integers(1, n)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        qexp, mono = normal_order(blocks, ctx.phase_table, n)
+        want_exp, want_mono = oracle_reorder([v for v, e in blocks for _ in range(e)], ctx, rng)
+        assert mono == want_mono
+        if mono is not None:
+            assert qexp % n == want_exp
+        outcomes.add(mono is None)
+    assert outcomes == {True, False}
+
+
+def test_parse_variable_round_trips_every_name():
+    for v in PRIMITIVE_VARIABLES + [Variable(12), Variable(12, barred=True)]:
+        parsed = parse_variable(v.name)
+        assert parsed == v and type(parsed) is Variable
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["theta_01", "theta_+1", "theta_ 1", "theta_1 ", "theta_1\n", "theta_bar_01", "theta_0",
+     "theta_", "theta_bar_", "theta_x", "Theta_1", "theta_\u0661", "1"],
+)
+def test_parse_variable_rejects_names_that_do_not_round_trip(name):
+    with pytest.raises(ValueError, match="cannot parse variable name"):
+        parse_variable(name)
+
+
+def test_monomial_from_dict_rejects_a_repeated_variable():
+    with pytest.raises(ValueError):
+        monomial_from_dict({"theta_1": 1, "theta_01": 2})
+    mono = monomial_from_dict({"theta_2": 1, "theta_bar_1": 2})
+    assert mono == Monomial(((Variable(1, barred=True), 2), (Variable(2), 1)))
+    assert type(mono) is Monomial

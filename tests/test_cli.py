@@ -385,3 +385,40 @@ def test_list_honours_format_and_out(tmp_path, capsys):
         "config": {"tolerance": 1e-9, "seed": 0, "format": "json"},
         "ids": catalog_ids(),
     }
+
+
+def test_solve_weight_empty_combination_exits_two(tmp_path, capsys):
+    spec = _ghz2_spec(combination=[])
+    del spec["factors"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alias", ["theta_01", "theta_+1", "theta_ 1"])
+def test_solve_weight_basis_with_a_non_canonical_name_exits_two(tmp_path, capsys, alias):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_qutrit_pair_spec([{"theta_1": 1, alias: 1}])))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+    assert repr(alias) in err
+
+
+@pytest.mark.parametrize("field", ["differentials", "factors"])
+def test_solve_weight_non_canonical_variable_name_exits_two(tmp_path, capsys, field):
+    spec = _qutrit_pair_spec({"variables": ["theta_1", "theta_2"]})
+    if field == "differentials":
+        spec["differentials"] = ["theta_01"]
+    else:
+        spec["factors"][0]["variable"] = "theta_01"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed solve spec: cannot parse variable name 'theta_01'\n"
