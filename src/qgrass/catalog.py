@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +66,17 @@ def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAUL
 
     Both states must have the same site dimensions (ValueError otherwise).
     """
+    return _classify(computed, target, tol, None)
+
+
+def _classify(
+    computed: PlainState,
+    target: PlainState,
+    tol: float,
+    spectra: Mapping[tuple[int, ...], list[float]] | None,
+) -> str:
+    """compare_states, given the computed state's cut spectra or None to
+    compute them when the signature test needs them."""
     if computed.dims != target.dims:
         raise ValueError(f"cannot compare dims {computed.dims} with {target.dims}")
     if computed.norm() == 0.0:
@@ -80,12 +91,18 @@ def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAUL
         if abs(abs(phase) - 1.0) <= tol and np.max(np.abs(a - phase * b)) <= tol:
             return MATCH_GLOBAL_PHASE
     if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
-        # equal dims give both sides the same cuts in the same order; the
-        # leading 0.0 keeps a one-site state, which has no cuts, comparable
-        sa, sb = (np.concatenate([[0.0], *cut_spectra(s).values()]) for s in (computed, target))
+        # each side is flattened before the next is decomposed
+        sa = _flat_spectra(cut_spectra(computed) if spectra is None else spectra)
+        sb = _flat_spectra(cut_spectra(target))
         if np.max(np.abs(sa - sb)) <= tol:
             return MATCH_SIGNATURE
     return MATCH_MISMATCH
+
+
+def _flat_spectra(spectra: Mapping[tuple[int, ...], list[float]]) -> np.ndarray:
+    # equal dims give both sides the same cuts in the same order; the
+    # leading 0.0 keeps a one-site state, which has no cuts, comparable
+    return np.concatenate([[0.0], *spectra.values()])
 
 
 @dataclass
@@ -521,7 +538,9 @@ def catalog_construct(
     if residual > tol:
         flags.append("GRASSMANN_RESIDUE")
 
-    match = compare_states(computed, recipe.target, tol=tol)
+    # the report's cut spectra are the computed state's, decomposed once
+    report = entanglement_report(computed.normalized(), tol=tol)
+    match = _classify(computed, recipe.target, tol, report.bipartition_schmidt)
     if match in (MATCH_GLOBAL_PHASE, MATCH_SIGNATURE) and recipe.phase_flag:
         flags.append(recipe.phase_flag)
     if match == MATCH_MISMATCH and recipe.mismatch_flag:
@@ -530,8 +549,6 @@ def catalog_construct(
     norm_ratio = computed.norm() / recipe.target.norm()
     if abs(norm_ratio - 1.0) > tol:
         flags.append("PREFACTOR_NORM")
-
-    report = entanglement_report(computed.normalized(), tol=tol)
 
     solver = None
     if solver_check:

@@ -6,9 +6,12 @@ variables (rightmost differential first).  Since integral d(theta)
 theta**e = delta(e, n-1), a weight monomial w and a state term m|k> only
 contribute when w_d + m_d = n-1 on every differential slot d, so the
 product and the integrals run as one join on the differential exponents
-and the dead pairs are never multiplied.  A successful construction is
-Grassmann-free afterwards; leftover monomials signal an incomplete
-differential list.
+and the dead pairs are never multiplied.  The join runs over exponent
+arrays: every term is a row of exponents over the canonical slots, pairs
+are matched by sorted keys, and the reordering and integration phases
+are integer dot products with the phase table's eps matrix.  A successful
+construction is Grassmann-free afterwards; leftover monomials signal an
+incomplete differential list.
 
 Measures operate on plain states: reduced density matrices, the two
 purity conventions (qubit average and the d-level linear-entropy
@@ -21,25 +24,30 @@ bipartition_spectrum is the dense one-cut routine.
 solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
 join over the whole basis and returns the minimum-norm least-squares
-weight, re-verified through integrate_graded.  The map is block diagonal
-up to a permutation (columns sharing a row form a block), so it is solved
-block by block under lstsq's one global cutoff and never stored densely.
+weight, with the residual formed from the join's own entries.  The map is
+block diagonal up to a permutation (columns sharing a row form a block),
+so it is solved block by block, each block under its own cutoff, and
+never stored densely.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Monomial, MONOMIAL_ONE, Variable
-from .algebra import integrate_monomial, monomial_product, q_power
+from .algebra import AlgebraElement, Monomial, Variable, q_power
 from .qstate import BasisKet, GradedState, PlainState
 
 DEFAULT_TOL = 1e-9
+
+
+def _check_distinct(differentials: Sequence[Variable]) -> None:
+    if len(set(differentials)) != len(differentials):
+        raise ValueError("differentials must be distinct")
 
 
 @dataclass(frozen=True)
@@ -50,63 +58,133 @@ class IntegralSpec:
     differentials: tuple[Variable, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.differentials)) != len(self.differentials):
-            raise ValueError("differentials must be distinct")
+        _check_distinct(self.differentials)
 
 
-def _integrate_columns(
-    weights: Sequence[Mapping[Monomial, complex]],
+def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """One int64 per row, equal exactly for equal rows; column c holds 0..radices[c]-1.
+
+    Rows pack in mixed radix, the last column most significant, when the
+    radices' product (in Python integers) stays below 2**63; otherwise a
+    row's key is its rank among the distinct rows.
+    """
+    place, size = [], 1
+    for r in radices:
+        place.append(size)
+        size *= r
+    if size < 1 << 63:
+        return rows @ np.array(place, dtype=np.int64)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of values per group, added in index order."""
+    return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
+
+
+def _join(
+    weight: Sequence[tuple[Monomial, complex]],
     differentials: Sequence[Variable],
     state: GradedState,
-) -> list[dict[tuple[Monomial, BasisKet], complex]]:
-    """Terms of integral(weights[j] * state) for every column j.
+):
+    """Every surviving (weight term, state term) pair of integral(weight * state).
 
-    Weight terms are bucketed by their exponents on the differentials; a
-    state term meets only the bucket keyed n-1-m_d, the one pairing that
-    survives every integral.  Surviving pairs go through monomial_product
-    and integrate_monomial.  Per ket the join sums state terms outer and
-    weight terms inner, the reverse of left_multiply's w * f_k, so the two
-    agree up to rounding (removing the differential blocks is injective).
+    Returns (rest, rest_slots, ket, kets, term, value): pair i leaves
+    value[i] times the monomial with exponents rest[i] on rest_slots, on
+    the ket kets[ket[i]], from weight term term[i].  Pairs run state term
+    by state term (ket by ket, as state.parts), weight terms in order.
+
+    State and weight terms become exponent tables over the canonical slots,
+    the sorted union of their variables and the differentials.  A state
+    term m meets the weight terms w with w_d = n-1-m_d on every
+    differential d (sort plus searchsorted, any number of w per key), and a
+    pair survives when every summed exponent is below n.  Its q-exponent is
+
+        -m.U.w  +  (n-1) * P.p,     P = m + w,
+
+    with U[y, x] = eps(y, x) for slots y < x and 0 elsewhere (the phase of
+    monomial_product), and p[u] the sum of U[u, d] over the differentials
+    d integrated while u's block is still present, rightmost differential
+    first (the phase of integrate_monomial).  U and p are reduced mod n, so
+    no product exceeds K * n**2.
     """
-    n, table = state.ctx.n, state.ctx.phase_table
-    slot_of = {d: i for i, d in enumerate(differentials)}
+    n = state.ctx.n
+    parts = state.parts.values()
+    kets = list(state.parts)
+    monos = list(itertools.chain.from_iterable(f.terms for f in parts))
+    nstate = len(monos)
+    monos += map(itemgetter(0), weight)
+    coef = np.fromiter(
+        itertools.chain(*(f.terms.values() for f in parts), map(itemgetter(1), weight)),
+        complex, len(monos),
+    )
+    ket = np.repeat(np.arange(len(kets)), [len(f.terms) for f in parts])
 
-    def slots(mono: Monomial) -> list[int]:
-        """Exponent of mono on each differential, in one pass over its blocks."""
-        out = [0] * len(differentials)
-        for v, e in mono.exps:
-            i = slot_of.get(v)
-            if i is not None:
-                out[i] = e
-        return out
+    # exponent table: one row per term, one column per slot
+    blocks = list(itertools.chain.from_iterable(monos))
+    variables = list(map(itemgetter(0), blocks))
+    slots = sorted(set(variables).union(differentials))
+    slot_of = {v: i for i, v in enumerate(slots)}
+    exps = np.zeros((len(monos), len(slots)), dtype=np.int64)
+    exps[
+        np.repeat(np.arange(len(monos)), list(map(len, monos))),
+        np.fromiter(map(slot_of.__getitem__, variables), np.intp, len(blocks)),
+    ] = np.fromiter(map(itemgetter(1), blocks), np.int64, len(blocks))
+    diff = [slot_of[d] for d in differentials]
 
-    buckets: dict[tuple[int, ...], list] = {}
-    for j, terms in enumerate(weights):
-        for mono, c in terms.items():
-            buckets.setdefault(tuple(slots(mono)), []).append((j, mono, c))
-    columns: list[dict] = [{} for _ in weights]
-    for ket, f in state.parts.items():
-        for mono, c in f.terms.items():
-            need = tuple(n - 1 - e for e in slots(mono))
-            for j, wmono, wc in buckets.get(need, ()):
-                qexp, new = monomial_product(wmono, mono, table, n)
-                if new is not None:
-                    # the bucket key gives every differential exponent n-1
-                    iexp, rest = integrate_monomial(new, differentials, table, n)
-                    col = columns[j]
-                    col[rest, ket] = col.get((rest, ket), 0.0) + wc * c * q_power(n, qexp + iexp)
-    return columns
+    need = exps[:, diff]
+    need[:nstate] = n - 1 - need[:nstate]
+    keys = _row_keys(need, [n] * len(diff))
+    skey, wkey = keys[:nstate], keys[nstate:]
+    order = np.argsort(wkey, kind="stable")
+    lo = np.searchsorted(wkey[order], skey)
+    count = np.searchsorted(wkey[order], skey, "right") - lo
+    si = np.repeat(np.arange(nstate), count)
+    wi = order[np.arange(len(si)) + np.repeat(lo + count - np.cumsum(count), count)]
+    total = exps[si] + exps[nstate + wi]
+    alive = (total < n).all(axis=1)
+    si, wi, total = si[alive], wi[alive], total[alive]
+
+    nslots = np.arange(len(slots))
+    eps = (nslots[:, None] < nslots).astype(np.int64)
+    for (a, b), e in state.ctx.phase_table.signed.items():
+        y, x = slot_of.get(a), slot_of.get(b)
+        if y is not None and x is not None and y < x:
+            eps[y, x] = e % n
+    position = [-1] * len(slots)  # of each differential in the integration order
+    for i, d in enumerate(diff):
+        position[d] = i
+    present = np.less.outer(position, np.arange(len(diff)))  # u's block, when d goes
+    p = (eps[:, diff] * present).sum(axis=1) % n
+    wu = (exps[nstate:] @ eps.T) % n
+    qexp = (n - 1) * ((total @ p) % n) - (exps[si] * wu[wi]).sum(axis=1)
+    roots = np.array([q_power(n, k) for k in range(n)])
+    value = coef[nstate + wi] * coef[si] * roots[qexp % n]
+
+    rest = sorted(set(range(len(slots))).difference(diff))
+    return total[:, rest], [slots[i] for i in rest], ket[si], kets, wi, value
 
 
 def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
     """weight * state, integrated right-to-left; may retain Grassmann terms.
 
     Equals state.left_multiply(weight).multi_integrate(differentials), but
-    only pairs with w_d + m_d = n-1 on every differential d are multiplied.
+    only pairs with w_d + m_d = n-1 on every differential d are multiplied
+    (_join), and the pairs that leave one (monomial, ket) are summed.
     """
     if spec.weight.ctx != state.ctx:
         raise ValueError("weight and state use different algebra contexts")
-    (terms,) = _integrate_columns([spec.weight.terms], spec.differentials, state)
+    rest, rest_slots, ket, kets, _, value = _join(
+        list(spec.weight.terms.items()), spec.differentials, state
+    )
+    monos: dict[tuple[int, ...], Monomial] = {}
+    terms: dict[tuple[Monomial, BasisKet], complex] = {}
+    for row, k, c in zip(map(tuple, rest.tolist()), ket.tolist(), value.tolist()):
+        mono = monos.get(row)
+        if mono is None:
+            mono = monos[row] = Monomial(tuple((v, e) for v, e in zip(rest_slots, row) if e))
+        key = mono, kets[k]
+        terms[key] = terms.get(key, 0.0) + c
     return GradedState(state.ctx, state.space, terms)
 
 
@@ -347,7 +425,12 @@ def is_maximally_entangled(
 
 @dataclass
 class WeightSolution:
-    """Minimum-norm least-squares weight for an integral synthesis problem."""
+    """Minimum-norm least-squares weight for an integral synthesis problem.
+
+    residual is |A x - b| over the join's entries and the target's rows;
+    rank counts the singular values kept, block by block, each block under
+    its own cutoff (every nonzero one-column block counts one).
+    """
 
     weight: AlgebraElement
     residual: float
@@ -375,16 +458,18 @@ def monomial_basis(
 def _block_lstsq(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """np.linalg.lstsq(A, rhs, rcond=None) for A[rows, cols] = vals, never building A.
+    """Min-norm least squares for A[rows, cols] = vals, block by block, never building A.
 
-    Columns that share a row form one block (union-find over the shared
-    rows); the min-norm solution, residual and spectrum of A are those of
-    its blocks together.  A one-column block c has x = <c, b> / |c|^2 and
-    singular value |c|, batched over all such blocks; a larger block gets
-    its own SVD; a column without rows gets x = 0 and no value.  As in
-    lstsq, one cutoff eps * max(M, N) * s_max over all blocks zeroes the
-    small values, rank counts the rest, and the values come back sorted
-    descending, padded with zeros to min(M, N).
+    Each (row, column) appears at most once.  Columns that share a row form
+    one block (union-find over the shared rows); the min-norm solution,
+    residual and spectrum of A are those of its blocks together.  A
+    one-column block c keeps every nonzero column, with x = (<c, b> / |c|) / |c|
+    (|c|**2 underflows on the 1/k! columns of large grades) and singular
+    value |c|, batched over all such blocks.  A larger block gets its own
+    SVD and zeroes the values below eps * max(its shape) * its largest
+    value.  A column without rows gets x = 0 and no value.  rank counts the
+    values kept; the values come back sorted descending, padded with zeros
+    to min(M, N), as lstsq's.
     """
     m, n = shape
     parent = list(range(n))
@@ -405,10 +490,12 @@ def _block_lstsq(
     single = np.bincount(root, minlength=n)[root] == 1
 
     norm = np.sqrt(np.bincount(cols, np.abs(vals) ** 2, minlength=n))
-    dot = vals.conj() * rhs[rows]
-    dot = np.bincount(cols, dot.real, minlength=n) + 1j * np.bincount(cols, dot.imag, minlength=n)
+    dot = _sum_by(cols, vals.conj() * rhs[rows], n)
     values = [norm[single & (np.bincount(cols, minlength=n) > 0)]]
-    blocks = []
+    x = np.zeros(n, dtype=complex)
+    keep = single & (norm > 0)
+    x[keep] = dot[keep] / norm[keep] / norm[keep]
+    rank = int(np.sum(keep))
     multi = ~single[cols]
     if multi.any():
         order = np.argsort(root[cols[multi]], kind="stable")
@@ -420,20 +507,16 @@ def _block_lstsq(
             a = np.zeros((len(block_rows), len(block_cols)), dtype=complex)
             a[ri, ci] = vb
             u, s, vh = np.linalg.svd(a, full_matrices=False)
-            blocks.append((block_cols, vh.conj().T, u.conj().T @ rhs[block_rows], s))
+            kept = s > np.finfo(float).eps * max(a.shape) * s[0]
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+            x[block_cols] = vh.conj().T @ ((u.conj().T @ rhs[block_rows]) * inv)
+            rank += int(np.sum(kept))
             values.append(s)
 
     values = np.sort(np.concatenate(values))[::-1]
-    cutoff = np.finfo(float).eps * max(m, n) * (values[0] if len(values) else 0.0)
-    x = np.zeros(n, dtype=complex)
-    keep = single & (norm > cutoff)
-    x[keep] = dot[keep] / norm[keep] ** 2
-    for block_cols, v, ub, s in blocks:
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-        x[block_cols] = v @ (ub * inv)
     padded = np.zeros(min(m, n))
     padded[: len(values)] = values
-    return x, int(np.sum(values > cutoff)), padded
+    return x, rank, padded
 
 
 def solve_weight(
@@ -445,18 +528,18 @@ def solve_weight(
 ) -> WeightSolution:
     """Solve min || integrate(w * state) - target || over weights on the basis.
 
-    Column j is integral(basis[j] * state); all columns come from one join
-    pass, in which a basis monomial w meets only the state terms with
-    w_d + m_d = n-1 on every differential d.
+    Column j is integral(basis[j] * state); all columns come from one
+    array join (_join) over the basis, in which a basis monomial w meets
+    only the state terms with w_d + m_d = n-1 on every differential d.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
     clean Grassmann-free match.  The least-squares step is _block_lstsq:
-    one block per set of columns that share rows, one cutoff
-    eps * max(rows, basis) * s_max over all of them, so rank and
-    singular_values read as np.linalg.lstsq's on the dense matrix, which
-    is never built.  The reported residual is recomputed by
-    running the assembled weight back through integrate_graded.  Every
-    basis exponent must lie in 1..n-1 (ValueError otherwise).
+    one block per set of columns that share rows, each under its own
+    cutoff, so rank counts the values kept block by block and
+    singular_values holds every block's values.  The dense matrix is never
+    built.  The residual is |A x - b| over the join's own entries and the
+    target rows no column reaches.  Every basis exponent must lie in
+    1..n-1 and the differentials must be distinct (ValueError otherwise).
     """
     if not basis:
         raise ValueError("empty weight basis")
@@ -466,32 +549,38 @@ def solve_weight(
     if target.dims != state.space.dims:
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
+    _check_distinct(differentials)
 
-    columns = _integrate_columns([{m: 1.0} for m in basis], differentials, state)
-    want = {(MONOMIAL_ONE, ket): c for ket, c in target.terms(tol=0.0).items()}
-    row_of = {key: i for i, key in enumerate(dict.fromkeys(itertools.chain(*columns, want)))}
+    rest, _, ket, kets, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
+    # rows: the (monomial, ket) keys of the join's entries and of the target's kets;
+    # within a column every entry has its own key, as removing the
+    # differential blocks is injective
+    want = target.terms(tol=0.0)
+    ket_of = {k: i for i, k in enumerate(kets)}
+    for k in want:
+        ket_of.setdefault(k, len(ket_of))
+    keys = np.zeros((len(cols) + len(want), rest.shape[1] + 1), dtype=np.int64)
+    keys[: len(cols), :-1] = rest
+    keys[: len(cols), -1] = ket
+    keys[len(cols) :, -1] = [ket_of[k] for k in want]
+    radices = [ctx.n] * rest.shape[1] + [len(ket_of)]
+    uniq, row = np.unique(_row_keys(keys, radices), return_inverse=True)
+    rows = row[: len(cols)]
+    rhs = np.zeros(len(uniq), dtype=complex)
+    rhs[row[len(cols) :]] = list(want.values())
 
-    cols = np.repeat(np.arange(len(basis)), [len(col) for col in columns])
-    rows = np.fromiter((row_of[key] for col in columns for key in col), np.intp, len(cols))
-    vals = np.fromiter((c for col in columns for c in col.values()), complex, len(cols))
-    rhs = np.array([want.get(key, 0.0) for key in row_of], dtype=complex)
-    x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(row_of), len(basis)))
+    x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
     terms: dict[Monomial, complex] = {}
     for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
         terms[m] = terms.get(m, 0.0) + c
-    weight = AlgebraElement(ctx, terms)
-
-    # independent residual through the real pipeline
-    image = integrate_graded(IntegralSpec(weight, differentials), state).terms
-    keys = set(image) | set(want)
-    residual = math.sqrt(sum(abs(image.get(k, 0.0) - want.get(k, 0.0)) ** 2 for k in keys))
+    residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
 
     return WeightSolution(
-        weight=weight,
+        weight=AlgebraElement(ctx, terms),
         residual=residual,
         feasible=residual < tol,
         basis=tuple(basis),
-        rank=int(rank),
+        rank=rank,
         coefficients=x,
         singular_values=singular_values,
     )

@@ -13,6 +13,7 @@ then monomial).
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 from .algebra import (
@@ -34,12 +35,23 @@ def _pair2c(pair) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _integer(x: Any, what: str) -> int:
+    """x as an int; a bool, a fractional number or a non-number is a ValueError."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def monomial_to_dict(mono: Monomial) -> dict[str, int]:
     return {v.name: e for v, e in mono.exps}
 
 
 def monomial_from_dict(d: dict[str, int]) -> Monomial:
-    pairs = sorted((parse_variable(name), int(e)) for name, e in d.items())
+    pairs = sorted(
+        (parse_variable(name), _integer(e, f"exponent of {name}")) for name, e in d.items()
+    )
     if len({v for v, _ in pairs}) != len(pairs):
         raise ValueError(f"monomial {d!r} repeats a variable")
     return Monomial(pairs)
@@ -66,15 +78,15 @@ def graded_to_dict(s: GradedState) -> dict[str, Any]:
 
 
 def graded_from_dict(d: dict[str, Any], ctx: AlgebraContext | None = None) -> GradedState:
-    ctx = ctx or AlgebraContext(int(d["grade_n"]))
-    space = LevelSpace(tuple(int(x) for x in d["sites"]))
+    ctx = ctx or AlgebraContext(_integer(d["grade_n"], "grade_n"))
+    space = LevelSpace(tuple(_integer(x, "a site dimension") for x in d["sites"]))
     terms: dict[tuple[Monomial, tuple[int, ...]], complex] = {}
     for t in d["terms"]:
         mono = monomial_from_dict(t.get("monomial", {}))
         for v, e in mono.exps:
             if not 1 <= e < ctx.n:
                 raise ValueError(f"exponent {e} of {v.name} lies outside 1..{ctx.n - 1}")
-        key = (mono, tuple(int(x) for x in t["ket"]))
+        key = (mono, tuple(_integer(x, "a ket level") for x in t["ket"]))
         terms[key] = terms.get(key, 0.0) + _pair2c(t["coeff"])
     return GradedState(ctx, space, terms)
 
@@ -88,12 +100,12 @@ def plain_to_dict(s: PlainState, grade_n: int | None = None) -> dict[str, Any]:
 
 
 def plain_from_dict(d: dict[str, Any]) -> PlainState:
-    dims = tuple(int(x) for x in d["sites"])
+    dims = tuple(_integer(x, "a site dimension") for x in d["sites"])
     terms: dict[tuple[int, ...], complex] = {}
     for t in d["terms"]:
         if t.get("monomial"):
             raise ValueError("plain state cannot carry monomials")
-        ket = tuple(int(x) for x in t["ket"])
+        ket = tuple(_integer(x, "a ket level") for x in t["ket"])
         terms[ket] = terms.get(ket, 0.0) + _pair2c(t["coeff"])
     return PlainState.from_terms(dims, terms)
 

@@ -67,7 +67,7 @@ def _random_element(
     kind: bool | None = None,
 ) -> AlgebraElement:
     """Random sum of monomials; kind restricts to barred or unbarred variables."""
-    acc = ctx.zero()
+    terms: dict[Monomial, complex] = {}
     for _ in range(int(rng.integers(1, max_terms + 1))):
         nvars = int(rng.integers(0, 3))
         blocks = []
@@ -77,8 +77,10 @@ def _random_element(
                 v = Variable(v.index, kind)
             blocks.append((v, int(rng.integers(1, ctx.n))))
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        acc = acc + coeff * ctx.word(blocks)
-    return acc
+        qexp, mono = normal_order(blocks, ctx.phase_table, ctx.n)
+        if mono is not None:
+            terms[mono] = terms.get(mono, 0.0) + q_power(ctx.n, qexp) * coeff
+    return AlgebraElement(ctx, terms)
 
 
 def _random_word(rng: np.random.Generator, max_len: int = 6) -> list[Variable]:

@@ -584,3 +584,38 @@ def test_monomial_from_dict_rejects_a_repeated_variable():
     mono = monomial_from_dict({"theta_2": 1, "theta_bar_1": 2})
     assert mono == Monomial(((Variable(1, barred=True), 2), (Variable(2), 1)))
     assert type(mono) is Monomial
+
+
+def _random_element_by_fold(ctx, rng, max_terms=3, kind=None):
+    """The suite's random element as it was first written: one element sum per term."""
+    from qgrass.suites import _random_variable
+
+    acc = ctx.zero()
+    for _ in range(int(rng.integers(1, max_terms + 1))):
+        nvars = int(rng.integers(0, 3))
+        blocks = []
+        for _ in range(nvars):
+            v = _random_variable(rng)
+            if kind is not None:
+                v = Variable(v.index, kind)
+            blocks.append((v, int(rng.integers(1, ctx.n))))
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        acc = acc + coeff * ctx.word(blocks)
+    return acc
+
+
+@pytest.mark.parametrize("table", [PhaseTable(), PhaseTable(((Variable(1), Variable(2), 2),))],
+                         ids=["default", "override"])
+def test_random_element_matches_the_element_fold(table):
+    from qgrass.suites import _random_element
+
+    for n in (2, 3, 4, 5):
+        ctx = AlgebraContext(n, phase_table=table)
+        for seed in range(40):
+            for kind in (None, False, True):
+                rng_new, rng_old = (np.random.default_rng([seed, n]) for _ in range(2))
+                got = _random_element(ctx, rng_new, max_terms=6, kind=kind)
+                want = _random_element_by_fold(ctx, rng_old, max_terms=6, kind=kind)
+                assert got.terms == want.terms  # same monomials, bitwise equal coefficients
+                assert list(got.terms) == list(want.terms)
+                assert rng_new.integers(1 << 62) == rng_old.integers(1 << 62)  # same draws

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgrass import catalog
+from qgrass import catalog, entangle
 from qgrass.catalog import (
     MATCH_EXACT,
     MATCH_GLOBAL_PHASE,
@@ -16,7 +16,14 @@ from qgrass.catalog import (
     compare_states,
     match_at_least,
 )
-from qgrass.entangle import bipartition_spectrum, monomial_basis, reduced_density, schmidt_rank
+from qgrass.entangle import (
+    bipartition_spectrum,
+    cut_spectra,
+    monomial_basis,
+    reduced_density,
+    schmidt_rank,
+    solve_weight,
+)
 from qgrass.qstate import PlainState
 from qgrass.suites import CATALOG_RUNS
 
@@ -245,15 +252,34 @@ def test_qudit_mes_solver_reaches_full_rank_at_grade_16():
     assert result.solver.feasible
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 'Scale-aware solve': smin/smax is 4.8e-14 at n = 17, below the "
-    "global lstsq cutoff, so the solver reports rank 288/289 and residual 0.243",
-)
-def test_qudit_mes_solver_feasible_at_grade_17():
-    result = catalog_construct("qudit_mes_n", n=17)
-    assert result.match == MATCH_EXACT
-    assert result.solver.feasible
+@pytest.mark.parametrize("n", [17, 18, 19, 20, 60, 100])
+def test_qudit_mes_solver_feasible_at_full_rank(n):
+    # the columns' norms span 15 orders of magnitude at n = 17 and 156 at
+    # n = 100, so only a per-block cutoff keeps every one of them
+    recipe = catalog.build_recipe("qudit_mes_n", n=n)
+    solution = solve_weight(
+        recipe.state, recipe.differentials, recipe.target.normalized(), recipe.solver_basis
+    )
+    assert solution.rank == len(recipe.solver_basis)
+    assert solution.feasible
+
+
+def test_signature_construct_decomposes_each_state_once(monkeypatch):
+    seen = []
+
+    def counting(state):
+        seen.append(state.normalized().amps)
+        return cut_spectra(state)
+
+    monkeypatch.setattr(catalog, "cut_spectra", counting)
+    monkeypatch.setattr(entangle, "cut_spectra", counting)
+    result = catalog_construct("w_n", n=4, solver_check=False)
+    assert result.match == MATCH_SIGNATURE
+    computed, target = result.computed.normalized().amps, result.target.normalized().amps
+    assert not np.allclose(computed, target)
+    assert sum(np.allclose(amps, computed) for amps in seen) == 1
+    assert sum(np.allclose(amps, target) for amps in seen) == 1
+    assert len(seen) == 2
 
 
 def test_squeezed_qudit_entries():

@@ -422,3 +422,35 @@ def test_solve_weight_non_canonical_variable_name_exits_two(tmp_path, capsys, fi
     assert code == 2
     assert out == ""
     assert err == "error: malformed solve spec: cannot parse variable name 'theta_01'\n"
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("exponent", 1.9), ("exponent", True), ("ket", 0.5)],
+    ids=["fractional_exponent", "boolean_exponent", "fractional_ket"],
+)
+def test_solve_weight_non_integral_number_exits_two(tmp_path, capsys, where, bad):
+    # int() used to truncate these: theta_1^1.9 solved as theta_1^1, |0 0.5> as |00>
+    if where == "exponent":
+        spec = _qutrit_pair_spec([{"theta_1": bad}])
+    else:
+        target = {"sites": [2, 2], "terms": [{"coeff": [1, 0], "ket": [0, bad]}]}
+        spec = _ghz2_spec(target=target)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+    assert repr(bad) in err
+
+
+def test_serialized_numbers_must_be_integral():
+    ctx = AlgebraContext(2)
+    state = graded_to_dict(tensor([coherent_state(ctx, ctx.theta(1), 2)] * 2))
+    assert graded_from_dict({**state, "grade_n": 2.0}).terms == graded_from_dict(state).terms
+    for key, bad in [("grade_n", 2.5), ("grade_n", True), ("sites", [2, "2"])]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            graded_from_dict({**state, key: bad})
+    with pytest.raises(ValueError, match="must be an integer"):
+        plain_from_dict({"sites": [2, 1.5], "terms": []})

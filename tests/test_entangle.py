@@ -7,6 +7,7 @@ independent of the library's implementations.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qgrass.algebra import (
     PhaseTable,
     Variable,
 )
-from qgrass.catalog import ghz_target, w_target
+from qgrass.catalog import build_recipe, ghz_target, w_target
 from qgrass.entangle import (
     IntegralSpec,
     apply_weight_and_integrate,
@@ -45,6 +46,7 @@ from qgrass.qstate import (
     tensor,
 )
 from qgrass.serialize import solution_to_dict
+from qgrass.suites import CATALOG_RUNS
 
 AMP2 = 1.0 / math.sqrt(2.0)
 AMP3 = 1.0 / math.sqrt(3.0)
@@ -413,6 +415,17 @@ JOIN_CASES = {
     "residue": (PhaseTable(), (T1,)),
     "empty": (PhaseTable(), ()),
 }
+# join-only cases: every other integration order of the three variables, and
+# states from factors that share a variable (as w_n's), under both tables
+MORE_JOIN_CASES = {}
+for _name in ("default", "override"):
+    _table, _diffs = JOIN_CASES[_name]
+    for _order in itertools.permutations(JOIN_VARIABLES):
+        if _order != _diffs:
+            MORE_JOIN_CASES[f"{_name}-" + "-".join(v.name for v in _order)] = (_table, _order)
+    MORE_JOIN_CASES[f"shared-{_name}"] = (_table, (T1,))
+    MORE_JOIN_CASES[f"shared-{_name}-T2-T1"] = (_table, (T2, T1))
+JOIN_CASE_NAMES = sorted(JOIN_CASES) + sorted(MORE_JOIN_CASES)  # a case's seed is its index
 
 
 def _random_monomial(rng, n):
@@ -438,13 +451,18 @@ def _assert_terms_close(got, want, tol=1e-12):
         assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= tol, key
 
 
-@pytest.mark.parametrize("case", sorted(JOIN_CASES))
+@pytest.mark.parametrize("case", JOIN_CASE_NAMES)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
-    table, diffs = JOIN_CASES[case]
+    table, diffs = {**JOIN_CASES, **MORE_JOIN_CASES}[case]
     ctx = AlgebraContext(n, phase_table=table)
-    rng = np.random.default_rng(100 * n + sorted(JOIN_CASES).index(case))
-    state = _random_graded(ctx, rng)
+    rng = np.random.default_rng(100 * n + JOIN_CASE_NAMES.index(case))
+    if case.startswith("shared"):
+        scales = [complex(*rng.standard_normal(2)) for _ in range(3)]
+        shared = tensor([coherent_state(ctx, v, 2, c) for v, c in zip((T1, T1, T2), scales)])
+        state = shared + _random_graded(ctx, rng, dims=(2, 2, 2), nterms=20)
+    else:
+        state = _random_graded(ctx, rng)
     # every basis monomial, so non-differential variables ride along
     weight = _random_weight(ctx, rng, monomial_basis(ctx, JOIN_VARIABLES))
     want = state.left_multiply(weight).multi_integrate(diffs).terms
@@ -452,6 +470,10 @@ def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
     _assert_terms_close(got, want)
     if case == "residue":
         assert any(mono != MONOMIAL_ONE for mono, _ in want)
+    if 0 < len(diffs) < len(JOIN_VARIABLES):
+        # several weight terms share one differential key
+        keys = Counter(tuple(m.exponent(d) for d in diffs) for m in weight.terms)
+        assert max(keys.values()) > 1
 
 
 def _dense_problem(state, diffs, target, basis):
@@ -588,3 +610,54 @@ def test_block_solve_matches_dense_lstsq(n, seed):
         assert np.max(np.abs(solution.coefficients - x)) <= bound
         assert len(solution.singular_values) == len(sv)
         assert np.max(np.abs(solution.singular_values - sv)) <= 1e-12
+
+
+# -- the solver's residual against the pipeline --------------------------------
+
+
+def _pipeline_residual(state, diffs, target, weight):
+    """|integral(weight * state) - target| through integrate_graded."""
+    image = integrate_graded(IntegralSpec(weight, diffs), state).terms
+    want = {(MONOMIAL_ONE, ket): c for ket, c in target.terms().items()}
+    keys = image.keys() | want.keys()
+    return math.sqrt(sum(abs(image.get(k, 0.0) - want.get(k, 0.0)) ** 2 for k in keys))
+
+
+def _random_target(rng, dims):
+    amps = rng.standard_normal(int(np.prod(dims))) + 1j * rng.standard_normal(int(np.prod(dims)))
+    return PlainState(dims, amps / np.linalg.norm(amps))
+
+
+def _solve_problems():
+    """The catalog's 38 runs and the solve benchmark's problems: (id, recipe, target)."""
+    rng = np.random.default_rng(11)
+    problems = []
+    for entry_id, params, _ in CATALOG_RUNS:
+        recipe = build_recipe(entry_id, **params)
+        label = entry_id + "".join(f"-{k}={v}" for k, v in params.items())
+        problems.append((label, recipe, recipe.target.normalized()))
+    qubits = build_recipe("ghz_n", n=8)
+    problems.append(("dense8", qubits, _random_target(rng, qubits.target.dims)))
+    problems.append(("ghz8", qubits, qubits.target.normalized()))
+    for n in (9, 10, 11):
+        recipe = build_recipe("qudit_mes_n", n=n)
+        problems.append((f"qudit{n}", recipe, _random_target(rng, recipe.target.dims)))
+    mixed = build_recipe("qutrit_mixed_02_20")
+    problems.append(("mixed", mixed, mixed.target.normalized()))
+    return problems
+
+
+SOLVE_PROBLEMS = _solve_problems()
+
+
+@pytest.mark.parametrize("problem", SOLVE_PROBLEMS, ids=[p[0] for p in SOLVE_PROBLEMS])
+def test_solve_weight_residual_matches_the_pipeline(problem, monkeypatch):
+    _, recipe, target = problem
+    calls = []
+    real = entangle.integrate_graded
+    monkeypatch.setattr(entangle, "integrate_graded", lambda *a: calls.append(a) or real(*a))
+    solution = solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
+    assert calls == []  # one join per solve: no second pass through the pipeline
+    residual = _pipeline_residual(recipe.state, recipe.differentials, target, solution.weight)
+    assert abs(solution.residual - residual) <= 1e-12
+    assert solution.feasible == (residual < 1e-9)
