@@ -31,9 +31,10 @@ the leftmost position (collecting q-phases), then the term survives iff
 the block's exponent is exactly n - 1.
 
 monomial_product and integrate_monomial apply the two rules to canonical
-monomials; normal_order folds monomial_product over an arbitrary word.
-All q-phases are tracked as integer exponents and converted to a complex
-scalar once per term, so reordering accumulates no phase drift.
+monomials; normal_order gives the fold of monomial_product over an
+arbitrary word, summing the phases pair by pair.  All q-phases are
+tracked as integer exponents and converted to a complex scalar once per
+term, so reordering accumulates no phase drift.
 """
 
 from __future__ import annotations
@@ -221,22 +222,28 @@ def integrate_monomial(mono: Monomial, order: Sequence[Variable], table: PhaseTa
 def normal_order(blocks: Sequence[tuple[Variable, int]], table: PhaseTable, n: int):
     """(q_exponent, Monomial) with word = q**q_exponent * monomial, blocks in any order.
 
-    (0, None) when the word vanishes by nilpotency.  A left fold of
-    monomial_product over the word's blocks.
+    (0, None) when the word vanishes by nilpotency.  Equal to a left fold of
+    monomial_product over the word's blocks: each block y**e collects
+    -eps(y, x)*f*e from every earlier block x**f with y < x, and the
+    exponents merge once at the end.  A running sum per variable stops the
+    word where the fold would find the product vanish, before any later
+    negative exponent raises.
     """
-    qexp, acc = 0, MONOMIAL_ONE
+    signed, qexp, seen, total = table.signed, 0, [], {}
     for (v, e) in blocks:
         if e == 0:
             continue
         if e < 0:
             raise ValueError("negative exponent in monomial word")
-        if e >= n:
+        f = total.get(v, 0) + e
+        if f >= n:
             return 0, None
-        k, acc = monomial_product(acc, Monomial(((v, e),)), table, n)
-        if acc is None:
-            return 0, None
-        qexp += k
-    return qexp, acc
+        total[v] = f
+        for (x, g) in seen:
+            if v < x:  # eps(v, x) is +1 unless overridden
+                qexp -= signed.get((v, x), 1) * g * e
+        seen.append((v, e))
+    return qexp, Monomial(sorted(total.items()))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .catalog import MATCH_EXACT, catalog_construct, match_at_least, MATCH_SIGNA
 from .entangle import monomial_basis, solve_weight
 from .qstate import coherent_state, squeezed_state_exp, squeezed_state_symmetric, tensor
 from .serialize import (
+    _integer,
     construction_to_dict,
     monomial_from_dict,
     plain_from_dict,
@@ -213,11 +214,11 @@ def _build_factor(ctx: AlgebraContext, spec: dict):
     if kind == "coherent":
         scale = spec.get("scale")
         scale = complex(scale[0], scale[1]) if scale else 1.0
-        return coherent_state(ctx, v, int(spec.get("d", ctx.n)), scale)
+        return coherent_state(ctx, v, _integer(spec.get("d", ctx.n), "d"), scale)
     if kind == "squeezed_symmetric":
         return squeezed_state_symmetric(ctx, v)
     if kind == "squeezed_exp":
-        return squeezed_state_exp(ctx, v, int(spec.get("d", ctx.n)))
+        return squeezed_state_exp(ctx, v, _integer(spec.get("d", ctx.n), "d"))
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
@@ -242,14 +243,16 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             with open(args.spec) as fh:
                 spec = json.load(fh)
-        ctx = AlgebraContext(int(spec["grade_n"]))
+        ctx = AlgebraContext(_integer(spec["grade_n"], "grade_n"))
         state = _build_state(ctx, spec)
         target = plain_from_dict(spec["target"])
         differentials = tuple(parse_variable(s) for s in spec["differentials"])
         basis_spec = spec["basis"]
         if isinstance(basis_spec, dict):
             variables = [parse_variable(s) for s in basis_spec["variables"]]
-            basis = monomial_basis(ctx, variables, basis_spec.get("max_exponent"))
+            top = basis_spec.get("max_exponent")
+            top = None if top is None else _integer(top, "max_exponent")
+            basis = monomial_basis(ctx, variables, top)
         else:
             basis = [monomial_from_dict(d) for d in basis_spec]
         solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)

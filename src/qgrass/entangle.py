@@ -6,8 +6,11 @@ variables (rightmost differential first).  Since integral d(theta)
 theta**e = delta(e, n-1), a weight monomial w and a state term m|k> only
 contribute when w_d + m_d = n-1 on every differential slot d, so the
 product and the integrals run as one join on the differential exponents
-and the dead pairs are never multiplied.  The join runs over exponent
-arrays: every term is a row of exponents over the canonical slots, pairs
+and the dead pairs are never multiplied.  The join reads only the state's
+term table (qstate: one row of exponents over the canonical slots per
+term, with its coefficient and ket digits), which tensor builds directly,
+so a product state reaches the join without being boxed into per-ket
+algebra elements.  The weight becomes a table over the same slots, pairs
 are matched by sorted keys, and the reordering and integration phases
 are integer dot products with the phase table's eps matrix.  A successful
 construction is Grassmann-free afterwards; leftover monomials signal an
@@ -39,8 +42,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, Monomial, Variable, q_power
-from .qstate import BasisKet, GradedState, PlainState
+from .algebra import AlgebraElement, Monomial, Variable
+from .qstate import (
+    BasisKet,
+    GradedState,
+    PlainState,
+    _exponents,
+    _roots,
+    _row_keys,
+    _sum_by,
+    _upper_eps,
+    _widened,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -61,27 +74,6 @@ class IntegralSpec:
         _check_distinct(self.differentials)
 
 
-def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
-    """One int64 per row, equal exactly for equal rows; column c holds 0..radices[c]-1.
-
-    Rows pack in mixed radix, the last column most significant, when the
-    radices' product (in Python integers) stays below 2**63; otherwise a
-    row's key is its rank among the distinct rows.
-    """
-    place, size = [], 1
-    for r in radices:
-        place.append(size)
-        size *= r
-    if size < 1 << 63:
-        return rows @ np.array(place, dtype=np.int64)
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-
-
-def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of values per group, added in index order."""
-    return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
-
-
 def _join(
     weight: Sequence[tuple[Monomial, complex]],
     differentials: Sequence[Variable],
@@ -89,16 +81,17 @@ def _join(
 ):
     """Every surviving (weight term, state term) pair of integral(weight * state).
 
-    Returns (rest, rest_slots, ket, kets, term, value): pair i leaves
-    value[i] times the monomial with exponents rest[i] on rest_slots, on
-    the ket kets[ket[i]], from weight term term[i].  Pairs run state term
-    by state term (ket by ket, as state.parts), weight terms in order.
+    Returns (rest, rest_slots, ket, term, value): pair i leaves value[i]
+    times the monomial with exponents rest[i] on rest_slots, on the ket
+    with digits ket[i], from weight term term[i].  Pairs run state term by
+    state term (the rows of the state's term table), weight terms in order.
 
-    State and weight terms become exponent tables over the canonical slots,
-    the sorted union of their variables and the differentials.  A state
-    term m meets the weight terms w with w_d = n-1-m_d on every
-    differential d (sort plus searchsorted, any number of w per key), and a
-    pair survives when every summed exponent is below n.  Its q-exponent is
+    The weight terms become an exponent table over the canonical slots,
+    the sorted union of the state table's slots, the weight's variables and
+    the differentials.  A state term m meets the weight terms w with
+    w_d = n-1-m_d on every differential d (sort plus searchsorted, any
+    number of w per key), and a pair survives when every summed exponent
+    is below n.  Its q-exponent is
 
         -m.U.w  +  (n-1) * P.p,     P = m + w,
 
@@ -109,60 +102,40 @@ def _join(
     no product exceeds K * n**2.
     """
     n = state.ctx.n
-    parts = state.parts.values()
-    kets = list(state.parts)
-    monos = list(itertools.chain.from_iterable(f.terms for f in parts))
-    nstate = len(monos)
-    monos += map(itemgetter(0), weight)
-    coef = np.fromiter(
-        itertools.chain(*(f.terms.values() for f in parts), map(itemgetter(1), weight)),
-        complex, len(monos),
-    )
-    ket = np.repeat(np.arange(len(kets)), [len(f.terms) for f in parts])
-
-    # exponent table: one row per term, one column per slot
-    blocks = list(itertools.chain.from_iterable(monos))
-    variables = list(map(itemgetter(0), blocks))
-    slots = sorted(set(variables).union(differentials))
+    table = state._terms_table()
+    monos = list(map(itemgetter(0), weight))
+    slots = sorted(set(table.slots).union(differentials, *(map(itemgetter(0), m) for m in monos)))
     slot_of = {v: i for i, v in enumerate(slots)}
-    exps = np.zeros((len(monos), len(slots)), dtype=np.int64)
-    exps[
-        np.repeat(np.arange(len(monos)), list(map(len, monos))),
-        np.fromiter(map(slot_of.__getitem__, variables), np.intp, len(blocks)),
-    ] = np.fromiter(map(itemgetter(1), blocks), np.int64, len(blocks))
+    exps = table.exps if len(slots) == len(table.slots) else _widened(table, slot_of, len(slots))
+    wexps = _exponents(monos, slot_of, len(slots))
     diff = [slot_of[d] for d in differentials]
 
-    need = exps[:, diff]
-    need[:nstate] = n - 1 - need[:nstate]
-    keys = _row_keys(need, [n] * len(diff))
-    skey, wkey = keys[:nstate], keys[nstate:]
+    keys = _row_keys(
+        np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff)
+    )
+    skey, wkey = keys[: len(exps)], keys[len(exps) :]
     order = np.argsort(wkey, kind="stable")
     lo = np.searchsorted(wkey[order], skey)
     count = np.searchsorted(wkey[order], skey, "right") - lo
-    si = np.repeat(np.arange(nstate), count)
+    si = np.repeat(np.arange(len(exps)), count)
     wi = order[np.arange(len(si)) + np.repeat(lo + count - np.cumsum(count), count)]
-    total = exps[si] + exps[nstate + wi]
+    total = exps[si] + wexps[wi]
     alive = (total < n).all(axis=1)
     si, wi, total = si[alive], wi[alive], total[alive]
 
-    nslots = np.arange(len(slots))
-    eps = (nslots[:, None] < nslots).astype(np.int64)
-    for (a, b), e in state.ctx.phase_table.signed.items():
-        y, x = slot_of.get(a), slot_of.get(b)
-        if y is not None and x is not None and y < x:
-            eps[y, x] = e % n
+    eps = _upper_eps(state.ctx, slots)
     position = [-1] * len(slots)  # of each differential in the integration order
     for i, d in enumerate(diff):
         position[d] = i
     present = np.less.outer(position, np.arange(len(diff)))  # u's block, when d goes
     p = (eps[:, diff] * present).sum(axis=1) % n
-    wu = (exps[nstate:] @ eps.T) % n
+    wu = (wexps @ eps.T) % n
     qexp = (n - 1) * ((total @ p) % n) - (exps[si] * wu[wi]).sum(axis=1)
-    roots = np.array([q_power(n, k) for k in range(n)])
-    value = coef[nstate + wi] * coef[si] * roots[qexp % n]
+    wcoef = np.fromiter(map(itemgetter(1), weight), complex, len(weight))
+    value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
 
     rest = sorted(set(range(len(slots))).difference(diff))
-    return total[:, rest], [slots[i] for i in rest], ket[si], kets, wi, value
+    return total[:, rest], [slots[i] for i in rest], table.digits[si], wi, value
 
 
 def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
@@ -174,16 +147,16 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
     """
     if spec.weight.ctx != state.ctx:
         raise ValueError("weight and state use different algebra contexts")
-    rest, rest_slots, ket, kets, _, value = _join(
+    rest, rest_slots, ket, _, value = _join(
         list(spec.weight.terms.items()), spec.differentials, state
     )
     monos: dict[tuple[int, ...], Monomial] = {}
     terms: dict[tuple[Monomial, BasisKet], complex] = {}
-    for row, k, c in zip(map(tuple, rest.tolist()), ket.tolist(), value.tolist()):
+    for row, k, c in zip(map(tuple, rest.tolist()), map(tuple, ket.tolist()), value.tolist()):
         mono = monos.get(row)
         if mono is None:
             mono = monos[row] = Monomial(tuple((v, e) for v, e in zip(rest_slots, row) if e))
-        key = mono, kets[k]
+        key = mono, k
         terms[key] = terms.get(key, 0.0) + c
     return GradedState(state.ctx, state.space, terms)
 
@@ -551,23 +524,20 @@ def solve_weight(
     differentials = tuple(differentials)
     _check_distinct(differentials)
 
-    rest, _, ket, kets, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
-    # rows: the (monomial, ket) keys of the join's entries and of the target's kets;
-    # within a column every entry has its own key, as removing the
-    # differential blocks is injective
-    want = target.terms(tol=0.0)
-    ket_of = {k: i for i, k in enumerate(kets)}
-    for k in want:
-        ket_of.setdefault(k, len(ket_of))
+    rest, _, ket, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
+    # rows: the (monomial, ket) keys of the join's entries and of the target's
+    # nonzero amplitudes, kets by flat index; within a column every entry has
+    # its own key, as removing the differential blocks is injective
+    want = np.flatnonzero(target.amps)
     keys = np.zeros((len(cols) + len(want), rest.shape[1] + 1), dtype=np.int64)
     keys[: len(cols), :-1] = rest
-    keys[: len(cols), -1] = ket
-    keys[len(cols) :, -1] = [ket_of[k] for k in want]
-    radices = [ctx.n] * rest.shape[1] + [len(ket_of)]
+    keys[: len(cols), -1] = np.ravel_multi_index(ket.T, target.dims)
+    keys[len(cols) :, -1] = want
+    radices = [ctx.n] * rest.shape[1] + [target.amps.size]
     uniq, row = np.unique(_row_keys(keys, radices), return_inverse=True)
     rows = row[: len(cols)]
     rhs = np.zeros(len(uniq), dtype=complex)
-    rhs[row[len(cols) :]] = list(want.values())
+    rhs[row[len(cols) :]] = target.amps[want]
 
     x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
     terms: dict[Monomial, complex] = {}

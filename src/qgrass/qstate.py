@@ -1,8 +1,20 @@
 """Multi-qudit kets coupled to the graded Grassmann algebra.
 
-A GradedState is a sum over basis kets k of f_k(theta)|k>: one nonzero
-AlgebraElement f_k per ket, with the monomials to the LEFT of the ket, and
-every state operation is an AlgebraElement operation applied ket by ket.
+A GradedState is a sum over basis kets k of f_k(theta)|k>, with the
+monomials to the LEFT of the ket.  It has two views of its terms, each
+built at most once and never mutated:
+
+* the term table: the canonical slots (sorted Variables), a T x K int64
+  exponent array over them, a complex coefficient per row and the ket
+  digits per row.  Rows are ket-contiguous, no coefficient is exactly
+  zero and no (monomial, ket) pair repeats.  tensor builds it directly
+  and the weight join (entangle) reads only it;
+* ``parts``: one nonzero AlgebraElement per ket, in the table's ket order.
+  Every other state operation is an AlgebraElement operation applied ket
+  by ket.
+
+A state built from elements derives its table on its first join; a state
+built by tensor boxes its ``parts`` only when something reads them.
 Moving a variable across a ket uses the quantization relation
 
     theta     |m> = q**(m-1)      |m> theta
@@ -12,7 +24,7 @@ Moving a variable across a ket uses the quantization relation
 A monomial of unbarred degree u and barred degree b therefore crosses
 kets with a phase q**(k*(u-b)), so quantization is a grading twist of the
 algebra element by one integer k.  quantize_exponent gives the q-exponent
-of the left-to-right relation; tensor pulls a later factor's elements
+of the left-to-right relation; tensor pulls a later factor's terms
 leftwards across the earlier kets with the conjugate twist.
 
 The module also provides the d-level ladder matrices b, b_dag and their
@@ -23,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, compress
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,15 +107,106 @@ def _twist(f: AlgebraElement, k: int) -> AlgebraElement:
     return AlgebraElement(f.ctx, out)
 
 
-class GradedState:
-    """Sum over basis kets k of f_k|k>, one nonzero AlgebraElement per ket.
+class _Table(NamedTuple):
+    """The term table of a GradedState (see the module docstring)."""
 
-    Built from flat {(Monomial, ket): coefficient} terms.  ``parts`` maps
-    each ket to its element; ``terms`` is the flat view, rebuilt on every
-    access.
+    slots: tuple[Variable, ...]
+    exps: np.ndarray  # T x K int64, column c the exponent of slots[c]
+    coef: np.ndarray  # T complex
+    digits: np.ndarray  # T x S int64, the ket of each row
+
+
+def _exponents(monos: Sequence[Monomial], slot_of: Mapping[Variable, int], width: int) -> np.ndarray:
+    """len(monos) x width int64 table: row i holds monos[i]'s exponents at slot_of."""
+    exps = np.zeros((len(monos), width), dtype=np.int64)
+    exps[
+        [i for i, mono in enumerate(monos) for _ in mono],
+        [slot_of[v] for mono in monos for v, _ in mono],
+    ] = [e for mono in monos for _, e in mono]
+    return exps
+
+
+def _tabulate(parts: Mapping[BasisKet, AlgebraElement], nsites: int) -> _Table:
+    """The term table of parts: rows ket by ket, terms in element order."""
+    monos: list[Monomial] = []
+    coef: list[complex] = []
+    kets: list[BasisKet] = []
+    for ket, f in parts.items():
+        monos += f.terms
+        coef += f.terms.values()
+        kets += [ket] * len(f.terms)
+    slots = tuple(sorted({v for mono in monos for v, _ in mono}))
+    exps = _exponents(monos, {v: i for i, v in enumerate(slots)}, len(slots))
+    digits = np.array(kets, dtype=np.int64).reshape(len(kets), nsites)
+    return _Table(slots, exps, np.array(coef, dtype=complex), digits)
+
+
+def _boxed(ctx: AlgebraContext, table: _Table) -> dict[BasisKet, AlgebraElement]:
+    """The per-ket view of a term table."""
+    slots = table.slots
+    grouped: dict[BasisKet, dict[Monomial, complex]] = {}
+    rows = zip(table.exps.tolist(), table.coef.tolist(), map(tuple, table.digits.tolist()))
+    for row, c, ket in rows:
+        terms = grouped.get(ket)
+        if terms is None:
+            terms = grouped[ket] = {}
+        terms[Monomial(compress(zip(slots, row), row))] = c
+    return {k: AlgebraElement(ctx, t) for k, t in grouped.items()}
+
+
+def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """One int64 per row, equal exactly for equal rows; column c holds 0..radices[c]-1.
+
+    Rows pack in mixed radix, the last column most significant, when the
+    radices' product (in Python integers) stays below 2**63; otherwise a
+    row's key is its rank among the distinct rows.
+    """
+    place, size = [], 1
+    for r in radices:
+        place.append(size)
+        size *= r
+    if size < 1 << 63:
+        return rows @ np.array(place, dtype=np.int64)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of values per group, added in index order."""
+    return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
+
+
+def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
+    """K x K int64 U mod n: U[y, x] = eps(slots[y], slots[x]) for y < x, else 0.
+
+    Read from the context's phase table, so overrides count.  A block y**e
+    moving left past a block x**f (y < x) collects -U[y, x]*e*f.
+    """
+    n = ctx.n
+    idx = np.arange(len(slots))
+    eps = (idx[:, None] < idx).astype(np.int64)
+    slot_of = {v: i for i, v in enumerate(slots)}
+    for (a, b), e in ctx.phase_table.signed.items():
+        y, x = slot_of.get(a), slot_of.get(b)
+        if y is not None and x is not None and y < x:
+            eps[y, x] = e % n
+    return eps
+
+
+def _roots(n: int) -> np.ndarray:
+    """q**k for k = 0..n-1, each from q_power."""
+    return np.array([q_power(n, k) for k in range(n)])
+
+
+class GradedState:
+    """Sum over basis kets k of f_k|k>: a term table and its per-ket view.
+
+    Built from flat {(Monomial, ket): coefficient} terms, from per-ket
+    elements, or (by tensor) from a term table.  ``parts`` maps each ket to
+    its nonzero element; ``terms`` is the flat view, rebuilt on every
+    access.  Both derive from the table when the state was built from one.
     """
 
-    __slots__ = ("ctx", "space", "parts")
+    __slots__ = ("ctx", "space", "_parts", "_table")
 
     def __init__(
         self,
@@ -117,13 +221,20 @@ class GradedState:
             grouped.setdefault(tuple(ket), {})[mono] = c
         self._set({k: AlgebraElement(ctx, t) for k, t in grouped.items()})._check_kets()
 
+    @classmethod
+    def _from_table(cls, ctx: AlgebraContext, space: LevelSpace, table: _Table) -> "GradedState":
+        state = cls.__new__(cls)
+        state.ctx, state.space, state._parts, state._table = ctx, space, None, table
+        return state
+
     def _set(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
         """Store the nonempty elements of parts, whose kets must be valid.
 
         Kets are checked where they enter (the constructor and from_pairs);
         operations on valid states only keep, join or lower valid kets.
         """
-        self.parts = {k: f for k, f in parts.items() if f.terms}
+        self._parts = {k: f for k, f in parts.items() if f.terms}
+        self._table = None
         return self
 
     def _check_kets(self) -> "GradedState":
@@ -133,6 +244,19 @@ class GradedState:
 
     def _with(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
         return GradedState(self.ctx, self.space, {})._set(parts)
+
+    @property
+    def parts(self) -> dict[BasisKet, AlgebraElement]:
+        """Each ket's nonzero element, in table order; boxed once, on first read."""
+        if self._parts is None:
+            self._parts = _boxed(self.ctx, self._table)
+        return self._parts
+
+    def _terms_table(self) -> _Table:
+        """The term table; derived from ``parts`` once, on first use."""
+        if self._table is None:
+            self._table = _tabulate(self._parts, self.space.nsites)
+        return self._table
 
     @property
     def terms(self) -> dict[tuple[Monomial, BasisKet], complex]:
@@ -248,34 +372,86 @@ class GrassmannResidueError(ValueError):
 
 
 def tensor(states: Sequence[GradedState]) -> GradedState:
-    """Tensor product with canonicalization.
+    """Tensor product with canonicalization, as one array fold over term tables.
 
-    Each later factor's element is pulled leftwards across the earlier kets
-    (the conjugate quantization twist) and multiplied onto the earlier
-    element: (fa|ka>)(fb|kb>) = fa * _twist(fb, -sum(m-1 over ka)) |ka kb>.
+    Each term a|ka> of the product so far meets each term b|kb> of the next
+    factor: (a|ka>)(b|kb>) = q**e (a b)|ka kb>.  The exponent row of a b is
+    the sum of a's and b's rows, and the pair dies when any sum reaches n.
+    Its q-exponent is
+
+        e = -b.U.a  -  S * (u - v),
+
+    the reordering phase of monomial_product (U from _upper_eps, so phase
+    table overrides count) plus the grading twist that pulls b leftwards
+    across ka: S = sum(m-1 over ka), u and v the unbarred and barred
+    degrees of b.  Rows come ket pair by ket pair, (ka, kb) in the factors'
+    ket order, and pairs reaching one (monomial, ket) are summed in pair
+    order; exact zeros are dropped.  No Monomial or AlgebraElement is built.
     """
     if not states:
         raise ValueError("tensor of no states")
-    acc = states[0]
-    for s in states[1:]:
-        acc = _tensor2(acc, s)
-    return acc
-
-
-def _tensor2(a: GradedState, b: GradedState) -> GradedState:
-    if a.ctx != b.ctx:
+    ctx = states[0].ctx
+    if any(s.ctx != ctx for s in states):
         raise ValueError("tensor factors use different algebra contexts")
-    n = a.ctx.n
-    space = LevelSpace(a.space.dims + b.space.dims)
-    twisted: dict[int, list] = {}  # b's parts, twisted once per shift mod n
-    parts: dict[BasisKet, AlgebraElement] = {}
-    for ka, fa in a.parts.items():
-        shift = -sum(m - 1 for m in ka) % n
-        if shift not in twisted:
-            twisted[shift] = [(kb, _twist(fb, shift)) for kb, fb in b.parts.items()]
-        for kb, fb in twisted[shift]:
-            parts[ka + kb] = fa * fb
-    return GradedState(a.ctx, space, {})._set(parts)
+    if len(states) == 1:
+        return states[0]
+    n = ctx.n
+    tables = [s._terms_table() for s in states]
+    slots = tuple(sorted(set().union(*(t.slots for t in tables))))
+    slot_of = {v: i for i, v in enumerate(slots)}
+    eps = _upper_eps(ctx, slots)
+    roots = _roots(n)
+    sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)  # unbarred, barred
+    exps, coef, digits = _widened(tables[0], slot_of, len(slots)), tables[0].coef, tables[0].digits
+    shared = _shares_kets(digits)  # some ket has several rows
+    for t in tables[1:]:
+        texps = _widened(t, slot_of, len(slots))
+        shift = digits.sum(axis=1) - digits.shape[1]
+        qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
+        total = exps[:, None] + texps  # A x B x K
+        ai, bi = np.nonzero((total < n).all(axis=2))
+        coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
+        exps = total[ai, bi]
+        if len(coef) and (shared or _shares_kets(t.digits)):
+            # order by ket pair (stable: a's rows, then b's) and sum equal (monomial, ket)
+            anum, bnum = _ket_index(digits), _ket_index(t.digits)
+            pair = anum[ai] * (bnum[-1] + 1) + bnum[bi]
+            order = np.argsort(pair, kind="stable")
+            pair, coef, exps = pair[order], coef[order], exps[order]
+            ai, bi = ai[order], bi[order]
+            keys = _row_keys(np.column_stack([exps, pair]), [n] * len(slots) + [int(pair[-1]) + 1])
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(len(first))
+            coef = _sum_by(rank[inverse], coef, len(first))
+            first.sort()
+            exps, ai, bi = exps[first], ai[first], bi[first]
+            shared = True
+        digits = np.concatenate([digits[ai], t.digits[bi]], axis=1)
+        nonzero = coef != 0
+        if not nonzero.all():
+            coef, exps, digits = coef[nonzero], exps[nonzero], digits[nonzero]
+    space = LevelSpace(tuple(chain.from_iterable(s.space.dims for s in states)))
+    return GradedState._from_table(ctx, space, _Table(slots, exps, coef, digits))
+
+
+def _widened(table: _Table, slot_of: Mapping[Variable, int], width: int) -> np.ndarray:
+    """table's exponents over the wider slots at slot_of."""
+    exps = np.zeros((len(table.exps), width), dtype=np.int64)
+    exps[:, [slot_of[v] for v in table.slots]] = table.exps
+    return exps
+
+
+def _shares_kets(digits: np.ndarray) -> bool:
+    """Whether two rows of ket-contiguous digits share a ket."""
+    return not (digits[1:] != digits[:-1]).any(axis=1).all()
+
+
+def _ket_index(digits: np.ndarray) -> np.ndarray:
+    """Index of each row's ket among the kets of ket-contiguous digits."""
+    index = np.zeros(len(digits), dtype=np.int64)
+    np.cumsum((digits[1:] != digits[:-1]).any(axis=1), out=index[1:])
+    return index
 
 
 # -- plain (Grassmann-free) states ----------------------------------------

@@ -562,6 +562,50 @@ def test_normal_order_matches_oracle_on_random_words(n, table):
     assert outcomes == {True, False}
 
 
+def _fold_normal_order(blocks, table, n):
+    """The left fold of monomial_product that normal_order replaced."""
+    qexp, acc = 0, MONOMIAL_ONE
+    for (v, e) in blocks:
+        if e == 0:
+            continue
+        if e < 0:
+            raise ValueError("negative exponent in monomial word")
+        if e >= n:
+            return 0, None
+        k, acc = monomial_product(acc, Monomial(((v, e),)), table, n)
+        if acc is None:
+            return 0, None
+        qexp += k
+    return qexp, acc
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_normal_order_matches_the_product_fold(n, table):
+    phases = PRIMITIVE_TABLES[table]
+    rng = np.random.default_rng(700 * n + len(table))
+    seen = set()
+    for _ in range(1500):
+        # exponents -1..n: zeros, negatives and single blocks already at n included
+        blocks = [
+            (PRIMITIVE_VARIABLES[int(rng.integers(0, 6))], int(rng.integers(-1, n + 1)))
+            for _ in range(int(rng.integers(0, 7)))
+        ]
+        try:
+            want = _fold_normal_order(blocks, phases, n)
+        except ValueError:
+            with pytest.raises(ValueError, match="negative exponent"):
+                normal_order(blocks, phases, n)
+            seen.add("raises")
+            continue
+        assert normal_order(blocks, phases, n) == want  # the integer exponent, not mod n
+        if want[1] is None:
+            seen.add("vanishes before a negative" if any(e < 0 for _, e in blocks) else "vanishes")
+        else:
+            seen.add("survives")
+    assert seen == {"raises", "vanishes", "vanishes before a negative", "survives"}
+
+
 def test_parse_variable_round_trips_every_name():
     for v in PRIMITIVE_VARIABLES + [Variable(12), Variable(12, barred=True)]:
         parsed = parse_variable(v.name)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qgrass import catalog, entangle
+from qgrass import catalog, entangle, qstate
 from qgrass.catalog import (
     MATCH_EXACT,
     MATCH_GLOBAL_PHASE,
@@ -280,6 +280,33 @@ def test_signature_construct_decomposes_each_state_once(monkeypatch):
     assert sum(np.allclose(amps, computed) for amps in seen) == 1
     assert sum(np.allclose(amps, target) for amps in seen) == 1
     assert len(seen) == 2
+
+
+def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
+    boxed, tabulated = [], []
+    real_boxed, real_tabulate = qstate._boxed, qstate._tabulate
+    monkeypatch.setattr(qstate, "_boxed", lambda ctx, t: boxed.append(len(t.coef)) or real_boxed(ctx, t))
+    monkeypatch.setattr(qstate, "_tabulate", lambda p, s: tabulated.append(p) or real_tabulate(p, s))
+    result = catalog_construct("ghz_n", n=10, solver_check=False)
+    assert result.match == "signature" and boxed == []
+
+    recipe = catalog.build_recipe("ghz_n", n=10)
+    spec = entangle.IntegralSpec(recipe.weight, recipe.differentials)
+    entangle.integrate_graded(spec, recipe.state)
+    solution = solve_weight(recipe.state, recipe.differentials, recipe.target.normalized(),
+                            recipe.solver_basis)
+    assert solution.feasible
+    assert recipe.state._parts is None and boxed == []
+    parts = recipe.state.parts  # built once, on first read
+    assert recipe.state.parts is parts and len(recipe.state.terms) == 1024
+    assert boxed == [1024]
+
+    # a state built from elements derives its table once, on its first join
+    bell = catalog.build_recipe("bell_psi_pm", sign=1)
+    tabulated.clear()
+    for _ in range(2):
+        entangle.integrate_graded(entangle.IntegralSpec(bell.weight, bell.differentials), bell.state)
+    assert tabulated == [bell.state.parts]
 
 
 def test_squeezed_qudit_entries():

@@ -445,6 +445,41 @@ def test_solve_weight_non_integral_number_exits_two(tmp_path, capsys, where, bad
     assert repr(bad) in err
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("grade_n", 2.5), ("grade_n", True), ("d", 2.7), ("d", "2"), ("squeezed_d", 3.5),
+     ("max_exponent", True), ("max_exponent", 0.5)],
+    ids=["fractional_grade", "boolean_grade", "fractional_d", "string_d", "fractional_squeezed_d",
+         "boolean_max_exponent", "fractional_max_exponent"],
+)
+def test_solve_weight_spec_integers_must_be_integral(tmp_path, capsys, field, bad):
+    # int() used to truncate these: grade_n 2.5 with d 2.7 solved at grade 2 with
+    # d = 2, and a max_exponent of true built the basis up to exponent 1
+    spec = _ghz2_spec()
+    if field == "grade_n":
+        spec["grade_n"] = bad
+    elif field == "d":
+        spec["factors"][0]["d"] = bad
+    elif field == "max_exponent":
+        spec["basis"]["max_exponent"] = bad
+    else:
+        spec["factors"][0] = {"kind": "squeezed_exp", "variable": "theta_1", "d": bad}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed solve spec: {field.removeprefix('squeezed_')} must be an integer, got {bad!r}\n"
+
+    # integral floats are integers, as elsewhere in a spec
+    spec = _ghz2_spec(grade_n=2.0)
+    spec["factors"][0]["d"] = 2.0
+    spec["basis"]["max_exponent"] = 1.0
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 0 and "PASS    solve_weight residual=0 feasible=True rank=4" in out
+
+
 def test_serialized_numbers_must_be_integral():
     ctx = AlgebraContext(2)
     state = graded_to_dict(tensor([coherent_state(ctx, ctx.theta(1), 2)] * 2))

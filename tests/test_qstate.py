@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgrass.algebra import (
+    MONOMIAL_ONE,
     AlgebraContext,
     Monomial,
     PhaseTable,
@@ -15,7 +16,7 @@ from qgrass.algebra import (
     monomial_product,
     q_power,
 )
-from qgrass.entangle import monomial_basis
+from qgrass.entangle import IntegralSpec, integrate_graded, monomial_basis, solve_weight
 from qgrass.qstate import (
     GradedState,
     GrassmannResidueError,
@@ -34,6 +35,7 @@ from qgrass.qstate import (
     squeezed_state_symmetric,
     tensor,
 )
+from qgrass.qstate import _twist
 
 
 # -- quantization phases ---------------------------------------------------------
@@ -520,3 +522,134 @@ def test_per_ket_operations_match_flat_reference(n, table):
             state.left_multiply(weight).multi_integrate(order).terms,
             _ref_multi_integrate(ctx, product, order),
         )
+
+
+# -- the array tensor against the pairwise element fold it replaced -----------------
+
+
+def _fold_tensor(states):
+    """tensor as a fold of element products, one per ket pair: the later
+    element is twisted across the earlier ket, then multiplied on."""
+    parts = dict(states[0].parts)
+    for state in states[1:]:
+        n, acc, parts = state.ctx.n, parts, {}
+        for ka, fa in acc.items():
+            shift = -sum(m - 1 for m in ka) % n
+            for kb, fb in state.parts.items():
+                f = fa * _twist(fb, shift)
+                if f.terms:
+                    parts[ka + kb] = f
+    return parts
+
+
+def _assert_matches_fold(state, want):
+    """parts, terms, norm and ket order as the fold's; a well-formed table."""
+    table = state._terms_table()
+    assert np.all(table.coef != 0)
+    kets = [tuple(k) for k in table.digits.tolist()]
+    assert len(set(zip(map(tuple, table.exps.tolist()), kets))) == len(kets)
+    assert [k for i, k in enumerate(kets) if i == 0 or k != kets[i - 1]] == list(want)
+    assert list(state.parts) == list(want)
+    for ket, f in want.items():
+        got = state.parts[ket].terms
+        assert got.keys() == f.terms.keys(), ket
+        assert all(abs(got[m] - c) <= 1e-12 for m, c in f.terms.items()), ket
+        assert all(c != 0 for c in got.values()), ket
+    flat = {(m, k): c for k, f in want.items() for m, c in f.terms.items()}
+    assert state.terms.keys() == flat.keys()
+    assert abs(state.norm() - math.sqrt(sum(abs(c) ** 2 for c in flat.values()))) <= 1e-12
+
+
+def _fold_cases(ctx, rng):
+    """name -> factors: several terms per ket, shared variables, barred ones."""
+    n = ctx.n
+    scales = [complex(*rng.standard_normal(2)) for _ in range(4)]
+    cases = {
+        "random": [_random_factor(ctx, rng) for _ in range(3)],
+        # theta_1 in three factors: the nilpotent kills of w_n
+        "shared": [coherent_state(ctx, T1, n, scales[0]), coherent_state(ctx, T1, 2, scales[1]),
+                   coherent_state(ctx, T2, n), coherent_state(ctx, T1, n, scales[2])],
+        "barred": [coherent_state(ctx, TB1, n, scales[3]), _random_factor(ctx, rng),
+                   coherent_state(ctx, T1, n), squeezed_state_exp(ctx, TB2, n)],
+    }
+    if n == 3:
+        cases["squeezed"] = [squeezed_state_symmetric(ctx, T1), coherent_state(ctx, T2, 3),
+                             squeezed_state_symmetric(ctx, T1)]
+    return cases
+
+
+@pytest.mark.parametrize("table", sorted(REF_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tensor_matches_the_element_fold(n, table):
+    ctx = AlgebraContext(n, REF_TABLES[table])
+    rng = np.random.default_rng(900 * n + sorted(REF_TABLES).index(table))
+    for name, factors in _fold_cases(ctx, rng).items():
+        state = tensor(factors)
+        want = _fold_tensor(factors)
+        assert want, f"{name}: the fold is empty; the comparison would prove nothing"
+        _assert_matches_fold(state, want)
+        # a tensor-built factor: its table is read, not rebuilt from parts
+        _assert_matches_fold(tensor([tensor(factors[:2]), *factors[2:]]), want)
+
+        # the join on the table against left_multiply + multi_integrate on parts
+        present = sorted({v for mono, _ in state.terms for v, _ in mono})
+        order = [present[i] for i in rng.permutation(len(present))[: min(2, len(present))]]
+        weight = ctx.element({m: complex(*rng.standard_normal(2))
+                              for m in monomial_basis(ctx, REF_VARIABLES)})
+        fresh = tensor(factors)
+        _assert_same_terms(
+            integrate_graded(IntegralSpec(weight, order), fresh).terms,
+            state.left_multiply(weight).multi_integrate(order).terms,
+        )
+        assert fresh._parts is None  # the join read the table only
+
+        amps = rng.standard_normal(state.space.size) + 1j * rng.standard_normal(state.space.size)
+        target = PlainState(state.space.dims, amps / np.linalg.norm(amps))
+        basis = monomial_basis(ctx, order)
+        solution = solve_weight(fresh, order, target, basis)
+        assert fresh._parts is None
+        rebuilt = solve_weight(GradedState(ctx, state.space, state.terms), order, target, basis)
+        assert solution.rank == rebuilt.rank
+        assert abs(solution.residual - rebuilt.residual) <= 1e-12
+        assert np.max(np.abs(solution.coefficients - rebuilt.coefficients)) <= 1e-12
+        image = state.left_multiply(solution.weight).multi_integrate(order).terms
+        want_amps = {(MONOMIAL_ONE, k): c for k, c in target.terms().items()}
+        residual = math.sqrt(sum(abs(image.get(k, 0.0) - want_amps.get(k, 0.0)) ** 2
+                                 for k in image.keys() | want_amps.keys()))
+        assert abs(solution.residual - residual) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tensor_drops_products_that_cancel_to_exact_zero(n):
+    one, t1sq, t1t2 = MONOMIAL_ONE, Monomial(((T1, 2),)), Monomial(((T1, 1), (T2, 1)))
+    theta1, theta2 = Monomial(((T1, 1),)), Monomial(((T2, 1),))
+    # theta_1 * theta_1 theta_2 - theta_1^2 * theta_2 on |1>|0>: both phases are
+    # q**0 (theta_1^2 needs n > 2)
+    if n > 2:
+        ctx = AlgebraContext(n)
+        a = GradedState(ctx, LevelSpace((2,)), {(one, (0,)): 0.5, (theta1, (1,)): 1.0, (t1sq, (1,)): 1.0})
+        b = GradedState(ctx, LevelSpace((2,)), {(t1t2, (0,)): 1.0, (theta2, (0,)): -1.0})
+        state = tensor([a, b])
+        _assert_matches_fold(state, _fold_tensor([a, b]))
+        assert (Monomial(((T1, 2), (T2, 1))), (1, 0)) not in state.terms
+        assert (t1t2, (1, 0)) in state.terms
+
+    # with eps(theta_1, theta_2) = 0, theta_1 theta_2 + theta_2 (-theta_1) = 0 exactly,
+    # and at n = 2 the squares vanish too, so the ket |1>|0> goes
+    ctx = AlgebraContext(n, PhaseTable(overrides=((T1, T2, 0),)))
+    a = GradedState(ctx, LevelSpace((2,)), {(one, (0,)): 1.0, (theta1, (1,)): 1.0, (theta2, (1,)): 1.0})
+    b = GradedState(ctx, LevelSpace((2,)), {(theta2, (0,)): 1.0, (theta1, (0,)): -1.0, (one, (1,)): 1.0})
+    want = _fold_tensor([a, b])
+    state = tensor([a, b])
+    _assert_matches_fold(state, want)
+    assert (t1t2, (1, 0)) not in state.terms
+    assert ((1, 0) in state.parts) == (n > 2)
+
+
+def test_tensor_of_a_zero_factor_is_zero():
+    ctx = AlgebraContext(3)
+    zero = GradedState(ctx, LevelSpace((3,)), {})
+    for factors in ([zero, coherent_state(ctx, T1, 3)], [coherent_state(ctx, T1, 3), zero]):
+        state = tensor(factors)
+        assert state.space.dims == (3, 3)
+        assert state.parts == {} and state.norm() == 0.0
