@@ -7,11 +7,12 @@ the target under the policy
 
     exact  >  global_phase  >  signature  >  mismatch,
 
-where "signature" means termwise equal magnitudes and identical Schmidt
-spectra across every bipartition (both invariant under local diagonal
-phases).  Each entry also attaches an independent least-squares solver
-cross-check over a full monomial basis.  Non-exact matches are flagged
-with stable discrepancy ids, never silently accepted.
+where "signature" means equal up to a global phase and one diagonal phase
+gate per site, decided exactly: the gates are either found, and kept on
+the result, or proved not to exist by an integer normal form of the
+target's support.  Each entry also attaches an independent least-squares
+solver cross-check over a full monomial basis.  Non-exact matches are
+flagged with stable discrepancy ids, never silently accepted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .entangle import (
     EntanglementReport,
     IntegralSpec,
     WeightSolution,
-    cut_spectra,
     entanglement_report,
     integrate_graded,
     monomial_basis,
@@ -61,48 +61,119 @@ def match_at_least(match: str, floor: str) -> bool:
     return MATCH_RANK[match] >= MATCH_RANK[floor]
 
 
-def compare_states(computed: PlainState, target: PlainState, tol: float = DEFAULT_TOL) -> str:
+LocalPhases = tuple[complex, tuple[np.ndarray, ...]]
+
+
+def compare_states(
+    computed: PlainState, target: PlainState, tol: float = DEFAULT_TOL
+) -> tuple[str, LocalPhases | None]:
     """Classify how the computed state relates to the target (both normalized).
 
-    Both states must have the same site dimensions (ValueError otherwise).
+    Returns (match, local_phases).  With a and b the normalized amplitudes,
+    every class is an elementwise claim max_k |a_k - g_k b_k| <= tol:
+
+    * exact: g = 1;
+    * global_phase: g = c, one unit number;
+    * signature: g_k = c * prod_s u_s(k_s), a global phase and one diagonal
+      phase gate u_s per site, found by _local_phases or proved not to
+      exist;
+    * mismatch: none of these.
+
+    local_phases is (c, (u_0, ..., u_{S-1})) for global_phase (all u_s = 1)
+    and signature, None otherwise.  Both states must have the same site
+    dimensions (ValueError otherwise).
     """
-    return _classify(computed, target, tol, None)
-
-
-def _classify(
-    computed: PlainState,
-    target: PlainState,
-    tol: float,
-    spectra: Mapping[tuple[int, ...], list[float]] | None,
-) -> str:
-    """compare_states, given the computed state's cut spectra or None to
-    compute them when the signature test needs them."""
     if computed.dims != target.dims:
         raise ValueError(f"cannot compare dims {computed.dims} with {target.dims}")
     if computed.norm() == 0.0:
-        return MATCH_MISMATCH
+        return MATCH_MISMATCH, None
     a = computed.normalized().amps
     b = target.normalized().amps
     if np.max(np.abs(a - b)) <= tol:
-        return MATCH_EXACT
+        return MATCH_EXACT, None
     k = int(np.argmax(np.abs(b)))
     if abs(a[k]) > tol:
         phase = a[k] / b[k]
         if abs(abs(phase) - 1.0) <= tol and np.max(np.abs(a - phase * b)) <= tol:
-            return MATCH_GLOBAL_PHASE
+            ones = tuple(np.ones(d, dtype=complex) for d in target.dims)
+            return MATCH_GLOBAL_PHASE, (complex(phase), ones)
+    # equal magnitudes are necessary for any diagonal unitary gates
     if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
-        # each side is flattened before the next is decomposed
-        sa = _flat_spectra(cut_spectra(computed) if spectra is None else spectra)
-        sb = _flat_spectra(cut_spectra(target))
-        if np.max(np.abs(sa - sb)) <= tol:
-            return MATCH_SIGNATURE
-    return MATCH_MISMATCH
+        gates = _local_phases(a, b, target.dims, tol)
+        if gates is not None:
+            return MATCH_SIGNATURE, gates
+    return MATCH_MISMATCH, None
 
 
-def _flat_spectra(spectra: Mapping[tuple[int, ...], list[float]]) -> np.ndarray:
-    # equal dims give both sides the same cuts in the same order; the
-    # leading 0.0 keeps a one-site state, which has no cuts, comparable
-    return np.concatenate([[0.0], *spectra.values()])
+def _local_phases(
+    a: np.ndarray, b: np.ndarray, dims: tuple[int, ...], tol: float
+) -> LocalPhases | None:
+    """Gates (c, (u_0, ..., u_{S-1})) with |c| = |u_s(l)| = 1 and
+    max_k |a_k - c prod_s u_s(k_s) b_k| <= tol, or None when none exist.
+
+    On the support {k : |b_k| > tol} the gates must satisfy
+    arg c + sum_s arg u_s(k_s) = arg(a_k / b_k) (mod 2 pi): an integer
+    linear system whose matrix is the support's incidence matrix (a column
+    for c and one per (site, level), a 1 where ket k has that level).  Its
+    rows are brought to echelon form, the triangular half of Hermite's
+    normal form, by unimodular row operations on Python ints (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4), each applied
+    to the ratios' angles too.  The pivot rows give the angles by
+    back-substitution, free columns at 0.  A row that reduces to zero is an
+    integer relation among the ratios, which any gates satisfy; the
+    back-substituted angles satisfy every pivot row, so they solve the
+    whole system exactly when all such relations hold, and gates exist at
+    all only if these do.  The elementwise test over all amplitudes
+    decides, each ratio within the tolerance its amplitude leaves it.
+    """
+    support = np.flatnonzero(np.abs(b) > tol)
+    # larger amplitudes first: their ratios are the sharpest pivots
+    support = support[np.argsort(-np.abs(b[support]), kind="stable")]
+    m = len(support)
+    starts = np.cumsum((1,) + dims[:-1])
+    ncols = 1 + sum(dims)
+    rows = np.zeros((m, ncols), dtype=object)
+    rows[:, 0] = 1
+    kets = np.array(np.unravel_index(support, dims))
+    rows[np.arange(m)[:, None], starts + kets.T] = 1
+    angle = np.angle(a[support] / b[support])
+
+    top, pivots = 0, []
+    for col in range(ncols):
+        if top == m:
+            break
+        while True:
+            live = top + np.flatnonzero(rows[top:, col])
+            if live.size == 0:
+                break
+            # Euclid's step: the smallest entry leaves the smallest remainders
+            p = live[np.argmin(np.abs(rows[live, col]))]
+            rows[[top, p]], angle[[top, p]] = rows[[p, top]], angle[[p, top]]
+            rest = top + 1 + np.flatnonzero(rows[top + 1:, col])
+            if rest.size == 0:
+                break
+            q = rows[rest, col] // rows[top, col]
+            rows[rest] -= q[:, None] * rows[top]
+            step = angle[rest] - q.astype(float) * angle[top]
+            # reduced to [-pi, pi) so repeated steps keep the angles' precision
+            angle[rest] = (step + np.pi) % (2 * np.pi) - np.pi
+        if rows[top, col] != 0:
+            pivots.append(col)
+            top += 1
+
+    theta = np.zeros(ncols)
+    for i in reversed(range(top)):
+        col = pivots[i]
+        h = rows[i, col + 1:].astype(float)
+        theta[col] = (angle[i] - h @ theta[col + 1:]) / rows[i, col]
+    c = complex(np.exp(1j * theta[0]))
+    gates = tuple(np.exp(1j * theta[s:s + d]) for s, d in zip(starts, dims))
+    g = np.array(c)
+    for u in gates:
+        g = np.multiply.outer(g, u)
+    if np.max(np.abs(a - g.reshape(-1) * b)) <= tol:
+        return c, gates
+    return None
 
 
 @dataclass
@@ -142,6 +213,8 @@ class ConstructionResult:
     grassmann_residual: float = 0.0
     norm_ratio: float = 1.0
     notes: str = ""
+    # compare_states' gates for global_phase and signature matches; not serialized
+    local_phases: LocalPhases | None = field(default=None, repr=False, compare=False)
 
 
 # -- target state helpers -----------------------------------------------------
@@ -538,9 +611,7 @@ def catalog_construct(
     if residual > tol:
         flags.append("GRASSMANN_RESIDUE")
 
-    # the report's cut spectra are the computed state's, decomposed once
-    report = entanglement_report(computed.normalized(), tol=tol)
-    match = _classify(computed, recipe.target, tol, report.bipartition_schmidt)
+    match, local_phases = compare_states(computed, recipe.target, tol)
     if match in (MATCH_GLOBAL_PHASE, MATCH_SIGNATURE) and recipe.phase_flag:
         flags.append(recipe.phase_flag)
     if match == MATCH_MISMATCH and recipe.mismatch_flag:
@@ -549,6 +620,8 @@ def catalog_construct(
     norm_ratio = computed.norm() / recipe.target.norm()
     if abs(norm_ratio - 1.0) > tol:
         flags.append("PREFACTOR_NORM")
+
+    report = entanglement_report(computed.normalized(), tol=tol)
 
     solver = None
     if solver_check:
@@ -572,4 +645,5 @@ def catalog_construct(
         grassmann_residual=residual,
         norm_ratio=float(norm_ratio),
         notes=recipe.notes,
+        local_phases=local_phases,
     )

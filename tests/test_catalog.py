@@ -39,54 +39,115 @@ def plain(dims, terms):
 
 @pytest.fixture
 def no_reports(monkeypatch):
-    """Comparisons must classify without building entanglement reports."""
+    """Comparisons must classify without entanglement reports or cut spectra.
+
+    Tests still reach the real cut_spectra through this module's own import.
+    """
 
     def refuse(*args, **kwargs):
-        raise AssertionError("compare_states built an entanglement report")
+        raise AssertionError("compare_states built an entanglement report or cut spectra")
 
     monkeypatch.setattr(catalog, "entanglement_report", refuse)
+    monkeypatch.setattr(entangle, "cut_spectra", refuse)
+    assert not hasattr(catalog, "cut_spectra")
 
 
 def test_compare_exact(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
-    assert compare_states(a, a) == MATCH_EXACT
+    assert compare_states(a, a) == (MATCH_EXACT, None)
 
 
 def test_compare_global_phase(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 0): 1j * AMP2, (1, 1): 1j * AMP2})
-    assert compare_states(b, a) == MATCH_GLOBAL_PHASE
+    match, (c, gates) = compare_states(b, a)
+    assert match == MATCH_GLOBAL_PHASE
+    assert c == pytest.approx(1j) and all(np.all(u == 1.0) for u in gates)
 
 
 def test_compare_signature(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 0): AMP2, (1, 1): -AMP2})
-    assert compare_states(b, a) == MATCH_SIGNATURE
+    assert compare_states(b, a)[0] == MATCH_SIGNATURE
 
 
 def test_compare_mismatch(no_reports):
     a = plain((2, 2), {(0, 0): AMP2, (1, 1): AMP2})
     b = plain((2, 2), {(0, 1): AMP2, (1, 0): AMP2})
-    assert compare_states(b, a) == MATCH_MISMATCH
+    assert compare_states(b, a)[0] == MATCH_MISMATCH
 
 
 def test_signature_requires_equal_spectra_not_just_magnitudes(no_reports):
     # equal per-term magnitudes but different Schmidt spectra must not pass
     a = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5})
     b = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.5})
-    assert compare_states(a, b) == MATCH_MISMATCH
+    assert compare_states(a, b)[0] == MATCH_MISMATCH
     # |0> (x) the pair above: cut (0,) agrees on both sides, only the later
-    # cuts separate them, so every cut must enter the comparison
+    # cuts separate them
     a3 = plain((2, 2, 2), {(0, *k): 0.5 for k in ((0, 0), (0, 1), (1, 0), (1, 1))})
     b3 = plain((2, 2, 2), {(0, 0, 0): 0.5, (0, 0, 1): 0.5, (0, 1, 0): 0.5, (0, 1, 1): -0.5})
     assert bipartition_spectrum(a3, [0]) == pytest.approx(bipartition_spectrum(b3, [0]))
-    assert compare_states(a3, b3) == MATCH_MISMATCH
+    assert compare_states(a3, b3)[0] == MATCH_MISMATCH
 
 
 def test_one_site_states_with_equal_magnitudes_are_signature(no_reports):
     a = PlainState((2,), np.array([AMP2, AMP2]))
     b = PlainState((2,), np.array([AMP2, -AMP2]))
-    assert compare_states(a, b) == MATCH_SIGNATURE
+    assert compare_states(a, b)[0] == MATCH_SIGNATURE
+
+
+def test_equal_spectra_without_diagonal_gates_are_a_mismatch(no_reports):
+    # a and its complex conjugate agree in magnitudes and in every Schmidt
+    # spectrum, but r00 r11 / (r01 r10) = e^{2i pi/3} for the ratios r = a / b,
+    # which no c (u_0 (x) u_1) can produce
+    a = plain((2, 2), {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5 * np.exp(1j * np.pi / 3)})
+    b = PlainState(a.dims, np.conj(a.amps))
+    sa, sb = cut_spectra(a), cut_spectra(b)
+    assert sa.keys() == sb.keys() and all(np.allclose(sa[c], sb[c]) for c in sa)
+    assert np.allclose(np.abs(a.amps), np.abs(b.amps))
+    assert compare_states(a, b) == (MATCH_MISMATCH, None)
+
+
+def _rebuilt(local_phases, amps):
+    c, gates = local_phases
+    g = np.array(c)
+    for u in gates:
+        g = np.multiply.outer(g, u)
+    return g.reshape(-1) * amps
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_local_phase_gates_are_found_and_rebuild_the_state(seed, no_reports):
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=rng.integers(1, 5)))
+    size = math.prod(dims)
+    amps = np.zeros(size, dtype=complex)
+    support = rng.choice(size, size=rng.integers(1, size + 1), replace=False)
+    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    b = PlainState(dims, amps).normalized()
+    phases = (np.exp(2j * np.pi * rng.random()),
+              tuple(np.exp(2j * np.pi * rng.random(d)) for d in dims))
+    a = PlainState(dims, _rebuilt(phases, b.amps))
+
+    match, local_phases = compare_states(a, b)
+    assert match_at_least(match, MATCH_SIGNATURE)
+    if match == MATCH_EXACT:
+        assert local_phases is None and a.isclose(b)
+    else:
+        assert np.max(np.abs(a.amps - _rebuilt(local_phases, b.amps))) <= 1e-9
+        assert all(np.allclose(np.abs(u), 1.0) for u in local_phases[1])
+
+    # a phase off on one ket is still signature only if gates absorb it,
+    # and then the Schmidt spectra, which such gates keep, must agree
+    amps = a.amps.copy()
+    amps[rng.choice(support)] *= np.exp(1j * rng.uniform(0.1, 2 * np.pi - 0.1))
+    off = PlainState(dims, amps)
+    match, local_phases = compare_states(off, b)
+    assert match != MATCH_EXACT
+    if match == MATCH_SIGNATURE:
+        assert np.max(np.abs(off.amps - _rebuilt(local_phases, b.amps))) <= 1e-9
+        so, sb = cut_spectra(off), cut_spectra(b)
+        assert all(np.allclose(so[cut], sb[cut]) for cut in sb)
 
 
 def test_compare_states_rejects_different_dims():
@@ -271,15 +332,14 @@ def test_signature_construct_decomposes_each_state_once(monkeypatch):
         seen.append(state.normalized().amps)
         return cut_spectra(state)
 
-    monkeypatch.setattr(catalog, "cut_spectra", counting)
     monkeypatch.setattr(entangle, "cut_spectra", counting)
     result = catalog_construct("w_n", n=4, solver_check=False)
     assert result.match == MATCH_SIGNATURE
     computed, target = result.computed.normalized().amps, result.target.normalized().amps
     assert not np.allclose(computed, target)
-    assert sum(np.allclose(amps, computed) for amps in seen) == 1
-    assert sum(np.allclose(amps, target) for amps in seen) == 1
-    assert len(seen) == 2
+    # the report decomposes the computed state; the comparison decomposes nothing
+    assert len(seen) == 1 and np.allclose(seen[0], computed)
+    assert np.max(np.abs(computed - _rebuilt(result.local_phases, target))) <= 1e-9
 
 
 def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
