@@ -27,6 +27,7 @@ from .entangle import monomial_basis, solve_weight
 from .qstate import coherent_state, squeezed_state_exp, squeezed_state_symmetric, tensor
 from .serialize import (
     _integer,
+    _pair2c,
     construction_to_dict,
     monomial_from_dict,
     plain_from_dict,
@@ -212,8 +213,7 @@ def _build_factor(ctx: AlgebraContext, spec: dict):
     kind = spec["kind"]
     v = parse_variable(spec["variable"])
     if kind == "coherent":
-        scale = spec.get("scale")
-        scale = complex(scale[0], scale[1]) if scale else 1.0
+        scale = _pair2c(spec["scale"], "scale") if "scale" in spec else 1.0
         return coherent_state(ctx, v, _integer(spec.get("d", ctx.n), "d"), scale)
     if kind == "squeezed_symmetric":
         return squeezed_state_symmetric(ctx, v)
@@ -228,9 +228,8 @@ def _build_state(ctx: AlgebraContext, spec: dict):
             raise ValueError("combination names no product")
         state = None
         for part in spec["combination"]:
-            coeff = part.get("coeff", [1.0, 0.0])
-            product = tensor([_build_factor(ctx, f) for f in part["factors"]])
-            product = complex(coeff[0], coeff[1]) * product
+            coeff = _pair2c(part.get("coeff", [1.0, 0.0]))
+            product = coeff * tensor([_build_factor(ctx, f) for f in part["factors"]])
             state = product if state is None else state + product
         return state
     return tensor([_build_factor(ctx, f) for f in spec["factors"]])

@@ -21,8 +21,12 @@ purity conventions (qubit average and the d-level linear-entropy
 normalization), bipartition Schmidt spectra, and the maximal-entanglement
 test (every single-site reduction maximally mixed).  cut_spectra
 decomposes every unordered cut of a state from its nonzero amplitudes
-only, as small matrices stacked by shape into a few batched SVDs;
-bipartition_spectrum is the dense one-cut routine.
+only, as small matrices stacked by shape into a few batched SVDs.
+entanglement_report reads everything from that one decomposition: a
+site's density spectrum is its single-site cut's Schmidt values squared.
+The dense routines (reduced_density, DensityMatrix, bipartition_spectrum,
+purity_viola, purity_linear) are single-state API and the tests'
+independent references.
 
 solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
@@ -371,18 +375,29 @@ def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:
-    rdms = [reduced_density(state, [i]) for i in range(state.nsites)]
-    spectra = [[float(x) for x in rho.spectrum()] for rho in rdms]
+    """Every measure from the one cut_spectra decomposition of the state.
+
+    Site i's density spectrum is the square of cut (i,)'s Schmidt values,
+    zero-padded to d_i, and its purity is the sum of that spectrum squared;
+    a one-site state is pure.  A zero state raises ValueError.
+    """
+    if state.nsites < 2:
+        state.normalized()  # raises on the zero state, as cut_spectra does on more sites
+    cuts = cut_spectra(state)
+    spectra = []
+    for i, d in enumerate(state.dims):
+        spec = [s * s for s in cuts.get((i,), [1.0])]
+        spectra.append(spec + [0.0] * (d - len(spec)))
     max_ent = all(
         all(abs(lam - 1.0 / d) <= tol for lam in spec)
         for spec, d in zip(spectra, state.dims)
     )
-    purities = [rho.purity() for rho in rdms]
+    purities = [sum(lam * lam for lam in spec) for spec in spectra]
     if all(d == 2 for d in state.dims):
         purity, kind = _qubit_average(purities), "qubit-average"
     else:
         purity, kind = _linear_entropy(state.dims, purities), "linear-entropy"
-    return EntanglementReport(purity, kind, spectra, cut_spectra(state), max_ent)
+    return EntanglementReport(purity, kind, spectra, cuts, max_ent)
 
 
 def is_maximally_entangled(

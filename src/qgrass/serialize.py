@@ -14,6 +14,7 @@ then monomial).
 from __future__ import annotations
 
 import numbers
+import sys
 from typing import Any
 
 from .algebra import (
@@ -31,7 +32,19 @@ def _c2pair(c: complex) -> list[float]:
     return [float(c.real), float(c.imag)]
 
 
-def _pair2c(pair) -> complex:
+def _pair2c(pair: Any, what: str = "coeff") -> complex:
+    """[re, im] as a complex; anything but a list of two finite, non-bool
+    real numbers is a ValueError."""
+    if not (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max  # rejects nan, infinities and ints beyond float
+            for x in pair
+        )
+    ):
+        raise ValueError(f"{what} must be [re, im], two finite real numbers, got {pair!r}")
     return complex(pair[0], pair[1])
 
 

@@ -480,6 +480,33 @@ def test_solve_weight_spec_integers_must_be_integral(tmp_path, capsys, field, ba
     assert code == 0 and "PASS    solve_weight residual=0 feasible=True rank=4" in out
 
 
+@pytest.mark.parametrize(
+    "where, bad",
+    [("scale", [1.0]), ("scale", 0), ("scale", []), ("scale", None), ("scale", [1, "0"]),
+     ("coeff", [1.0]), ("coeff", [True, 0]), ("target", [1.0]), ("target", [math.inf, 0]),
+     ("target", [0, math.nan])],
+    ids=["one_element_scale", "number_scale", "empty_scale", "null_scale", "string_in_scale",
+         "one_element_coeff", "boolean_coeff", "one_element_target", "infinite_target",
+         "nan_target"],
+)
+def test_solve_weight_complex_pair_must_be_two_finite_reals(tmp_path, capsys, where, bad):
+    # these used to raise an uncaught IndexError, write "residual": NaN, or mean 1
+    spec = _ghz2_spec()
+    if where == "scale":
+        spec["factors"][0]["scale"] = bad
+    elif where == "coeff":
+        spec["combination"] = [{"coeff": bad, "factors": spec.pop("factors")}]
+    else:
+        spec["target"]["terms"][0]["coeff"] = bad
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+    assert "two finite real numbers" in err
+
+
 def test_serialized_numbers_must_be_integral():
     ctx = AlgebraContext(2)
     state = graded_to_dict(tensor([coherent_state(ctx, ctx.theta(1), 2)] * 2))

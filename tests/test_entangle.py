@@ -288,27 +288,40 @@ def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
 
 
 @pytest.mark.parametrize(
-    "dims", [(2,), (2, 2, 2), (3, 2), (2, 3, 4)], ids=lambda dims: "x".join(map(str, dims))
+    "dims, mes",
+    [((2,), False), ((3,), False), ((3, 2), False), ((2, 2, 2), False), ((2, 3, 4), False),
+     ((3, 3), True)],
+    ids=["2", "3", "3x2", "2x2x2", "2x3x4", "3x3-mes"],
 )
-def test_entanglement_report_builds_each_site_density_once(monkeypatch, dims):
+def test_entanglement_report_reads_site_spectra_from_cut_spectra(monkeypatch, dims, mes):
     rng = np.random.default_rng(sum(dims) * 17 + len(dims))
     size = math.prod(dims)
-    state = PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    original = entangle.reduced_density
-    calls = []
+    if mes:  # sum_k e^{i phi_k} |kk>: every site maximally mixed
+        amps = np.diag(np.exp(2j * np.pi * rng.random(dims[0]))).ravel()
+    else:
+        amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    state = PlainState(dims, amps)
 
-    def counted(st, keep):
-        calls.append(tuple(keep))
-        return original(st, keep)
+    def refused(*args, **kwargs):
+        raise AssertionError("the report builds no dense density matrix")
 
-    monkeypatch.setattr(entangle, "reduced_density", counted)
+    for owner, name in [(entangle, "reduced_density"), (entangle, "DensityMatrix"),
+                        (np.linalg, "eigvalsh")]:
+        monkeypatch.setattr(owner, name, refused)
     report = entanglement_report(state)
-    assert calls == [(i,) for i in range(len(dims))]
-    monkeypatch.setattr(entangle, "reduced_density", original)
+    monkeypatch.undo()
+
+    dense = [reduced_density(state, [i]).spectrum() for i in range(len(dims))]
+    assert [len(s) for s in report.rdm_spectra] == list(dims)
+    for got, want in zip(report.rdm_spectra, dense):
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
     qubits = all(d == 2 for d in dims)
-    assert report.purity == (purity_viola(state) if qubits else purity_linear(state))
-    for i, spectrum in enumerate(report.rdm_spectra):
-        assert spectrum == [float(x) for x in original(state, [i]).spectrum()]
+    assert abs(report.purity - (purity_viola(state) if qubits else purity_linear(state))) <= 1e-12
+    assert report.max_entangled == mes == all(
+        np.all(np.abs(s - 1.0 / d) <= 1e-9) for s, d in zip(dense, dims)
+    )
+    with pytest.raises(ValueError, match="zero state"):
+        entanglement_report(PlainState(dims, np.zeros(size)))
 
 
 def test_is_maximally_entangled_families():
