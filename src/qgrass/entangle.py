@@ -8,13 +8,13 @@ contribute when w_d + m_d = n-1 on every differential slot d, so the
 product and the integrals run as one join on the differential exponents
 and the dead pairs are never multiplied.  The join reads only the state's
 term table (qstate: one row of exponents over the canonical slots per
-term, with its coefficient and ket digits), which tensor builds directly,
-so a product state reaches the join without being boxed into per-ket
-algebra elements.  The weight becomes a table over the same slots, pairs
-are matched by sorted keys, and the reordering and integration phases
-are integer dot products with the phase table's eps matrix.  A successful
-construction is Grassmann-free afterwards; leftover monomials signal an
-incomplete differential list.
+term, with its coefficient and ket digits), so no state is boxed into
+per-ket algebra elements, and integrate_graded returns such a table.
+The weight becomes a table over the same slots, pairs are matched by
+sorted keys, and the reordering and integration phases are integer dot
+products with the phase table's eps matrix.  A successful construction
+is Grassmann-free afterwards; leftover monomials signal an incomplete
+differential list.
 
 Measures operate on plain states: reduced density matrices, the two
 purity conventions (qubit average and the d-level linear-entropy
@@ -48,13 +48,15 @@ import numpy as np
 
 from .algebra import AlgebraElement, Monomial, Variable
 from .qstate import (
-    BasisKet,
     GradedState,
     PlainState,
+    _Table,
     _exponents,
+    _ket_index,
     _roots,
     _row_keys,
     _sum_by,
+    _summed,
     _upper_eps,
     _widened,
 )
@@ -106,7 +108,7 @@ def _join(
     no product exceeds K * n**2.
     """
     n = state.ctx.n
-    table = state._terms_table()
+    table = state._table
     monos = list(map(itemgetter(0), weight))
     slots = sorted(set(table.slots).union(differentials, *(map(itemgetter(0), m) for m in monos)))
     slot_of = {v: i for i, v in enumerate(slots)}
@@ -147,22 +149,17 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
 
     Equals state.left_multiply(weight).multi_integrate(differentials), but
     only pairs with w_d + m_d = n-1 on every differential d are multiplied
-    (_join), and the pairs that leave one (monomial, ket) are summed.
+    (_join), and the pairs that leave one (monomial, ket) are summed into a
+    term table (_summed), kets in the state's order.
     """
     if spec.weight.ctx != state.ctx:
         raise ValueError("weight and state use different algebra contexts")
-    rest, rest_slots, ket, _, value = _join(
+    rest, rest_slots, digits, _, value = _join(
         list(spec.weight.terms.items()), spec.differentials, state
     )
-    monos: dict[tuple[int, ...], Monomial] = {}
-    terms: dict[tuple[Monomial, BasisKet], complex] = {}
-    for row, k, c in zip(map(tuple, rest.tolist()), map(tuple, ket.tolist()), value.tolist()):
-        mono = monos.get(row)
-        if mono is None:
-            mono = monos[row] = Monomial(tuple((v, e) for v, e in zip(rest_slots, row) if e))
-        key = mono, k
-        terms[key] = terms.get(key, 0.0) + c
-    return GradedState(state.ctx, state.space, terms)
+    # the join's rows run state row by state row, so their kets are contiguous
+    table = _summed(state.ctx.n, rest, value, digits, _ket_index(digits))
+    return GradedState._from_table(state.ctx, state.space, _Table(tuple(rest_slots), *table))
 
 
 def apply_weight_and_integrate(
@@ -527,7 +524,8 @@ def solve_weight(
     singular_values holds every block's values.  The dense matrix is never
     built.  The residual is |A x - b| over the join's own entries and the
     target rows no column reaches.  Every basis exponent must lie in
-    1..n-1 and the differentials must be distinct (ValueError otherwise).
+    1..n-1 and the differentials must be distinct, and a residual that
+    overflows to inf or nan raises ValueError too.
     """
     if not basis:
         raise ValueError("empty weight basis")
@@ -559,6 +557,8 @@ def solve_weight(
     for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
         terms[m] = terms.get(m, 0.0) + c
     residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
+    if not np.isfinite(residual):
+        raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 
     return WeightSolution(
         weight=AlgebraElement(ctx, terms),

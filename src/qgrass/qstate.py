@@ -1,20 +1,19 @@
 """Multi-qudit kets coupled to the graded Grassmann algebra.
 
 A GradedState is a sum over basis kets k of f_k(theta)|k>, with the
-monomials to the LEFT of the ket.  It has two views of its terms, each
-built at most once and never mutated:
+monomials to the LEFT of the ket.  Its one store is the term table, built
+by every constructor and never mutated: the canonical slots (sorted
+Variables), a T x K int64 exponent array over them, a complex coefficient
+per row and the ket digits per row.  Rows are ket-contiguous, no
+coefficient is exactly zero and no (monomial, ket) pair repeats.  tensor
+and the weight join (entangle) build and read only tables; _summed is
+their shared kernel for adding equal (monomial, ket) rows.  ``parts`` is
+a read-only view, one nonzero AlgebraElement per ket in the table's ket
+order, boxed from the table on first read.  The remaining state
+operations (sums, scalar and left multiples, integrals, the annihilation
+operator) are AlgebraElement operations applied ket by ket, whose result
+is tabulated at once.
 
-* the term table: the canonical slots (sorted Variables), a T x K int64
-  exponent array over them, a complex coefficient per row and the ket
-  digits per row.  Rows are ket-contiguous, no coefficient is exactly
-  zero and no (monomial, ket) pair repeats.  tensor builds it directly
-  and the weight join (entangle) reads only it;
-* ``parts``: one nonzero AlgebraElement per ket, in the table's ket order.
-  Every other state operation is an AlgebraElement operation applied ket
-  by ket.
-
-A state built from elements derives its table on its first join; a state
-built by tensor boxes its ``parts`` only when something reads them.
 Moving a variable across a ket uses the quantization relation
 
     theta     |m> = q**(m-1)      |m> theta
@@ -126,18 +125,22 @@ def _exponents(monos: Sequence[Monomial], slot_of: Mapping[Variable, int], width
     return exps
 
 
-def _tabulate(parts: Mapping[BasisKet, AlgebraElement], nsites: int) -> _Table:
-    """The term table of parts: rows ket by ket, terms in element order."""
+def _tabulate(space: LevelSpace, parts: Mapping[BasisKet, Mapping[Monomial, complex]]) -> _Table:
+    """The term table of per-ket terms (rows ket by ket, terms in order, exact
+    zeros dropped); the kets of nonzero terms are checked against space."""
     monos: list[Monomial] = []
     coef: list[complex] = []
     kets: list[BasisKet] = []
-    for ket, f in parts.items():
-        monos += f.terms
-        coef += f.terms.values()
-        kets += [ket] * len(f.terms)
+    for ket, terms in parts.items():
+        terms = {m: complex(c) for m, c in terms.items() if c != 0}
+        if terms:
+            space.check_ket(ket)
+            monos += terms
+            coef += terms.values()
+            kets += [ket] * len(terms)
     slots = tuple(sorted({v for mono in monos for v, _ in mono}))
     exps = _exponents(monos, {v: i for i, v in enumerate(slots)}, len(slots))
-    digits = np.array(kets, dtype=np.int64).reshape(len(kets), nsites)
+    digits = np.array(kets, dtype=np.int64).reshape(len(kets), space.nsites)
     return _Table(slots, exps, np.array(coef, dtype=complex), digits)
 
 
@@ -175,6 +178,27 @@ def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
 
 
+def _summed(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
+            ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows with equal (exponents in 0..n-1, ket) summed in row order, exact zeros dropped.
+
+    ket[i] is the output position of row i's ket; rows come out by it, then
+    by the first row of each (exponents, ket).
+    """
+    if not len(coef):
+        return exps, coef, digits
+    order = np.argsort(ket, kind="stable")
+    radices = [n] * exps.shape[1] + [int(ket[order[-1]]) + 1]
+    keys = _row_keys(np.column_stack([exps[order], ket[order]]), radices)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    coef = _sum_by(rank[inverse], coef[order], len(first))
+    nonzero = coef != 0
+    rows = order[np.sort(first)[nonzero]]
+    return exps[rows], coef[nonzero], digits[rows]
+
+
 def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
     """K x K int64 U mod n: U[y, x] = eps(slots[y], slots[x]) for y < x, else 0.
 
@@ -198,12 +222,13 @@ def _roots(n: int) -> np.ndarray:
 
 
 class GradedState:
-    """Sum over basis kets k of f_k|k>: a term table and its per-ket view.
+    """Sum over basis kets k of f_k|k>, stored as one term table.
 
-    Built from flat {(Monomial, ket): coefficient} terms, from per-ket
-    elements, or (by tensor) from a term table.  ``parts`` maps each ket to
-    its nonzero element; ``terms`` is the flat view, rebuilt on every
-    access.  Both derive from the table when the state was built from one.
+    Built from flat {(Monomial, ket): coefficient} terms, from
+    (element, ket) pairs, by tensor and by the weight integral; each builds
+    its table at once.  ``parts`` maps each ket to its nonzero element and
+    is boxed from the table on first read; ``terms`` is the flat view,
+    rebuilt on every access.
     """
 
     __slots__ = ("ctx", "space", "_parts", "_table")
@@ -214,12 +239,11 @@ class GradedState:
         space: LevelSpace,
         terms: Mapping[tuple[Monomial, BasisKet], complex],
     ):
-        self.ctx = ctx
-        self.space = space
         grouped: dict[BasisKet, dict[Monomial, complex]] = {}
         for (mono, ket), c in terms.items():
             grouped.setdefault(tuple(ket), {})[mono] = c
-        self._set({k: AlgebraElement(ctx, t) for k, t in grouped.items()})._check_kets()
+        self.ctx, self.space, self._parts = ctx, space, None
+        self._table = _tabulate(space, grouped)
 
     @classmethod
     def _from_table(cls, ctx: AlgebraContext, space: LevelSpace, table: _Table) -> "GradedState":
@@ -227,23 +251,9 @@ class GradedState:
         state.ctx, state.space, state._parts, state._table = ctx, space, None, table
         return state
 
-    def _set(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
-        """Store the nonempty elements of parts, whose kets must be valid.
-
-        Kets are checked where they enter (the constructor and from_pairs);
-        operations on valid states only keep, join or lower valid kets.
-        """
-        self._parts = {k: f for k, f in parts.items() if f.terms}
-        self._table = None
-        return self
-
-    def _check_kets(self) -> "GradedState":
-        for ket in self.parts:
-            self.space.check_ket(ket)
-        return self
-
     def _with(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
-        return GradedState(self.ctx, self.space, {})._set(parts)
+        table = _tabulate(self.space, {k: f.terms for k, f in parts.items()})
+        return GradedState._from_table(self.ctx, self.space, table)
 
     @property
     def parts(self) -> dict[BasisKet, AlgebraElement]:
@@ -251,12 +261,6 @@ class GradedState:
         if self._parts is None:
             self._parts = _boxed(self.ctx, self._table)
         return self._parts
-
-    def _terms_table(self) -> _Table:
-        """The term table; derived from ``parts`` once, on first use."""
-        if self._table is None:
-            self._table = _tabulate(self._parts, self.space.nsites)
-        return self._table
 
     @property
     def terms(self) -> dict[tuple[Monomial, BasisKet], complex]:
@@ -275,7 +279,7 @@ class GradedState:
         for element, ket in pairs:  # the sum rejects an element of another context
             ket = tuple(ket)
             parts[ket] = parts.get(ket, ctx.zero()) + element
-        return cls(ctx, space, {})._set(parts)._check_kets()
+        return cls(ctx, space, {})._with(parts)
 
     # -- linear structure --------------------------------------------------
 
@@ -313,9 +317,8 @@ class GradedState:
 
     def grassmann_part_norm(self) -> float:
         """Norm of the terms that still carry Grassmann content."""
-        return sum(
-            abs(c) ** 2 for f in self.parts.values() for m, c in f.terms.items() if m.exps
-        ) ** 0.5
+        table = self._table
+        return sum(abs(c) ** 2 for c in table.coef[table.exps.any(axis=1)].tolist()) ** 0.5
 
     def to_plain(self, tol: float = 1e-9) -> "PlainState":
         residual = self.grassmann_part_norm()
@@ -325,8 +328,11 @@ class GradedState:
 
     def plain_projection(self) -> "PlainState":
         """Grassmann-free part, discarding any residual monomial terms."""
-        amps = {k: f.coefficient(MONOMIAL_ONE) for k, f in self.parts.items()}
-        return PlainState.from_terms(self.space.dims, amps)
+        table = self._table
+        plain = ~table.exps.any(axis=1)
+        amps = np.zeros(self.space.size, dtype=complex)  # += turns a -0.0 part into 0.0
+        amps[np.ravel_multi_index(table.digits[plain].T, self.space.dims)] += table.coef[plain]
+        return PlainState(self.space.dims, amps)
 
     def _part(self, ket: BasisKet) -> AlgebraElement:
         return self.parts.get(tuple(ket)) or self.ctx.zero()
@@ -386,7 +392,8 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     across ka: S = sum(m-1 over ka), u and v the unbarred and barred
     degrees of b.  Rows come ket pair by ket pair, (ka, kb) in the factors'
     ket order, and pairs reaching one (monomial, ket) are summed in pair
-    order; exact zeros are dropped.  No Monomial or AlgebraElement is built.
+    order (_summed; only needed once a ket has several rows); exact zeros
+    are dropped.  No Monomial or AlgebraElement is built.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -396,7 +403,7 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     if len(states) == 1:
         return states[0]
     n = ctx.n
-    tables = [s._terms_table() for s in states]
+    tables = [s._table for s in states]
     slots = tuple(sorted(set().union(*(t.slots for t in tables))))
     slot_of = {v: i for i, v in enumerate(slots)}
     eps = _upper_eps(ctx, slots)
@@ -411,26 +418,16 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
         total = exps[:, None] + texps  # A x B x K
         ai, bi = np.nonzero((total < n).all(axis=2))
         coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
-        exps = total[ai, bi]
-        if len(coef) and (shared or _shares_kets(t.digits)):
-            # order by ket pair (stable: a's rows, then b's) and sum equal (monomial, ket)
-            anum, bnum = _ket_index(digits), _ket_index(t.digits)
-            pair = anum[ai] * (bnum[-1] + 1) + bnum[bi]
-            order = np.argsort(pair, kind="stable")
-            pair, coef, exps = pair[order], coef[order], exps[order]
-            ai, bi = ai[order], bi[order]
-            keys = _row_keys(np.column_stack([exps, pair]), [n] * len(slots) + [int(pair[-1]) + 1])
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            rank = np.empty_like(first)
-            rank[np.argsort(first)] = np.arange(len(first))
-            coef = _sum_by(rank[inverse], coef, len(first))
-            first.sort()
-            exps, ai, bi = exps[first], ai[first], bi[first]
-            shared = True
-        digits = np.concatenate([digits[ai], t.digits[bi]], axis=1)
-        nonzero = coef != 0
-        if not nonzero.all():
-            coef, exps, digits = coef[nonzero], exps[nonzero], digits[nonzero]
+        exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
+        shared = shared or _shares_kets(t.digits)
+        if shared:  # rows of one ket pair may meet; ket pairs keep the factors' order
+            ket_pair = _ket_index(digits)[ai] * len(t.digits) + _ket_index(t.digits)[bi]
+            exps, coef, digits = _summed(n, exps, coef, joined, ket_pair)
+        elif coef.all():
+            digits = joined
+        else:
+            nonzero = coef != 0
+            exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
     space = LevelSpace(tuple(chain.from_iterable(s.space.dims for s in states)))
     return GradedState._from_table(ctx, space, _Table(slots, exps, coef, digits))
 

@@ -346,7 +346,7 @@ def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
     boxed, tabulated = [], []
     real_boxed, real_tabulate = qstate._boxed, qstate._tabulate
     monkeypatch.setattr(qstate, "_boxed", lambda ctx, t: boxed.append(len(t.coef)) or real_boxed(ctx, t))
-    monkeypatch.setattr(qstate, "_tabulate", lambda p, s: tabulated.append(p) or real_tabulate(p, s))
+    monkeypatch.setattr(qstate, "_tabulate", lambda *a: tabulated.append(a) or real_tabulate(*a))
     result = catalog_construct("ghz_n", n=10, solver_check=False)
     assert result.match == "signature" and boxed == []
 
@@ -361,12 +361,14 @@ def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
     assert recipe.state.parts is parts and len(recipe.state.terms) == 1024
     assert boxed == [1024]
 
-    # a state built from elements derives its table once, on its first join
+    # a state built from elements (plus - minus) holds its table from the
+    # start, and the join tabulates nothing
     bell = catalog.build_recipe("bell_psi_pm", sign=1)
+    assert isinstance(bell.state._table, qstate._Table)
     tabulated.clear()
     for _ in range(2):
         entangle.integrate_graded(entangle.IntegralSpec(bell.weight, bell.differentials), bell.state)
-    assert tabulated == [bell.state.parts]
+    assert tabulated == []
 
 
 def test_squeezed_qudit_entries():

@@ -507,6 +507,26 @@ def test_solve_weight_complex_pair_must_be_two_finite_reals(tmp_path, capsys, wh
     assert "two finite real numbers" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+@pytest.mark.parametrize("where", ["scale", "target"])
+def test_solve_weight_overflow_exits_two(tmp_path, capsys, where):
+    # finite but huge numbers used to write "residual": NaN, which is not JSON, and exit 0
+    spec = _ghz2_spec()
+    if where == "scale":
+        for factor in spec["factors"]:
+            factor["scale"] = [1e200, 0]
+    else:  # on |11>, which the one basis column does not reach
+        spec["target"]["terms"][1]["coeff"] = [1e308, 1e308]
+        spec["basis"] = [{"theta_1": 1, "theta_2": 1}]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+    assert "overflowed" in err and "Traceback" not in err
+
+
 def test_serialized_numbers_must_be_integral():
     ctx = AlgebraContext(2)
     state = graded_to_dict(tensor([coherent_state(ctx, ctx.theta(1), 2)] * 2))

@@ -404,6 +404,22 @@ def test_solver_rejects_repeated_differentials():
         solve_weight(state, (t, t), ghz(2), monomial_basis(ctx, [t]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
+@pytest.mark.parametrize("where", ["scale", "target"])
+def test_solver_raises_when_its_residual_overflows(where):
+    # a finite but huge scale overflows the tensor product (1e200 * 1e200) and
+    # the residual is nan; a huge amplitude on a ket no basis column reaches
+    # overflows the residual's norm to inf.  Both used to be reported.
+    ctx = AlgebraContext(2)
+    t1, t2 = ctx.theta(1), ctx.theta(2)
+    scale, amp = (1e200, 1.0) if where == "scale" else (1.0, complex(1e308, 1e308))
+    state = tensor([coherent_state(ctx, t1, 2, scale), coherent_state(ctx, t2, 2, scale)])
+    target = plain((2, 2), {(0, 0): 1.0, (1, 1): amp})
+    basis = monomial_basis(ctx, [t1, t2]) if where == "scale" else [Monomial(((t1, 1), (t2, 1)))]
+    with pytest.raises(ValueError, match="overflowed"):
+        solve_weight(state, (t1, t2), target, basis)
+
+
 def test_solver_feasibility_forbids_grassmann_residue():
     # the symmetric squeezed factor leaves conjugate-variable residue under
     # a single differential, so even its own image is infeasible unless the

@@ -35,7 +35,7 @@ from qgrass.qstate import (
     squeezed_state_symmetric,
     tensor,
 )
-from qgrass.qstate import _twist
+from qgrass.qstate import _summed, _twist
 
 
 # -- quantization phases ---------------------------------------------------------
@@ -542,13 +542,30 @@ def _fold_tensor(states):
     return parts
 
 
+def _assert_well_formed(state):
+    """The term table's invariants; returns its kets in row order.
+
+    No coefficient is exactly zero, no (monomial, ket) repeats, each ket's
+    rows are contiguous, and every digit and exponent is in range.
+    """
+    table = state._table
+    rows = len(table.coef)
+    assert table.exps.shape == (rows, len(table.slots))
+    assert table.digits.shape == (rows, state.space.nsites)
+    assert list(table.slots) == sorted(set(table.slots))
+    assert np.all(table.coef != 0)
+    assert np.all((table.exps >= 0) & (table.exps < state.ctx.n))
+    assert np.all((table.digits >= 0) & (table.digits < state.space.dims))
+    kets = [tuple(k) for k in table.digits.tolist()]
+    assert len(set(zip(map(tuple, table.exps.tolist()), kets))) == rows
+    runs = [k for i, k in enumerate(kets) if i == 0 or k != kets[i - 1]]
+    assert len(runs) == len(set(runs)), "a ket's rows are not contiguous"
+    return runs
+
+
 def _assert_matches_fold(state, want):
     """parts, terms, norm and ket order as the fold's; a well-formed table."""
-    table = state._terms_table()
-    assert np.all(table.coef != 0)
-    kets = [tuple(k) for k in table.digits.tolist()]
-    assert len(set(zip(map(tuple, table.exps.tolist()), kets))) == len(kets)
-    assert [k for i, k in enumerate(kets) if i == 0 or k != kets[i - 1]] == list(want)
+    assert _assert_well_formed(state) == list(want)
     assert list(state.parts) == list(want)
     for ket, f in want.items():
         got = state.parts[ket].terms
@@ -653,3 +670,100 @@ def test_tensor_of_a_zero_factor_is_zero():
         state = tensor(factors)
         assert state.space.dims == (3, 3)
         assert state.parts == {} and state.norm() == 0.0
+
+
+# -- one store: every constructor builds a well-formed term table --------------------
+
+
+@pytest.mark.parametrize("table", sorted(REF_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_state_holds_a_well_formed_table(n, table):
+    ctx = AlgebraContext(n, REF_TABLES[table])
+    rng = np.random.default_rng(1100 * n + sorted(REF_TABLES).index(table))
+    state = tensor([_random_factor(ctx, rng) for _ in range(2)])
+    space, kets = state.space, list(np.ndindex(*state.space.dims))
+    # interleaved kets, an exact zero and a ket whose only term is zero
+    flat = {(_random_monomial(rng, n), kets[int(rng.integers(len(kets) - 1))]):
+            complex(*rng.standard_normal(2)) for _ in range(12)}
+    flat[MONOMIAL_ONE, kets[0]] = 0.0
+    flat[MONOMIAL_ONE, kets[-1]] = 0j
+    other = GradedState(ctx, space, flat)
+    assert kets[-1] not in other.parts
+    element = ctx.element({_random_monomial(rng, n): complex(*rng.standard_normal(2))
+                           for _ in range(3)})
+    pairs = GradedState.from_pairs(ctx, space, [(element, kets[1]), (ctx.one(), kets[0]),
+                                                (-1.0 * element, kets[1]), (element, kets[2])])
+    assert kets[1] not in pairs.parts  # its two elements cancel
+    order = [REF_VARIABLES[i] for i in rng.permutation(4)[:2]]
+    weight = ctx.element({m: complex(*rng.standard_normal(2))
+                          for m in monomial_basis(ctx, REF_VARIABLES)})
+    built = {
+        "init": other, "from_pairs": pairs, "tensor": state,
+        "add": state + other, "sub": state - other, "sub_self": state - state,
+        "scale": state * complex(*rng.standard_normal(2)), "scale_zero": 0 * state,
+        "left_multiply": state.left_multiply(weight),
+        "multi_integrate": state.left_multiply(weight).multi_integrate(order),
+        "annihilate_0": apply_annihilation(state, 0), "annihilate_1": apply_annihilation(other, 1),
+        "integrate_graded": integrate_graded(IntegralSpec(weight, order), state),
+    }
+    for name, got in built.items():
+        assert got._table is not None, name
+        assert _assert_well_formed(got) == list(got.parts), name
+    assert built["sub_self"].parts == {} and built["scale_zero"].parts == {}
+    _assert_same_terms(built["integrate_graded"].terms, built["multi_integrate"].terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_integral_pairs_that_cancel_to_exact_zero_leave_no_row(n):
+    # with eps(theta_1, theta_2) = 0 every phase is q**0 = 1, so the pairs
+    # (1, theta_1^(n-1) theta_2) and (theta_2, -theta_1^(n-1)) leave +theta_2 and
+    # -theta_2 on |0> and cancel exactly
+    ctx = AlgebraContext(n, PhaseTable(overrides=((T1, T2, 0),)))
+    top = Monomial(((T1, n - 1),))
+    state = GradedState(ctx, LevelSpace((2,)), {
+        (Monomial(((T1, n - 1), (T2, 1))), (0,)): 1.0, (top, (0,)): -1.0, (top, (1,)): 1.0,
+    })
+    weight = ctx.one() + ctx.gen(T2)
+    got = integrate_graded(IntegralSpec(weight, (T1,)), state)
+    _assert_well_formed(got)
+    theta2 = Monomial(((T2, 1),))
+    assert got.terms == state.left_multiply(weight).multi_integrate((T1,)).terms
+    assert (theta2, (0,)) not in got.terms
+    assert got.terms[MONOMIAL_ONE, (0,)] == -1 and got.terms[theta2, (1,)] == 1
+
+    # no state term reaches theta_1^(n-1) against the weight 1: the result is empty
+    low = GradedState(ctx, LevelSpace((2,)), {(MONOMIAL_ONE, (0,)): 1.0, (theta2, (1,)): 2.0})
+    empty = integrate_graded(IntegralSpec(ctx.one(), (T1,)), low)
+    _assert_well_formed(empty)
+    assert empty.parts == {} and empty.grassmann_part_norm() == 0.0
+    assert np.all(empty.plain_projection().amps == 0) and empty.space == low.space
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_summed_matches_a_dict_sum(seed):
+    rng = np.random.default_rng(seed)
+    n, width, nsites = int(rng.integers(2, 5)), int(rng.integers(0, 4)), int(rng.integers(1, 4))
+    rows = int(rng.integers(1, 40)) if seed else 0  # seed 0: the empty input
+    nkets = int(rng.integers(1, 5))
+    ket_digits = np.array(list(np.ndindex(*[3] * nsites)))[rng.permutation(3**nsites)[:nkets]]
+    position = rng.permutation(nkets)  # the caller's ket order
+    which = rng.integers(0, nkets, rows)
+    exps = rng.integers(0, n, (rows, width)) * (rng.random((rows, width)) < 0.3)
+    coef = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    coef[rng.random(rows) < 0.1] = 0.0
+    if rows:  # a row's negation: their key sums to exactly 0 unless another row shares it
+        exps, coef = np.concatenate([exps, exps[:1]]), np.append(coef, -coef[0])
+        which = np.append(which, which[0])
+    digits, ket = ket_digits[which], position[which]
+
+    want: dict = {}
+    for i in sorted(range(len(coef)), key=lambda i: ket[i]):
+        key = (tuple(digits[i].tolist()), tuple(exps[i].tolist()))
+        want[key] = want.get(key, 0.0) + coef[i]
+    want = [(k, c) for k, c in want.items() if c != 0]
+
+    got_exps, got_coef, got_digits = _summed(n, exps, coef, digits, ket)
+    assert got_exps.shape == (len(want), width) and got_digits.shape == (len(want), nsites)
+    got = [((tuple(d), tuple(e)), c)
+           for e, c, d in zip(got_exps.tolist(), got_coef.tolist(), got_digits.tolist())]
+    assert got == want  # same rows, same order, the same sums bit for bit
