@@ -21,9 +21,12 @@ purity conventions (qubit average and the d-level linear-entropy
 normalization), bipartition Schmidt spectra, and the maximal-entanglement
 test (every single-site reduction maximally mixed).  cut_spectra
 decomposes every unordered cut of a state from its nonzero amplitudes
-only, as small matrices stacked by shape into a few batched SVDs.
-entanglement_report reads everything from that one decomposition: a
-site's density spectrum is its single-site cut's Schmidt values squared.
+only, as small matrices stacked by shape into a few batched SVDs
+(_spectra, which takes any list of cuts).  entanglement_report runs that
+decomposition on the single-site cuts alone, which is all its measures
+read: a site's density spectrum is its cut's Schmidt values squared.  Its
+bipartition_schmidt, every cut's spectrum, is cut_spectra of the state it
+was given, decomposed on first read.
 The dense routines (reduced_density, DensityMatrix, bipartition_spectrum,
 purity_viola, purity_linear) are single-state API and the tests'
 independent references.
@@ -39,6 +42,7 @@ never stored densely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -263,13 +267,22 @@ def schmidt_rank(spectrum: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 
 @dataclass
 class EntanglementReport:
-    """Per-site spectra, bipartition Schmidt data and the aggregate purity."""
+    """Per-site spectra, the aggregate purity and every cut's Schmidt data.
+
+    entanglement_report decomposes only the single-site cuts.
+    bipartition_schmidt, cut_spectra of the state the report was given, is
+    decomposed on first read and cached.
+    """
 
     purity: float
     purity_kind: str
     rdm_spectra: list[list[float]]
-    bipartition_schmidt: dict[tuple[int, ...], list[float]]
     max_entangled: bool
+    _state: PlainState = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def bipartition_schmidt(self) -> dict[tuple[int, ...], list[float]]:
+        return cut_spectra(self._state)
 
 
 # entries per stacked SVD: bounds the memory a large dense state needs
@@ -280,29 +293,13 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
     """Schmidt spectrum of every proper cut, keyed by the cut's sites.
 
     A cut and its complement share one spectrum, so each unordered pair is
-    decomposed once and stored under both keys; keys run by cut size, then
-    lexicographically.  Each list has min(d_cut, d_rest) values, descending
-    and of unit norm, like bipartition_spectrum.
-
-    The state is normalized once and only its K nonzero amplitudes enter.
-    One matrix product of their digits with per-cut place values gives each
-    amplitude's row key (its digits on the larger side of the cut) and
-    column key (the smaller side) for every cut at once.  A cut's matrix is
-    min(K, d_large) x min(K, d_small): an axis longer than K is indexed by
-    the rank of its key instead, which only drops zero rows or columns, so
-    the nonzero singular values are those of the full matrix; the spectrum
-    is padded with 0.0.  Cuts with the same matrix shape are decomposed in
-    one stacked SVD.
+    decomposed once (_spectra) and stored under both keys; keys run by cut
+    size, then lexicographically.  Each list has min(d_cut, d_rest) values,
+    descending and of unit norm, like bipartition_spectrum.
     """
     nsites = state.nsites
     if nsites < 2:
         return {}
-    psi = state.normalized().amps
-    support = np.flatnonzero(psi)
-    amps, nsupp = psi[support], len(support)
-    # keys are integers below 2**53, so BLAS float64 products give them exactly
-    digits = np.stack(np.unravel_index(support, state.dims), axis=1).astype(float)  # K x S
-
     # Complementing reverses lexicographic order: the i-th of the C cuts of
     # size r is the complement of the (C-1-i)-th cut of size S-r.
     cuts: list[tuple[int, ...]] = []
@@ -320,8 +317,32 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
             start = first[nsites - r]
             pair += range(start + total - 1 - new, start - 1, -1)
         cuts += sized
+    spectra = _spectra(state.normalized(), reps)
+    return {cut: spectra[p] for cut, p in zip(cuts, pair)}
 
-    dims = np.array(state.dims, dtype=np.int64)
+
+def _spectra(unit: PlainState, reps: Sequence[tuple[int, ...]]) -> list[list[float]]:
+    """Schmidt spectrum across each listed cut of a normalized state.
+
+    Only the state's K nonzero amplitudes enter.  One matrix product of
+    their digits with per-cut place values gives each amplitude's row key
+    (its digits on the larger side of the cut) and column key (the smaller
+    side) for every cut at once.  A cut's matrix is min(K, d_large) x
+    min(K, d_small): an axis longer than K is indexed by the rank of its
+    key instead, which only drops zero rows or columns, so the nonzero
+    singular values are those of the full matrix; the spectrum is padded
+    with 0.0.  Cuts with the same matrix shape are decomposed in one
+    stacked SVD, and each matrix depends only on its own cut, so a cut's
+    values do not depend on which other cuts are listed.
+    """
+    nsites = unit.nsites
+    psi = unit.amps
+    support = np.flatnonzero(psi)
+    amps, nsupp = psi[support], len(support)
+    # keys are integers below 2**53, so BLAS float64 products give them exactly
+    digits = np.stack(np.unravel_index(support, unit.dims), axis=1).astype(float)  # K x S
+
+    dims = np.array(unit.dims, dtype=np.int64)
     on_rows = np.zeros((len(reps), nsites), dtype=bool)
     on_rows[np.repeat(np.arange(len(reps)), [len(c) for c in reps]),
             list(itertools.chain.from_iterable(reps))] = True
@@ -329,16 +350,18 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
     # SVD is faster on tall matrices
     cut_size = np.prod(np.where(on_rows, dims, 1), axis=1)
     on_rows ^= (cut_size * cut_size < psi.size)[:, None]
-    # C-order place values of each site within its side of every pair
+    # C-order place values of each site within its side of every cut
     place, size = [], []
     for side in (on_rows, ~on_rows):
         factors = np.where(side, dims, 1)
         tail = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]  # product over sites >= s
-        place.append(np.where(side, tail // factors, 0).T.astype(float))  # S x pairs
+        place.append(np.where(side, tail // factors, 0).T.astype(float))  # S x cuts
         size.append(tail[:, 0])
     (row_place, col_place), (da, db) = place, size
     nrows, ncols = np.minimum(da, nsupp), np.minimum(db, nsupp)
 
+    # da * db is the state's size, so a group's cuts share da and db, and
+    # _axis_index takes the same path for each of them
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, shape in enumerate(zip(nrows.tolist(), ncols.tolist(), db.tolist())):
         groups.setdefault(shape, []).append(i)
@@ -356,7 +379,7 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
             pad = [0.0] * (m - s.shape[1])
             for i, row in zip(idx.tolist(), s.tolist()):
                 spectra[i] = row + pad
-    return {cut: spectra[p] for cut, p in zip(cuts, pair)}
+    return spectra
 
 
 def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
@@ -372,18 +395,25 @@ def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:
-    """Every measure from the one cut_spectra decomposition of the state.
+    """Per-site spectra, purity and the MES test from the single-site cuts.
 
-    Site i's density spectrum is the square of cut (i,)'s Schmidt values,
-    zero-padded to d_i, and its purity is the sum of that spectrum squared;
-    a one-site state is pure.  A zero state raises ValueError.
+    Site i's density spectrum is the square of cut (i,)'s Schmidt values
+    (_spectra over the single-site cuts only), zero-padded to d_i, and its
+    purity is the sum of that spectrum squared; two sites share one cut,
+    and a one-site state is pure.  The other cuts are decomposed when
+    bipartition_schmidt is first read.  A zero state raises ValueError.
     """
-    if state.nsites < 2:
-        state.normalized()  # raises on the zero state, as cut_spectra does on more sites
-    cuts = cut_spectra(state)
+    nsites = state.nsites
+    unit = state.normalized()
+    if nsites > 2:
+        schmidt = _spectra(unit, [(i,) for i in range(nsites)])
+    elif nsites == 2:
+        schmidt = _spectra(unit, [(0,)]) * 2
+    else:
+        schmidt = [[1.0]]
     spectra = []
-    for i, d in enumerate(state.dims):
-        spec = [s * s for s in cuts.get((i,), [1.0])]
+    for values, d in zip(schmidt, state.dims):
+        spec = [s * s for s in values]
         spectra.append(spec + [0.0] * (d - len(spec)))
     max_ent = all(
         all(abs(lam - 1.0 / d) <= tol for lam in spec)
@@ -394,7 +424,7 @@ def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> Entangle
         purity, kind = _qubit_average(purities), "qubit-average"
     else:
         purity, kind = _linear_entropy(state.dims, purities), "linear-entropy"
-    return EntanglementReport(purity, kind, spectra, cuts, max_ent)
+    return EntanglementReport(purity, kind, spectra, max_ent, state)
 
 
 def is_maximally_entangled(
@@ -440,6 +470,23 @@ def monomial_basis(
     return basis
 
 
+def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """|c| = sqrt(sum |v|**2) of each of n columns, without squaring out of range.
+
+    The 1/sqrt(j! k!) entries of large grades square to subnormals or 0
+    (from j = k = 101 on), and huge entries to inf.  Each column is scaled
+    by the power of two that brings its largest |v| into [1/2, 1) before
+    squaring, and its norm scaled back.  Both steps are exact, except on
+    entries below 2**-1021 of their column's largest, whose squares are
+    lost beside its square in any case.
+    """
+    mag = np.abs(vals)
+    top = np.zeros(n)
+    np.fmax.at(top, cols, mag)
+    _, e = np.frexp(top)
+    return np.ldexp(np.sqrt(np.bincount(cols, np.ldexp(mag, -e[cols]) ** 2, minlength=n)), e)
+
+
 def _block_lstsq(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, int, np.ndarray]:
@@ -450,9 +497,11 @@ def _block_lstsq(
     residual and spectrum of A are those of its blocks together.  A
     one-column block c keeps every nonzero column, with x = (<c, b> / |c|) / |c|
     (|c|**2 underflows on the 1/k! columns of large grades) and singular
-    value |c|, batched over all such blocks.  A larger block gets its own
-    SVD and zeroes the values below eps * max(its shape) * its largest
-    value.  A column without rows gets x = 0 and no value.  rank counts the
+    value |c| (_column_norms), batched over all such blocks.  A larger block
+    gets its own SVD and zeroes the values below eps * max(its shape) * its
+    largest value; a cutoff relative to the block needs no rescaling, as
+    LAPACK rescales a block whose entries lie near the ends of the float
+    range.  A column without rows gets x = 0 and no value.  rank counts the
     values kept; the values come back sorted descending, padded with zeros
     to min(M, N), as lstsq's.
     """
@@ -474,7 +523,7 @@ def _block_lstsq(
     root = np.array([find(j) for j in range(n)], dtype=np.intp)
     single = np.bincount(root, minlength=n)[root] == 1
 
-    norm = np.sqrt(np.bincount(cols, np.abs(vals) ** 2, minlength=n))
+    norm = _column_norms(cols, vals, n)
     dot = _sum_by(cols, vals.conj() * rhs[rows], n)
     values = [norm[single & (np.bincount(cols, minlength=n) > 0)]]
     x = np.zeros(n, dtype=complex)

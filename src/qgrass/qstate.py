@@ -530,6 +530,8 @@ def coherent_state(
     """
     if d > ctx.n:
         raise ValueError(f"coherent state needs d <= n, got d={d}, n={ctx.n}")
+    if d > 171:  # 170! is the largest factorial below the float maximum
+        raise ValueError(f"coherent state needs d <= 171, got d={d}: (d-1)! overflows a float")
     terms: dict[tuple[Monomial, BasisKet], complex] = {}
     for m in range(d):
         coeff = q_power(ctx.n, -(m * (m + 1)) // 2) / math.sqrt(math.factorial(m))

@@ -313,10 +313,11 @@ def test_qudit_mes_solver_reaches_full_rank_at_grade_16():
     assert result.solver.feasible
 
 
-@pytest.mark.parametrize("n", [17, 18, 19, 20, 60, 100])
+@pytest.mark.parametrize("n", [17, 18, 19, 20, 60, 100, 102, 110, 130])
 def test_qudit_mes_solver_feasible_at_full_rank(n):
     # the columns' norms span 15 orders of magnitude at n = 17 and 156 at
-    # n = 100, so only a per-block cutoff keeps every one of them
+    # n = 100, so only a per-block cutoff keeps every one of them; from
+    # n = 102 on their squares underflow unless the columns are rescaled
     recipe = catalog.build_recipe("qudit_mes_n", n=n)
     solution = solve_weight(
         recipe.state, recipe.differentials, recipe.target.normalized(), recipe.solver_basis
@@ -327,18 +328,34 @@ def test_qudit_mes_solver_feasible_at_full_rank(n):
 
 def test_signature_construct_decomposes_each_state_once(monkeypatch):
     seen = []
+    real = entangle._spectra
 
-    def counting(state):
-        seen.append(state.normalized().amps)
-        return cut_spectra(state)
+    def recorded(unit, reps):
+        seen.append((unit.amps, list(reps)))
+        return real(unit, reps)
 
-    monkeypatch.setattr(entangle, "cut_spectra", counting)
+    svd, matrices = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(math.prod(np.shape(a)[:-2]))  # a stack counts each
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(entangle, "_spectra", recorded)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     result = catalog_construct("w_n", n=4, solver_check=False)
     assert result.match == MATCH_SIGNATURE
     computed, target = result.computed.normalized().amps, result.target.normalized().amps
     assert not np.allclose(computed, target)
-    # the report decomposes the computed state; the comparison decomposes nothing
-    assert len(seen) == 1 and np.allclose(seen[0], computed)
+    # the report decomposes the computed state's single-site cuts; the
+    # comparison decomposes nothing
+    assert sum(matrices) == 4 and len(seen) == 1
+    assert seen[0][1] == [(0,), (1,), (2,), (3,)] and np.allclose(seen[0][0], computed)
+    # the first read decomposes the 7 unordered cuts once, the second nothing
+    cuts = result.report.bipartition_schmidt
+    assert sum(matrices) == 4 + 7 and len(seen) == 2 and len(seen[1][1]) == 7
+    assert result.report.bipartition_schmidt is cuts and sum(matrices) == 11
+    monkeypatch.undo()
+    assert cuts == cut_spectra(result.computed.normalized())  # the state the report was given
     assert np.max(np.abs(computed - _rebuilt(result.local_phases, target))) <= 1e-9
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -198,6 +199,15 @@ def test_construct_builder_value_error_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry_id, n", [("qudit_mes_n", 175), ("qudit_squeezed_mes_n", 200)])
+def test_construct_factorial_overflow_exits_two(capsys, entry_id, n):
+    # (n-1)! no longer fits a float: this used to exit 1 with an OverflowError traceback
+    code, out, err = run_cli(capsys, "construct", entry_id, "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad parameters for {entry_id!r}: ") and err.count("\n") == 1
 
 
 def _ghz2_spec(**overrides):
@@ -507,7 +517,6 @@ def test_solve_weight_complex_pair_must_be_two_finite_reals(tmp_path, capsys, wh
     assert "two finite real numbers" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
 @pytest.mark.parametrize("where", ["scale", "target"])
 def test_solve_weight_overflow_exits_two(tmp_path, capsys, where):
     # finite but huge numbers used to write "residual": NaN, which is not JSON, and exit 0
@@ -520,7 +529,10 @@ def test_solve_weight_overflow_exits_two(tmp_path, capsys, where):
         spec["basis"] = [{"theta_1": 1, "theta_2": 1}]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # outside pytest, each would print to stderr
+        code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert [str(w.message) for w in caught] == []
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1

@@ -219,10 +219,30 @@ def _tiny_and_zero_amplitudes():
     return PlainState((2,) * 6, amps)
 
 
+def _sparse(dims, seed, nonzero):
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    amps = np.zeros(size, dtype=complex)
+    where = rng.choice(size, nonzero, replace=False)
+    amps[where] = rng.standard_normal(nonzero) + 1j * rng.standard_normal(nonzero)
+    return PlainState(dims, amps)
+
+
+# (2, 2, 4, 4) and (4, 2, 2, 4) stack a single-site cut with multi-site cuts
+# of the same shape; the sparse states index long axes by key rank
 CUT_SPECTRA_STATES = {
     "dense-2^8": lambda: _random_dense((2,) * 8, 1),
     "dense-3x3x2x2x2x2": lambda: _random_dense((3, 3, 2, 2, 2, 2), 2),
     "dense-2x3x4": lambda: _random_dense((2, 3, 4), 3),
+    "dense-2x3": lambda: _random_dense((2, 3), 41),
+    "dense-2x2x4": lambda: _random_dense((2, 2, 4), 43),
+    "dense-4x2x2": lambda: _random_dense((4, 2, 2), 44),
+    "dense-2x2x4x4": lambda: _random_dense((2, 2, 4, 4), 45),
+    "dense-4x2x2x4": lambda: _random_dense((4, 2, 2, 4), 46),
+    "sparse-2x5": lambda: _sparse((2, 5), 48, 2),
+    "sparse-2x2x4x4": lambda: _sparse((2, 2, 4, 4), 49, 3),
+    "sparse-4x2x2x4": lambda: _sparse((4, 2, 2, 4), 50, 5),
+    "sparse-2^9": lambda: _sparse((2,) * 9, 51, 7),
     "ghz7": lambda: ghz_target(7),
     "w6": lambda: w_target(6),
     "w2-qutrits": lambda: plain((3, 3), {(0, 1): AMP2, (1, 0): AMP2}),
@@ -245,6 +265,12 @@ def test_cut_spectra_matches_bipartition_spectrum(name):
         assert np.max(np.abs(np.asarray(spectra[cut]) - want)) <= 1e-12
         rest = tuple(k for k in range(nsites) if k not in cut)
         assert spectra[cut] is spectra[rest]
+    # the report decomposes the single-site cuts alone, to the same bits
+    report = entanglement_report(state)
+    for i, d in enumerate(state.dims):
+        spec = [s * s for s in spectra[(i,)]]
+        assert report.rdm_spectra[i] == spec + [0.0] * (d - len(spec))
+    assert report.bipartition_schmidt == spectra
 
 
 def test_cut_spectra_single_site_and_zero_state():
@@ -253,36 +279,50 @@ def test_cut_spectra_single_site_and_zero_state():
         entangle.cut_spectra(PlainState((2, 3), np.zeros(6)))
 
 
+def _count_svd_matrices(monkeypatch):
+    """A list that grows by each matrix np.linalg.svd decomposes (a stack counts each)."""
+    original = np.linalg.svd
+    matrices = []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(math.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return matrices
+
+
 @pytest.mark.parametrize(
     "dims",
     [(2,), (2, 3), (2, 3, 2), (3, 2, 2, 2), (2,) * 6],
     ids=lambda dims: "x".join(map(str, dims)),
 )
-def test_entanglement_report_one_svd_per_unordered_cut(monkeypatch, dims):
+def test_entanglement_report_decomposes_single_sites_then_every_cut_on_first_read(
+    monkeypatch, dims
+):
     rng = np.random.default_rng(sum(dims) * 31 + len(dims))
     size = math.prod(dims)
     state = PlainState(dims, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    original = np.linalg.svd
-    matrices = []
-
-    def counted(a, *args, **kwargs):
-        matrices.append(math.prod(np.shape(a)[:-2]))  # a stack of matrices counts each
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    report = entanglement_report(state)
-    monkeypatch.undo()
     nsites = len(dims)
+    matrices = _count_svd_matrices(monkeypatch)
+    report = entanglement_report(state)
+    # a cut and its complement share one matrix: two sites decompose one
+    assert sum(matrices) == (nsites if nsites > 2 else nsites - 1)
+    matrices.clear()
+    cuts = report.bipartition_schmidt
     assert sum(matrices) == 2 ** (nsites - 1) - 1
-    cuts = [
+    matrices.clear()
+    assert report.bipartition_schmidt is cuts and matrices == []
+    monkeypatch.undo()
+
+    assert cuts == entangle.cut_spectra(state)
+    assert list(cuts) == [
         cut
         for r in range(1, nsites)
         for cut in itertools.combinations(range(nsites), r)
     ]
-    assert list(report.bipartition_schmidt) == cuts
-    for cut in cuts:
+    for cut, got in cuts.items():
         fresh = bipartition_spectrum(state, cut)
-        got = report.bipartition_schmidt[cut]
         assert len(got) == len(fresh)
         assert np.max(np.abs(np.asarray(got) - fresh)) <= 1e-12
 
@@ -639,6 +679,40 @@ def test_block_solve_matches_dense_lstsq(n, seed):
         assert np.max(np.abs(solution.coefficients - x)) <= bound
         assert len(solution.singular_values) == len(sv)
         assert np.max(np.abs(solution.singular_values - sv)) <= 1e-12
+
+
+def _scaled_block_problem(rng):
+    """Six one-column blocks and one three-column block: (rows, cols, vals, rhs, shape)."""
+    rows = list(range(12))  # column j < 6 has rows 2j, 2j + 1
+    cols = [j for j in range(6) for _ in range(2)]
+    for r in range(12, 16):  # columns 6..8 share rows 12..15
+        rows += [r] * 3
+        cols += [6, 7, 8]
+    vals = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    rhs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    return np.array(rows), np.array(cols), vals, rhs, (16, 9)
+
+
+@pytest.mark.parametrize("block_k", [0, 300, 600, 1000, -600])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_solve_scales_back_columns_scaled_by_powers_of_two(seed, block_k):
+    # a column scaled by 2**-k solves to x scaled by 2**k at the same rank:
+    # |c|**2 under- or overflows from |k| ~ 511 on unless the column is
+    # rescaled before squaring.  One-column blocks take their own k; the
+    # three-column block is scaled as a whole, as its cutoff is relative.
+    rng = np.random.default_rng(seed)
+    rows, cols, vals, rhs, shape = _scaled_block_problem(rng)
+    x0, rank0, sv0 = entangle._block_lstsq(rows, cols, vals, rhs, shape)
+    assert rank0 == 9
+    k = np.concatenate([rng.integers(-600, 1001, 6), [block_k] * 3])
+    scale = np.ldexp(1.0, -k)  # exact powers of two
+    x, rank, sv = entangle._block_lstsq(rows, cols, vals * scale[cols], rhs, shape)
+    assert rank == rank0
+    assert np.allclose(x * scale, x0, rtol=1e-12, atol=0)
+    norms = np.sqrt(np.bincount(cols[:12], np.abs(vals[:12]) ** 2))
+    block = np.linalg.svd(vals[12:].reshape(4, 3), compute_uv=False)
+    want = np.sort(np.concatenate([norms * scale[:6], block * scale[6]]))[::-1]
+    assert np.allclose(sv, want, rtol=1e-12, atol=0)
 
 
 # -- the solver's residual against the pipeline --------------------------------
