@@ -534,6 +534,8 @@ def _qudit_squeezed_mes(n: int = 3) -> Recipe:
     """
     if n < 2:
         raise ValueError("squeezed qudit MES needs n >= 2")
+    if n > 198:  # the weight term i = (n-1)//2 carries (i!)**2, past the float range from 99
+        raise ValueError(f"squeezed qudit MES needs n <= 198, got n={n}: (i!)**2 overflows a float")
     ctx = AlgebraContext(n)
     xi = ctx.theta(1)
     factor = squeezed_state_exp(ctx, xi, n)

@@ -8,8 +8,9 @@ contribute when w_d + m_d = n-1 on every differential slot d, so the
 product and the integrals run as one join on the differential exponents
 and the dead pairs are never multiplied.  The join reads only the state's
 term table (qstate: one row of exponents over the canonical slots per
-term, with its coefficient and ket digits), so no state is boxed into
-per-ket algebra elements, and integrate_graded returns such a table.
+term, with its coefficient and ket digits, kets ascending), so no state is
+boxed into per-ket algebra elements, and integrate_graded returns such a
+table, kets ascending.
 The weight becomes a table over the same slots, pairs are matched by
 sorted keys, and the reordering and integration phases are integer dot
 products with the phase table's eps matrix.  A successful construction
@@ -56,7 +57,6 @@ from .qstate import (
     PlainState,
     _Table,
     _exponents,
-    _ket_index,
     _roots,
     _row_keys,
     _sum_by,
@@ -94,14 +94,15 @@ def _join(
     Returns (rest, rest_slots, ket, term, value): pair i leaves value[i]
     times the monomial with exponents rest[i] on rest_slots, on the ket
     with digits ket[i], from weight term term[i].  Pairs run state term by
-    state term (the rows of the state's term table), weight terms in order.
+    state term (the rows of the state's term table, so kets ascending),
+    weight terms in order.
 
-    The weight terms become an exponent table over the canonical slots,
-    the sorted union of the state table's slots, the weight's variables and
-    the differentials.  A state term m meets the weight terms w with
-    w_d = n-1-m_d on every differential d (sort plus searchsorted, any
-    number of w per key), and a pair survives when every summed exponent
-    is below n.  Its q-exponent is
+    The weight terms become an exponent table (_exponents, which rejects an
+    exponent outside 1..n-1) over the canonical slots, the sorted union of
+    the state table's slots, the weight's variables and the differentials.
+    A state term m meets the weight terms w with w_d = n-1-m_d on every
+    differential d (sort plus searchsorted, any number of w per key), and a
+    pair survives when every summed exponent is below n.  Its q-exponent is
 
         -m.U.w  +  (n-1) * P.p,     P = m + w,
 
@@ -117,7 +118,7 @@ def _join(
     slots = sorted(set(table.slots).union(differentials, *(map(itemgetter(0), m) for m in monos)))
     slot_of = {v: i for i, v in enumerate(slots)}
     exps = table.exps if len(slots) == len(table.slots) else _widened(table, slot_of, len(slots))
-    wexps = _exponents(monos, slot_of, len(slots))
+    wexps = _exponents(n, monos, slot_of, len(slots))
     diff = [slot_of[d] for d in differentials]
 
     keys = _row_keys(
@@ -154,15 +155,15 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
     Equals state.left_multiply(weight).multi_integrate(differentials), but
     only pairs with w_d + m_d = n-1 on every differential d are multiplied
     (_join), and the pairs that leave one (monomial, ket) are summed into a
-    term table (_summed), kets in the state's order.
+    term table (_summed), kets ascending.  Every weight exponent must lie in
+    1..n-1.
     """
     if spec.weight.ctx != state.ctx:
         raise ValueError("weight and state use different algebra contexts")
     rest, rest_slots, digits, _, value = _join(
         list(spec.weight.terms.items()), spec.differentials, state
     )
-    # the join's rows run state row by state row, so their kets are contiguous
-    table = _summed(state.ctx.n, rest, value, digits, _ket_index(digits))
+    table = _summed(state.ctx.n, rest, value, digits, state.space.dims)
     return GradedState._from_table(state.ctx, state.space, _Table(tuple(rest_slots), *table))
 
 
@@ -579,8 +580,6 @@ def solve_weight(
     if not basis:
         raise ValueError("empty weight basis")
     ctx = state.ctx
-    if any(not 1 <= e < ctx.n for m in basis for _, e in m.exps):
-        raise ValueError(f"basis exponents must lie in 1..{ctx.n - 1}")
     if target.dims != state.space.dims:
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)

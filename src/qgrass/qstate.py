@@ -4,12 +4,13 @@ A GradedState is a sum over basis kets k of f_k(theta)|k>, with the
 monomials to the LEFT of the ket.  Its one store is the term table, built
 by every constructor and never mutated: the canonical slots (sorted
 Variables), a T x K int64 exponent array over them, a complex coefficient
-per row and the ket digits per row.  Rows are ket-contiguous, no
-coefficient is exactly zero and no (monomial, ket) pair repeats.  tensor
-and the weight join (entangle) build and read only tables; _summed is
-their shared kernel for adding equal (monomial, ket) rows.  ``parts`` is
-a read-only view, one nonzero AlgebraElement per ket in the table's ket
-order, boxed from the table on first read.  The remaining state
+per row and the ket digits per row.  Its one form: kets ascending
+(lexicographic digits), exponents in 0..n-1 (0: the slot is absent), no
+coefficient exactly zero and no (monomial, ket) pair repeated.  tensor
+and the weight join (entangle) build and read only tables; _exponents is
+where monomials become rows and _summed adds equal (monomial, ket) rows.
+``parts`` is a read-only view, one nonzero AlgebraElement per ket, kets
+ascending, boxed from the table on first read.  The remaining state
 operations (sums, scalar and left multiples, integrals, the annihilation
 operator) are AlgebraElement operations applied ket by ket, whose result
 is tabulated at once.
@@ -115,31 +116,38 @@ class _Table(NamedTuple):
     digits: np.ndarray  # T x S int64, the ket of each row
 
 
-def _exponents(monos: Sequence[Monomial], slot_of: Mapping[Variable, int], width: int) -> np.ndarray:
-    """len(monos) x width int64 table: row i holds monos[i]'s exponents at slot_of."""
+def _exponents(n: int, monos: Sequence[Monomial], slot_of: Mapping[Variable, int],
+               width: int) -> np.ndarray:
+    """len(monos) x width int64 table: row i holds monos[i]'s exponents at slot_of.
+    The first block whose exponent lies outside 1..n-1 raises ValueError."""
+    blocks = list(chain.from_iterable(monos))
+    power = np.array([e for _, e in blocks])  # an int beyond int64 stays a Python int
+    bad = np.flatnonzero((power < 1) | (power >= n))
+    if len(bad):
+        v, e = blocks[bad[0]]
+        raise ValueError(f"exponent {e} of {v.name} lies outside 1..{n - 1}")
     exps = np.zeros((len(monos), width), dtype=np.int64)
-    exps[
-        [i for i, mono in enumerate(monos) for _ in mono],
-        [slot_of[v] for mono in monos for v, _ in mono],
-    ] = [e for mono in monos for _, e in mono]
+    exps[[i for i, mono in enumerate(monos) for _ in mono], [slot_of[v] for v, _ in blocks]] = power
     return exps
 
 
-def _tabulate(space: LevelSpace, parts: Mapping[BasisKet, Mapping[Monomial, complex]]) -> _Table:
-    """The term table of per-ket terms (rows ket by ket, terms in order, exact
-    zeros dropped); the kets of nonzero terms are checked against space."""
+def _tabulate(n: int, space: LevelSpace,
+              parts: Mapping[BasisKet, Mapping[Monomial, complex]]) -> _Table:
+    """The term table of per-ket terms at grade n: kets ascending, each ket's
+    terms in order, exact zeros dropped unchecked; the kets of nonzero terms
+    are checked against space and their monomials by _exponents."""
     monos: list[Monomial] = []
     coef: list[complex] = []
     kets: list[BasisKet] = []
-    for ket, terms in parts.items():
-        terms = {m: complex(c) for m, c in terms.items() if c != 0}
+    for ket in sorted(parts):
+        terms = {m: complex(c) for m, c in parts[ket].items() if c != 0}
         if terms:
             space.check_ket(ket)
             monos += terms
             coef += terms.values()
             kets += [ket] * len(terms)
     slots = tuple(sorted({v for mono in monos for v, _ in mono}))
-    exps = _exponents(monos, {v: i for i, v in enumerate(slots)}, len(slots))
+    exps = _exponents(n, monos, {v: i for i, v in enumerate(slots)}, len(slots))
     digits = np.array(kets, dtype=np.int64).reshape(len(kets), space.nsites)
     return _Table(slots, exps, np.array(coef, dtype=complex), digits)
 
@@ -162,7 +170,7 @@ def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
 
     Rows pack in mixed radix, the last column most significant, when the
     radices' product (in Python integers) stays below 2**63; otherwise a
-    row's key is its rank among the distinct rows.
+    row's key is its rank among the distinct rows in that same order.
     """
     place, size = [], 1
     for r in radices:
@@ -170,7 +178,7 @@ def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
         size *= r
     if size < 1 << 63:
         return rows @ np.array(place, dtype=np.int64)
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.unique(rows[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -179,23 +187,15 @@ def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def _summed(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
-            ket: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows with equal (exponents in 0..n-1, ket) summed in row order, exact zeros dropped.
-
-    ket[i] is the output position of row i's ket; rows come out by it, then
-    by the first row of each (exponents, ket).
-    """
-    if not len(coef):
-        return exps, coef, digits
-    order = np.argsort(ket, kind="stable")
-    radices = [n] * exps.shape[1] + [int(ket[order[-1]]) + 1]
-    keys = _row_keys(np.column_stack([exps[order], ket[order]]), radices)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    coef = _sum_by(rank[inverse], coef[order], len(first))
+            dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows with equal (exponents in 0..n-1, ket digits below dims) summed in row order,
+    exact zeros dropped; out by ket, then by exponent row, lexicographically ascending."""
+    keys = _row_keys(np.column_stack([exps[:, ::-1], digits[:, ::-1]]),
+                     [n] * exps.shape[1] + list(dims[::-1]))
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    coef = _sum_by(group, coef, len(first))
     nonzero = coef != 0
-    rows = order[np.sort(first)[nonzero]]
+    rows = first[nonzero]
     return exps[rows], coef[nonzero], digits[rows]
 
 
@@ -243,7 +243,7 @@ class GradedState:
         for (mono, ket), c in terms.items():
             grouped.setdefault(tuple(ket), {})[mono] = c
         self.ctx, self.space, self._parts = ctx, space, None
-        self._table = _tabulate(space, grouped)
+        self._table = _tabulate(ctx.n, space, grouped)
 
     @classmethod
     def _from_table(cls, ctx: AlgebraContext, space: LevelSpace, table: _Table) -> "GradedState":
@@ -252,12 +252,12 @@ class GradedState:
         return state
 
     def _with(self, parts: Mapping[BasisKet, AlgebraElement]) -> "GradedState":
-        table = _tabulate(self.space, {k: f.terms for k, f in parts.items()})
+        table = _tabulate(self.ctx.n, self.space, {k: f.terms for k, f in parts.items()})
         return GradedState._from_table(self.ctx, self.space, table)
 
     @property
     def parts(self) -> dict[BasisKet, AlgebraElement]:
-        """Each ket's nonzero element, in table order; boxed once, on first read."""
+        """Each ket's nonzero element, kets ascending; boxed once, on first read."""
         if self._parts is None:
             self._parts = _boxed(self.ctx, self._table)
         return self._parts
@@ -390,10 +390,11 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     the reordering phase of monomial_product (U from _upper_eps, so phase
     table overrides count) plus the grading twist that pulls b leftwards
     across ka: S = sum(m-1 over ka), u and v the unbarred and barred
-    degrees of b.  Rows come ket pair by ket pair, (ka, kb) in the factors'
-    ket order, and pairs reaching one (monomial, ket) are summed in pair
-    order (_summed; only needed once a ket has several rows); exact zeros
-    are dropped.  No Monomial or AlgebraElement is built.
+    degrees of b.  Rows run left factor major, so the product's kets stay
+    ascending, and pairs reaching one (monomial, ket) are summed in pair
+    order (_summed, over the dims of the product so far; only needed once a
+    ket has several rows); exact zeros are dropped.  No Monomial or
+    AlgebraElement is built.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -410,8 +411,10 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     roots = _roots(n)
     sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)  # unbarred, barred
     exps, coef, digits = _widened(tables[0], slot_of, len(slots)), tables[0].coef, tables[0].digits
+    dims = states[0].space.dims
     shared = _shares_kets(digits)  # some ket has several rows
-    for t in tables[1:]:
+    for state, t in zip(states[1:], tables[1:]):
+        dims += state.space.dims
         texps = _widened(t, slot_of, len(slots))
         shift = digits.sum(axis=1) - digits.shape[1]
         qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
@@ -420,16 +423,14 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
         coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
         exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
         shared = shared or _shares_kets(t.digits)
-        if shared:  # rows of one ket pair may meet; ket pairs keep the factors' order
-            ket_pair = _ket_index(digits)[ai] * len(t.digits) + _ket_index(t.digits)[bi]
-            exps, coef, digits = _summed(n, exps, coef, joined, ket_pair)
+        if shared:  # rows of one ket pair may meet
+            exps, coef, digits = _summed(n, exps, coef, joined, dims)
         elif coef.all():
             digits = joined
         else:
             nonzero = coef != 0
             exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
-    space = LevelSpace(tuple(chain.from_iterable(s.space.dims for s in states)))
-    return GradedState._from_table(ctx, space, _Table(slots, exps, coef, digits))
+    return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
 
 
 def _widened(table: _Table, slot_of: Mapping[Variable, int], width: int) -> np.ndarray:
@@ -440,15 +441,8 @@ def _widened(table: _Table, slot_of: Mapping[Variable, int], width: int) -> np.n
 
 
 def _shares_kets(digits: np.ndarray) -> bool:
-    """Whether two rows of ket-contiguous digits share a ket."""
+    """Whether two rows of a table's (ascending) digits share a ket."""
     return not (digits[1:] != digits[:-1]).any(axis=1).all()
-
-
-def _ket_index(digits: np.ndarray) -> np.ndarray:
-    """Index of each row's ket among the kets of ket-contiguous digits."""
-    index = np.zeros(len(digits), dtype=np.int64)
-    np.cumsum((digits[1:] != digits[:-1]).any(axis=1), out=index[1:])
-    return index
 
 
 # -- plain (Grassmann-free) states ----------------------------------------
@@ -490,11 +484,9 @@ class PlainState:
         return complex(self.amps[int(np.ravel_multi_index(tuple(ket), self.dims))])
 
     def terms(self, tol: float = 0.0) -> dict[BasisKet, complex]:
-        out = {}
-        for flat, c in enumerate(self.amps):
-            if abs(c) > tol:
-                out[tuple(int(x) for x in np.unravel_index(flat, self.dims))] = complex(c)
-        return out
+        keep = np.abs(self.amps) > tol
+        kets = map(tuple, np.argwhere(keep.reshape(self.dims)).tolist())  # ascending
+        return dict(zip(kets, self.amps[keep].tolist()))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -559,6 +551,9 @@ def squeezed_state_symmetric(ctx: AlgebraContext, v: Variable) -> GradedState:
 
 def squeezed_state_exp(ctx: AlgebraContext, v: Variable, d: int) -> GradedState:
     """Sum over i of conj(q)**(i(i-1))/i! v**i |2i>, truncated to 2i <= d-1."""
+    if min(ctx.n - 1, (d - 1) // 2) > 170:  # the last term divides by i! >= 171!
+        raise ValueError(f"squeezed state needs d <= 342 or n <= 171, got d={d}, n={ctx.n}: "
+                         "171! overflows a float")
     terms: dict[tuple[Monomial, BasisKet], complex] = {}
     for i in range(ctx.n):
         if 2 * i > d - 1:

@@ -201,13 +201,17 @@ def test_construct_builder_value_error_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("entry_id, n", [("qudit_mes_n", 175), ("qudit_squeezed_mes_n", 200)])
+@pytest.mark.parametrize("entry_id, n", [("qudit_mes_n", 175), ("qudit_squeezed_mes_n", 200),
+                                         ("qudit_squeezed_mes_n", 199)])
 def test_construct_factorial_overflow_exits_two(capsys, entry_id, n):
-    # (n-1)! no longer fits a float: this used to exit 1 with an OverflowError traceback
+    # (n-1)! no longer fits a float: this used to exit 1 with an OverflowError traceback;
+    # (i!)**2 leaves the float range from i = 99, which n = 199 reaches
     code, out, err = run_cli(capsys, "construct", entry_id, "--n", str(n))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: bad parameters for {entry_id!r}: ") and err.count("\n") == 1
+    # the line names the parameter: qudit_mes_n's coherent factors have d = n levels
+    assert f"got {'d' if entry_id == 'qudit_mes_n' else 'n'}={n}" in err
 
 
 def _ghz2_spec(**overrides):

@@ -35,7 +35,8 @@ from qgrass.qstate import (
     squeezed_state_symmetric,
     tensor,
 )
-from qgrass.qstate import _summed, _twist
+from qgrass.qstate import _row_keys, _summed, _twist
+from qgrass.serialize import graded_from_dict, graded_to_dict
 
 
 # -- quantization phases ---------------------------------------------------------
@@ -159,6 +160,16 @@ def test_squeezed_exp_truncation():
     assert len(s5.terms) == 3
 
 
+def test_squeezed_exp_rejects_a_factorial_past_the_float_range():
+    # its last term divides by i! for i = min(n-1, (d-1)//2); 171! overflows
+    ctx = AlgebraContext(172)
+    assert len(squeezed_state_exp(ctx, ctx.theta(1), 342).parts) == 171
+    wide = AlgebraContext(171)
+    assert len(squeezed_state_exp(wide, wide.theta(1), 1000).parts) == 171
+    with pytest.raises(ValueError, match=r"d <= 342 or n <= 171, got d=343, n=172"):
+        squeezed_state_exp(ctx, ctx.theta(1), 343)
+
+
 # -- tensor products --------------------------------------------------------------------
 
 
@@ -251,6 +262,29 @@ def test_to_plain_raises_on_grassmann_residue():
 
 
 # -- polynomial raising states -------------------------------------------------------
+
+
+def test_plain_terms_match_a_loop_over_every_amplitude():
+    def loop(state, tol):
+        out = {}
+        for flat, c in enumerate(state.amps):
+            if abs(c) > tol:
+                out[tuple(int(x) for x in np.unravel_index(flat, state.dims))] = complex(c)
+        return out
+
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    amps[rng.random(60) < 0.5] = 0.0
+    amps[3], amps[7] = complex(-0.0, 2.0), complex(1e-13, -0.0)
+    states = [PlainState((3, 4, 5), amps), PlainState((2,) * 10, np.zeros(1024)),
+              PlainState((), [complex(-0.0, -1.0)]), PlainState((), [0.0])]
+    for state in states:
+        for tol in (0.0, 1e-12, 0.5):
+            got, want = state.terms(tol), loop(state, tol)
+            # repr tells -0.0 from 0.0 and a Python int or complex from a numpy one
+            assert repr(list(got.items())) == repr(list(want.items()))
+            assert all(type(c) is complex for c in got.values())
+            assert all(type(m) is int for ket in got for m in ket)
 
 
 def test_nilpotent_polynomial_state_bell():
@@ -545,8 +579,9 @@ def _fold_tensor(states):
 def _assert_well_formed(state):
     """The term table's invariants; returns its kets in row order.
 
-    No coefficient is exactly zero, no (monomial, ket) repeats, each ket's
-    rows are contiguous, and every digit and exponent is in range.
+    No coefficient is exactly zero, no (monomial, ket) repeats, kets run
+    strictly ascending from one ket's rows to the next, and every digit and
+    exponent is in range.
     """
     table = state._table
     rows = len(table.coef)
@@ -559,7 +594,7 @@ def _assert_well_formed(state):
     kets = [tuple(k) for k in table.digits.tolist()]
     assert len(set(zip(map(tuple, table.exps.tolist()), kets))) == rows
     runs = [k for i, k in enumerate(kets) if i == 0 or k != kets[i - 1]]
-    assert len(runs) == len(set(runs)), "a ket's rows are not contiguous"
+    assert all(a < b for a, b in zip(runs, runs[1:])), "kets are not strictly ascending"
     return runs
 
 
@@ -739,14 +774,15 @@ def test_integral_pairs_that_cancel_to_exact_zero_leave_no_row(n):
     assert np.all(empty.plain_projection().amps == 0) and empty.space == low.space
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(10))
 def test_summed_matches_a_dict_sum(seed):
     rng = np.random.default_rng(seed)
     n, width, nsites = int(rng.integers(2, 5)), int(rng.integers(0, 4)), int(rng.integers(1, 4))
+    if seed >= 8:  # n**width * 3**nsites >= 2**63: _row_keys ranks the rows instead
+        width = 64
     rows = int(rng.integers(1, 40)) if seed else 0  # seed 0: the empty input
     nkets = int(rng.integers(1, 5))
     ket_digits = np.array(list(np.ndindex(*[3] * nsites)))[rng.permutation(3**nsites)[:nkets]]
-    position = rng.permutation(nkets)  # the caller's ket order
     which = rng.integers(0, nkets, rows)
     exps = rng.integers(0, n, (rows, width)) * (rng.random((rows, width)) < 0.3)
     coef = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
@@ -754,16 +790,93 @@ def test_summed_matches_a_dict_sum(seed):
     if rows:  # a row's negation: their key sums to exactly 0 unless another row shares it
         exps, coef = np.concatenate([exps, exps[:1]]), np.append(coef, -coef[0])
         which = np.append(which, which[0])
-    digits, ket = ket_digits[which], position[which]
+    digits = ket_digits[which]
 
     want: dict = {}
-    for i in sorted(range(len(coef)), key=lambda i: ket[i]):
+    for i in range(len(coef)):  # summed in row order
         key = (tuple(digits[i].tolist()), tuple(exps[i].tolist()))
         want[key] = want.get(key, 0.0) + coef[i]
-    want = [(k, c) for k, c in want.items() if c != 0]
+    want = sorted((k, c) for k, c in want.items() if c != 0)  # by ket, then exponent row
 
-    got_exps, got_coef, got_digits = _summed(n, exps, coef, digits, ket)
+    got_exps, got_coef, got_digits = _summed(n, exps, coef, digits, (3,) * nsites)
     assert got_exps.shape == (len(want), width) and got_digits.shape == (len(want), nsites)
     got = [((tuple(d), tuple(e)), c)
            for e, c, d in zip(got_exps.tolist(), got_coef.tolist(), got_digits.tolist())]
     assert got == want  # same rows, same order, the same sums bit for bit
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_keys_order_rows_alike_when_packed_and_when_ranked(seed):
+    rng = np.random.default_rng(1200 + seed)
+    width = int(rng.integers(2, 6))
+    rows = rng.integers(0, 3, (int(rng.integers(1, 30)), width))
+    packed = _row_keys(rows, [3] * width)
+    # the same digits under a last radix of 2**62: the product passes 2**63
+    ranked = _row_keys(rows, [3] * (width - 1) + [1 << 62])
+    assert ranked.tolist() == np.unique(packed, return_inverse=True)[1].reshape(-1).tolist()
+    # both read the last column as the most significant
+    assert sorted(map(tuple, rows[:, ::-1].tolist())) == [
+        tuple(rows[i, ::-1].tolist()) for i in np.argsort(packed, kind="stable")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_states_built_out_of_ket_order_hold_ascending_kets(n):
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(1300 + n)
+    space = LevelSpace((3, 2))
+    kets = list(np.ndindex(3, 2))
+
+    def terms_on(ket_list, per_ket=2):
+        return {(_random_monomial(rng, n, 0.5), ket): complex(*rng.standard_normal(2))
+                for ket in ket_list for _ in range(per_ket)}
+
+    def element():
+        return ctx.element({_random_monomial(rng, n, 0.5): complex(*rng.standard_normal(2))
+                            for _ in range(2)})
+
+    descending = GradedState(ctx, space, terms_on(kets[::-1]))
+    pairs = GradedState.from_pairs(ctx, space, [(element(), kets[i]) for i in (4, 1, 5, 0, 1)])
+    data = graded_to_dict(descending)
+    data["terms"] = [data["terms"][i] for i in rng.permutation(len(data["terms"]))]
+    from_dict = graded_from_dict(data, ctx)
+    interleaved = GradedState(ctx, space, terms_on(kets[1::2])) + GradedState(
+        ctx, space, terms_on(kets[0::2]))
+    single = GradedState(ctx, LevelSpace((n,)), terms_on([(m,) for m in reversed(range(n))], 1))
+    built = {"descending": descending, "from_pairs": pairs, "from_dict": from_dict,
+             "interleaved": interleaved, "single": single}
+    order = [T1]
+    weight = ctx.element({m: complex(*rng.standard_normal(2))
+                          for m in monomial_basis(ctx, [T1, T2])})
+    for name, state in built.items():
+        runs = _assert_well_formed(state)
+        assert list(state.parts) == runs == sorted({k for _, k in state.terms}), name
+        for factors in ([state, single], [single, state], [state, state]):
+            want = dict(sorted(_fold_tensor(factors).items()))
+            assert want, f"{name}: the fold is empty; the comparison would prove nothing"
+            _assert_matches_fold(tensor(factors), want)
+        got = integrate_graded(IntegralSpec(weight, order), state)
+        _assert_well_formed(got)
+        _assert_same_terms(got.terms, state.left_multiply(weight).multi_integrate(order).terms)
+    assert from_dict.isclose(descending, tol=0.0)
+
+
+@pytest.mark.parametrize("where", ["state", "left_multiply", "integral_weight", "solver_basis"])
+@pytest.mark.parametrize("exponent", [0, 3, 4, -1])
+def test_monomials_outside_1_to_n_minus_1_raise(where, exponent):
+    # at exponent 0 the block equals the monomial 1: a table with both held two
+    # equal rows, and its plain projection read 2 where the right value is 3
+    ctx = AlgebraContext(3)
+    bad = Monomial(((T1, exponent),))
+    terms = {bad: 1.0, MONOMIAL_ONE: 2.0}
+    state = coherent_state(ctx, T1, 3)
+    match = f"exponent {exponent} of theta_1 lies outside 1..2"
+    with pytest.raises(ValueError, match=match):
+        if where == "state":
+            GradedState(ctx, LevelSpace((3,)), {(m, (0,)): c for m, c in terms.items()})
+        elif where == "left_multiply":
+            state.left_multiply(ctx.element(terms))
+        elif where == "integral_weight":
+            integrate_graded(IntegralSpec(ctx.element(terms), (T1,)), state)
+        else:
+            target = PlainState((3,), np.array([1.0, 0.0, 0.0]))
+            solve_weight(state, (T1,), target, [MONOMIAL_ONE, bad])
