@@ -509,6 +509,8 @@ def _qudit_mes(n: int = 3) -> Recipe:
     """
     if n < 2:
         raise ValueError("qudit MES needs n >= 2")
+    if n > 171:  # the coherent factors and the weight term k = n-1 carry (n-1)!
+        raise ValueError(f"qudit MES needs n <= 171, got n={n}: (n-1)! overflows a float")
     ctx = AlgebraContext(n)
     t1, t2 = ctx.theta(1), ctx.theta(2)
     state = tensor([coherent_state(ctx, t1, n), coherent_state(ctx, t2, n)])

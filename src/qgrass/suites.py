@@ -3,7 +3,9 @@
 Each suite returns a list of SuiteItem records with status 'pass',
 'flagged' or 'fail'.  Flagged items are known discrepancies (each carries
 ids from the issues ledger) and do not fail a run; a 'fail' is an
-unexpected regression.  All randomness derives from an explicit seed.
+unexpected regression.  All randomness derives from an explicit seed: the
+algebra suite draws from one ``random.Random(seed)`` per call, and the
+other suites draw nothing.
 
 The reordering oracle here is deliberately independent of the production
 normal-ordering path: it sorts explicit variable words one random
@@ -14,6 +16,7 @@ rule, so confluence checks compare two genuinely different computations.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,43 +59,48 @@ class SuiteItem:
 # -- random element machinery -------------------------------------------------
 
 
-def _random_variable(rng: np.random.Generator, max_index: int = 3) -> Variable:
-    return Variable(int(rng.integers(1, max_index + 1)), bool(rng.integers(0, 2)))
+def _random_variable(rng: random.Random, max_index: int = 3) -> Variable:
+    return Variable(rng.randrange(1, max_index + 1), rng.random() < 0.5)
 
 
 def _random_element(
     ctx: AlgebraContext,
-    rng: np.random.Generator,
+    rng: random.Random,
     max_terms: int = 3,
     kind: bool | None = None,
 ) -> AlgebraElement:
-    """Random sum of monomials; kind restricts to barred or unbarred variables."""
+    """Random sum of monomials; kind restricts to barred or unbarred variables.
+
+    Draws from a ``random.Random``: term and variable counts and exponents by
+    ``randrange``, each coefficient as two ``gauss(0.0, 1.0)`` parts.
+    """
     terms: dict[Monomial, complex] = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        nvars = int(rng.integers(0, 3))
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        nvars = rng.randrange(0, 3)
         blocks = []
         for _ in range(nvars):
             v = _random_variable(rng)
             if kind is not None:
                 v = Variable(v.index, kind)
-            blocks.append((v, int(rng.integers(1, ctx.n))))
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
+            blocks.append((v, rng.randrange(1, ctx.n)))
+        coeff = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         qexp, mono = normal_order(blocks, ctx.phase_table, ctx.n)
         if mono is not None:
             terms[mono] = terms.get(mono, 0.0) + q_power(ctx.n, qexp) * coeff
     return AlgebraElement(ctx, terms)
 
 
-def _random_word(rng: np.random.Generator, max_len: int = 6) -> list[Variable]:
-    return [_random_variable(rng) for _ in range(int(rng.integers(1, max_len + 1)))]
+def _random_word(rng: random.Random, max_len: int = 6) -> list[Variable]:
+    return [_random_variable(rng) for _ in range(rng.randrange(1, max_len + 1))]
 
 
-def oracle_reorder(word: list[Variable], ctx: AlgebraContext, rng: np.random.Generator):
+def oracle_reorder(word: list[Variable], ctx: AlgebraContext, rng: random.Random):
     """Sort a word by random adjacent transpositions, tracking the q-phase.
 
     Returns (q_exponent, Monomial) or (0, None) on nilpotent collapse.
     Independent of normal_order: operates on flat variable lists and only
-    ever applies the two-variable exchange rule.
+    ever applies the two-variable exchange rule.  Each step swaps the pair
+    ``rng.choice(inversions)`` picks; any rng with a ``choice`` method works.
     """
     w = list(word)
     table = ctx.phase_table
@@ -103,7 +111,7 @@ def oracle_reorder(word: list[Variable], ctx: AlgebraContext, rng: np.random.Gen
         ]
         if not inversions:
             break
-        i = int(rng.choice(inversions))
+        i = rng.choice(inversions)
         a, b = w[i], w[i + 1]  # a > b, rewrite a*b = q**(-eps(b,a)) b*a
         qexp -= table.eps(b, a)
         w[i], w[i + 1] = b, a
@@ -128,7 +136,7 @@ def suite_algebra(
     cases: int = 1000,
     grades: tuple[int, ...] = (2, 3, 4, 5),
 ) -> list[SuiteItem]:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     per = max(1, math.ceil(cases / 5))
     contexts = [AlgebraContext(n) for n in grades]
 
@@ -136,7 +144,7 @@ def suite_algebra(
 
     def nilpotency(ctx: AlgebraContext) -> float:  # v^k * (v^(n-k) * a) == 0
         v = _random_variable(rng)
-        k = int(rng.integers(1, ctx.n))
+        k = rng.randrange(1, ctx.n)
         a = _random_element(ctx, rng)
         return (ctx.gen(v, k) * (ctx.gen(v, ctx.n - k) * a)).norm()
 
@@ -158,8 +166,8 @@ def suite_algebra(
 
     def integration_linearity(ctx: AlgebraContext) -> float:
         a, b = _random_element(ctx, rng), _random_element(ctx, rng)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        beta = complex(rng.standard_normal(), rng.standard_normal())
+        alpha = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        beta = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         v = _random_variable(rng)
         lhs = (alpha * a + beta * b).berezin_integrate(v)
         rhs = alpha * a.berezin_integrate(v) + beta * b.berezin_integrate(v)
@@ -168,10 +176,9 @@ def suite_algebra(
     def conjugation(ctx: AlgebraContext) -> float:
         # involution on arbitrary elements, anti-homomorphism on same-kind
         # operands (the scope on which the dagger is consistent; see the
-        # CONJUGATION_OBSTRUCTION item below); the second element is drawn
-        # and never used, which keeps every later draw where it was
-        a, _ = _random_element(ctx, rng), _random_element(ctx, rng)
-        barred = bool(rng.integers(0, 2))
+        # CONJUGATION_OBSTRUCTION item below)
+        a = _random_element(ctx, rng)
+        barred = rng.random() < 0.5
         x = _random_element(ctx, rng, kind=barred)
         y = _random_element(ctx, rng, kind=barred)
         return max(
@@ -326,10 +333,11 @@ def suite_catalog(tol: float = 1e-9) -> list[SuiteItem]:
         }
 
         # hard expectations beyond the match floor
+        target = result.target.normalized()
         target_mes = all(
             all(abs(lam - 1.0 / d) <= tol for lam in np.linalg.eigvalsh(
-                reduced_density(result.target.normalized(), [i]).entries))
-            for i, d in enumerate(result.target.dims)
+                reduced_density(target, [i]).entries))
+            for i, d in enumerate(target.dims)
         )
         if target_mes and not result.report.max_entangled:
             hard_fail = True
@@ -386,11 +394,10 @@ def suite_boson(tol: float = 1e-9, cutoff: int = 40) -> list[SuiteItem]:
 
     grid = [complex(re, im) for re in (-1.4, -0.7, 0.0, 0.7, 1.4)
             for im in (-1.4, -0.7, 0.0, 0.7, 1.4)]
+    vectors = [coherent_fock(a, cutoff) for a in grid]
     worst = 0.0
-    for a in grid:
-        fa = coherent_fock(a, cutoff)
-        for b in grid:
-            fb = coherent_fock(b, cutoff)
+    for a, fa in zip(grid, vectors):
+        for b, fb in zip(grid, vectors):
             worst = max(worst, abs(inner(fa, fb) - overlap_exact(a, b)))
     items.append(
         SuiteItem(

@@ -121,3 +121,21 @@ def test_entanglement_independent_of_pair_parameters():
         for a, b in ((1.0, 0.0), (2.0, -1.0), (0.3 + 0.4j, -0.2))
     ]
     assert max(abs(v) for v in values) < 1e-9
+
+
+def test_overlap_grid_matches_a_per_pair_reference_loop():
+    from qgrass.suites import suite_boson
+
+    # the grid as first written: both vectors built inside the loop, for every pair
+    cutoff = 40
+    grid = [complex(re, im) for re in (-1.4, -0.7, 0.0, 0.7, 1.4)
+            for im in (-1.4, -0.7, 0.0, 0.7, 1.4)]
+    worst = 0.0
+    for a in grid:
+        fa = coherent_fock(a, cutoff)
+        for b in grid:
+            fb = coherent_fock(b, cutoff)
+            worst = max(worst, abs(inner(fa, fb) - overlap_exact(a, b)))
+    item = next(it for it in suite_boson(cutoff=cutoff) if it.item_id == "boson.overlap_grid")
+    # max_error is a finite float >= 0, so == compares it bit for bit
+    assert item.payload == {"pairs": 625, "max_error": worst, "cutoff": cutoff}
