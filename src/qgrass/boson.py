@@ -134,6 +134,15 @@ def _fermion_halves(sign: int) -> tuple[PlainState, PlainState]:
     return zero_half, one_half
 
 
+def _fermion_amplitudes(kind: str) -> tuple[complex, complex]:
+    """The |0>_f and |1>_f amplitudes of a hybrid kind from _fermion_halves:
+    1/sqrt(2) and +-1/sqrt(2), + for the *_plus kinds."""
+    if kind not in ("psi_plus", "psi_minus", "phi_plus", "phi_minus"):
+        raise ValueError(f"unknown hybrid kind {kind!r}")
+    zero_half, one_half = _fermion_halves(1 if kind.endswith("plus") else -1)
+    return zero_half.coefficient((0,)), one_half.coefficient((1,))
+
+
 def super_state(
     kind: str, alpha: complex, beta: complex, cutoff: int = DEFAULT_CUTOFF
 ) -> HybridState:
@@ -145,13 +154,8 @@ def super_state(
     _fermion_halves; for the phi kinds the theta-weight recipe feeds the
     b0 branch (see the PHI_SUPER_WEIGHTS note).
     """
-    if kind not in ("psi_plus", "psi_minus", "phi_plus", "phi_minus"):
-        raise ValueError(f"unknown hybrid kind {kind!r}")
-    sign = 1 if kind.endswith("plus") else -1
+    z, o = _fermion_amplitudes(kind)
     b0, b1, _ = orthonormal_pair(alpha, beta, cutoff)
-    zero_half, one_half = _fermion_halves(sign)
-    z = zero_half.coefficient((0,))  # 1/sqrt(2)
-    o = one_half.coefficient((1,))  # sign/sqrt(2)
     amps = np.zeros((2, 2), dtype=complex)
     if kind.startswith("psi"):
         amps[0, 1] = z
@@ -180,12 +184,7 @@ def naive_super_matrix(
     Schmidt rank 1 (a product state), which is the separable limit of the
     construction.
     """
-    if kind not in ("psi_plus", "psi_minus", "phi_plus", "phi_minus"):
-        raise ValueError(f"unknown hybrid kind {kind!r}")
-    sign = 1 if kind.endswith("plus") else -1
-    zero_half, one_half = _fermion_halves(sign)
-    z = zero_half.coefficient((0,))
-    o = one_half.coefficient((1,))
+    z, o = _fermion_amplitudes(kind)
     mat = np.zeros((2, cutoff), dtype=complex)
     if kind.startswith("psi"):
         mat[0] = z * coherent_fock(alpha, cutoff).amps

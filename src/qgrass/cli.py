@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from . import issues
 from .algebra import AlgebraContext, parse_variable
 from .catalog import MATCH_EXACT, catalog_construct, match_at_least, MATCH_SIGNATURE
@@ -245,21 +243,18 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
             with open(args.spec) as fh:
                 spec = json.load(fh)
         ctx = AlgebraContext(_integer(spec["grade_n"], "grade_n"))
-        # numbers that overflow end in solve_weight's "overflowed" ValueError;
-        # numpy's warnings on the way there would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = _build_state(ctx, spec)
-            target = plain_from_dict(spec["target"])
-            differentials = tuple(parse_variable(s) for s in spec["differentials"])
-            basis_spec = spec["basis"]
-            if isinstance(basis_spec, dict):
-                variables = [parse_variable(s) for s in basis_spec["variables"]]
-                top = basis_spec.get("max_exponent")
-                top = None if top is None else _integer(top, "max_exponent")
-                basis = monomial_basis(ctx, variables, top)
-            else:
-                basis = [monomial_from_dict(d) for d in basis_spec]
-            solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
+        state = _build_state(ctx, spec)
+        target = plain_from_dict(spec["target"])
+        differentials = tuple(parse_variable(s) for s in spec["differentials"])
+        basis_spec = spec["basis"]
+        if isinstance(basis_spec, dict):
+            variables = [parse_variable(s) for s in basis_spec["variables"]]
+            top = basis_spec.get("max_exponent")
+            top = None if top is None else _integer(top, "max_exponent")
+            basis = monomial_basis(ctx, variables, top)
+        else:
+            basis = [monomial_from_dict(d) for d in basis_spec]
+        solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
     except (KeyError, ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: malformed solve spec: {exc}\n")
         return 2

@@ -23,7 +23,8 @@ normalization), bipartition Schmidt spectra, and the maximal-entanglement
 test (every single-site reduction maximally mixed).  cut_spectra
 decomposes every unordered cut of a state from its nonzero amplitudes
 only, as small matrices stacked by shape into a few batched SVDs
-(_spectra, which takes any list of cuts).  entanglement_report runs that
+(_spectra, which takes any list of cuts and decomposes each bipartition
+once, from its side that holds site 0).  entanglement_report runs that
 decomposition on the single-site cuts alone, which is all its measures
 read: a site's density spectrum is its cut's Schmidt values squared.  Its
 bipartition_schmidt, every cut's spectrum, is cut_spectra of the state it
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -255,7 +257,7 @@ def bipartition_spectrum(state: PlainState, cut: Iterable[int]) -> np.ndarray:
         raise ValueError("cut must be a nonempty proper subset of sites")
     rest = [ax for ax in range(nsites) if ax not in cut]
     psi = state.normalized().amps.reshape(state.dims)
-    da = int(np.prod([state.dims[k] for k in cut]))
+    da = math.prod(state.dims[k] for k in cut)
     matrix = np.transpose(psi, cut + rest).reshape(da, -1)
     s = np.linalg.svd(matrix, compute_uv=False)
     nrm = np.linalg.norm(s)
@@ -293,48 +295,33 @@ _STACK_ENTRIES = 1 << 16
 def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
     """Schmidt spectrum of every proper cut, keyed by the cut's sites.
 
-    A cut and its complement share one spectrum, so each unordered pair is
-    decomposed once (_spectra) and stored under both keys; keys run by cut
-    size, then lexicographically.  Each list has min(d_cut, d_rest) values,
-    descending and of unit norm, like bipartition_spectrum.
+    Keys run by cut size, then lexicographically.  A cut and its complement
+    share one list, as _spectra decomposes each bipartition once.  Each
+    list has min(d_cut, d_rest) values, descending and of unit norm, like
+    bipartition_spectrum.
     """
-    nsites = state.nsites
-    if nsites < 2:
-        return {}
-    # Complementing reverses lexicographic order: the i-th of the C cuts of
-    # size r is the complement of the (C-1-i)-th cut of size S-r.
-    cuts: list[tuple[int, ...]] = []
-    reps: list[tuple[int, ...]] = []  # the first-listed cut of each pair
-    pair: list[int] = []  # per cut, the index of its pair in reps
-    first: dict[int, int] = {}  # cut size -> index in reps of its first cut
-    for r in range(1, nsites):
-        sized = list(itertools.combinations(range(nsites), r))
-        total = len(sized)
-        new = total if 2 * r < nsites else total // 2 if 2 * r == nsites else 0
-        first[r] = len(reps)
-        reps += sized[:new]
-        pair += range(first[r], first[r] + new)
-        if new < total:
-            start = first[nsites - r]
-            pair += range(start + total - 1 - new, start - 1, -1)
-        cuts += sized
-    spectra = _spectra(state.normalized(), reps)
-    return {cut: spectra[p] for cut, p in zip(cuts, pair)}
+    sites = range(state.nsites)
+    cuts = [c for r in range(1, state.nsites) for c in itertools.combinations(sites, r)]
+    return dict(zip(cuts, _spectra(state.normalized(), cuts)))
 
 
-def _spectra(unit: PlainState, reps: Sequence[tuple[int, ...]]) -> list[list[float]]:
+def _spectra(unit: PlainState, cuts: Sequence[tuple[int, ...]]) -> list[list[float]]:
     """Schmidt spectrum across each listed cut of a normalized state.
 
+    A bipartition has one spectrum whichever side is listed, so each cut
+    stands for its side that holds site 0, each distinct side is
+    decomposed once, and a cut and its complement get the same list.
     Only the state's K nonzero amplitudes enter.  One matrix product of
-    their digits with per-cut place values gives each amplitude's row key
-    (its digits on the larger side of the cut) and column key (the smaller
-    side) for every cut at once.  A cut's matrix is min(K, d_large) x
-    min(K, d_small): an axis longer than K is indexed by the rank of its
-    key instead, which only drops zero rows or columns, so the nonzero
-    singular values are those of the full matrix; the spectrum is padded
-    with 0.0.  Cuts with the same matrix shape are decomposed in one
-    stacked SVD, and each matrix depends only on its own cut, so a cut's
-    values do not depend on which other cuts are listed.
+    their digits with per-side place values gives each amplitude's row key
+    (its digits on the larger side) and column key (the smaller side) for
+    every side at once; on a tie the site-0 side takes the rows.  A
+    matrix is min(K, d_large) x min(K, d_small): an axis longer than K is
+    indexed by the rank of its key instead, which only drops zero rows or
+    columns, so the nonzero singular values are those of the full matrix;
+    the spectrum is padded with 0.0.  Sides with the same matrix shape are
+    decomposed in one stacked SVD, and each matrix depends only on its own
+    bipartition, so a cut's values do not depend on which other cuts are
+    listed.
     """
     nsites = unit.nsites
     psi = unit.amps
@@ -344,9 +331,19 @@ def _spectra(unit: PlainState, reps: Sequence[tuple[int, ...]]) -> list[list[flo
     digits = np.stack(np.unravel_index(support, unit.dims), axis=1).astype(float)  # K x S
 
     dims = np.array(unit.dims, dtype=np.int64)
-    on_rows = np.zeros((len(reps), nsites), dtype=bool)
-    on_rows[np.repeat(np.arange(len(reps)), [len(c) for c in reps]),
-            list(itertools.chain.from_iterable(reps))] = True
+    sizes = [len(c) for c in cuts]
+    on_rows = np.zeros((len(cuts), nsites), dtype=bool)
+    on_rows[np.repeat(np.arange(len(cuts)), sizes),
+            np.fromiter(itertools.chain.from_iterable(cuts), np.intp, sum(sizes))] = True
+    on_rows ^= ~on_rows[:, :1]  # each cut's side that holds site 0
+    # a side's bit mask names it: int64 holds 62 sites, and a state on 63
+    # would need 2**63 amplitudes
+    masks = (on_rows @ (1 << np.arange(nsites, dtype=np.int64))).tolist()
+    first: dict[int, int] = {}  # side mask -> the first cut that lists it
+    for i, mask in enumerate(masks):
+        first.setdefault(mask, i)
+    sides = list(first)
+    on_rows = on_rows[list(first.values())]
     # rows take the larger side: a transpose keeps the spectrum, and numpy's
     # SVD is faster on tall matrices
     cut_size = np.prod(np.where(on_rows, dims, 1), axis=1)
@@ -361,12 +358,12 @@ def _spectra(unit: PlainState, reps: Sequence[tuple[int, ...]]) -> list[list[flo
     (row_place, col_place), (da, db) = place, size
     nrows, ncols = np.minimum(da, nsupp), np.minimum(db, nsupp)
 
-    # da * db is the state's size, so a group's cuts share da and db, and
+    # da * db is the state's size, so a group's sides share da and db, and
     # _axis_index takes the same path for each of them
     groups: dict[tuple[int, int, int], list[int]] = {}
     for i, shape in enumerate(zip(nrows.tolist(), ncols.tolist(), db.tolist())):
         groups.setdefault(shape, []).append(i)
-    spectra: list[list[float]] = [[] for _ in reps]
+    spectra: dict[int, list[float]] = {}  # side mask -> its spectrum
     for (rows, cols, m), members in groups.items():
         step = max(1, _STACK_ENTRIES // (rows * cols))
         for lo in range(0, len(members), step):
@@ -379,8 +376,8 @@ def _spectra(unit: PlainState, reps: Sequence[tuple[int, ...]]) -> list[list[flo
             s = s / np.linalg.norm(s, axis=1, keepdims=True)
             pad = [0.0] * (m - s.shape[1])
             for i, row in zip(idx.tolist(), s.tolist()):
-                spectra[i] = row + pad
-    return spectra
+                spectra[sides[i]] = row + pad
+    return [spectra[mask] for mask in masks]
 
 
 def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
@@ -400,18 +397,14 @@ def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> Entangle
 
     Site i's density spectrum is the square of cut (i,)'s Schmidt values
     (_spectra over the single-site cuts only), zero-padded to d_i, and its
-    purity is the sum of that spectrum squared; two sites share one cut,
-    and a one-site state is pure.  The other cuts are decomposed when
-    bipartition_schmidt is first read.  A zero state raises ValueError.
+    purity is the sum of that spectrum squared; the two sites of a
+    two-site state are one bipartition, decomposed once, and a one-site
+    state is pure.  The other cuts are decomposed when bipartition_schmidt
+    is first read.  A zero state raises ValueError.
     """
     nsites = state.nsites
     unit = state.normalized()
-    if nsites > 2:
-        schmidt = _spectra(unit, [(i,) for i in range(nsites)])
-    elif nsites == 2:
-        schmidt = _spectra(unit, [(0,)]) * 2
-    else:
-        schmidt = [[1.0]]
+    schmidt = _spectra(unit, [(i,) for i in range(nsites)]) if nsites > 1 else [[1.0]]
     spectra = []
     for values, d in zip(schmidt, state.dims):
         spec = [s * s for s in values]
@@ -585,26 +578,29 @@ def solve_weight(
     differentials = tuple(differentials)
     _check_distinct(differentials)
 
-    rest, _, ket, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
-    # rows: the (monomial, ket) keys of the join's entries and of the target's
-    # nonzero amplitudes, kets by flat index; within a column every entry has
-    # its own key, as removing the differential blocks is injective
-    want = np.flatnonzero(target.amps)
-    keys = np.zeros((len(cols) + len(want), rest.shape[1] + 1), dtype=np.int64)
-    keys[: len(cols), :-1] = rest
-    keys[: len(cols), -1] = np.ravel_multi_index(ket.T, target.dims)
-    keys[len(cols) :, -1] = want
-    radices = [ctx.n] * rest.shape[1] + [target.amps.size]
-    uniq, row = np.unique(_row_keys(keys, radices), return_inverse=True)
-    rows = row[: len(cols)]
-    rhs = np.zeros(len(uniq), dtype=complex)
-    rhs[row[len(cols) :]] = target.amps[want]
+    # an overflow is reported once, below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest, _, ket, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
+        # rows: the (monomial, ket) keys of the join's entries and of the
+        # target's nonzero amplitudes, kets by flat index; within a column
+        # every entry has its own key, as removing the differential blocks
+        # is injective
+        want = np.flatnonzero(target.amps)
+        keys = np.zeros((len(cols) + len(want), rest.shape[1] + 1), dtype=np.int64)
+        keys[: len(cols), :-1] = rest
+        keys[: len(cols), -1] = np.ravel_multi_index(ket.T, target.dims)
+        keys[len(cols) :, -1] = want
+        radices = [ctx.n] * rest.shape[1] + [target.amps.size]
+        uniq, row = np.unique(_row_keys(keys, radices), return_inverse=True)
+        rows = row[: len(cols)]
+        rhs = np.zeros(len(uniq), dtype=complex)
+        rhs[row[len(cols) :]] = target.amps[want]
 
-    x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
+        x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
+        residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
     terms: dict[Monomial, complex] = {}
     for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
         terms[m] = terms.get(m, 0.0) + c
-    residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 

@@ -69,10 +69,7 @@ class LevelSpace:
 
     @property
     def size(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def check_ket(self, ket: BasisKet) -> None:
         _check_ket(ket, self.dims)
@@ -394,7 +391,8 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     ascending, and pairs reaching one (monomial, ket) are summed in pair
     order (_summed, over the dims of the product so far; only needed once a
     ket has several rows); exact zeros are dropped.  No Monomial or
-    AlgebraElement is built.
+    AlgebraElement is built.  A coefficient past the float range raises
+    ValueError.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -413,23 +411,28 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     exps, coef, digits = _widened(tables[0], slot_of, len(slots)), tables[0].coef, tables[0].digits
     dims = states[0].space.dims
     shared = _shares_kets(digits)  # some ket has several rows
-    for state, t in zip(states[1:], tables[1:]):
-        dims += state.space.dims
-        texps = _widened(t, slot_of, len(slots))
-        shift = digits.sum(axis=1) - digits.shape[1]
-        qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
-        total = exps[:, None] + texps  # A x B x K
-        ai, bi = np.nonzero((total < n).all(axis=2))
-        coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
-        exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
-        shared = shared or _shares_kets(t.digits)
-        if shared:  # rows of one ket pair may meet
-            exps, coef, digits = _summed(n, exps, coef, joined, dims)
-        elif coef.all():
-            digits = joined
-        else:
-            nonzero = coef != 0
-            exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
+    # an overflow is reported once, below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state, t in zip(states[1:], tables[1:]):
+            dims += state.space.dims
+            texps = _widened(t, slot_of, len(slots))
+            shift = digits.sum(axis=1) - digits.shape[1]
+            qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
+            total = exps[:, None] + texps  # A x B x K
+            ai, bi = np.nonzero((total < n).all(axis=2))
+            coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
+            exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
+            shared = shared or _shares_kets(t.digits)
+            if shared:  # rows of one ket pair may meet
+                exps, coef, digits = _summed(n, exps, coef, joined, dims)
+            elif coef.all():
+                digits = joined
+            else:
+                nonzero = coef != 0
+                exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
+    if not np.isfinite(coef).all():
+        raise ValueError("the tensor product overflowed (a coefficient is not finite); "
+                         "scale the factors down")
     return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
 
 
@@ -455,21 +458,14 @@ class PlainState:
 
     def __init__(self, dims: Sequence[int], amps: np.ndarray):
         self.dims = tuple(int(d) for d in dims)
-        size = 1
-        for d in self.dims:
-            size *= d
-        amps = np.asarray(amps, dtype=complex).reshape(size)
-        self.amps = amps
+        self.amps = np.asarray(amps, dtype=complex).reshape(math.prod(self.dims))
 
     @classmethod
     def from_terms(
         cls, dims: Sequence[int], terms: Mapping[BasisKet, complex]
     ) -> "PlainState":
         dims = tuple(int(d) for d in dims)
-        size = 1
-        for d in dims:
-            size *= d
-        amps = np.zeros(size, dtype=complex)
+        amps = np.zeros(math.prod(dims), dtype=complex)
         for ket, c in terms.items():
             ket = tuple(ket)
             _check_ket(ket, dims)

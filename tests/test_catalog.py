@@ -330,9 +330,9 @@ def test_signature_construct_decomposes_each_state_once(monkeypatch):
     seen = []
     real = entangle._spectra
 
-    def recorded(unit, reps):
-        seen.append((unit.amps, list(reps)))
-        return real(unit, reps)
+    def recorded(unit, cuts):
+        seen.append((unit.amps, list(cuts)))
+        return real(unit, cuts)
 
     svd, matrices = np.linalg.svd, []
 
@@ -350,9 +350,10 @@ def test_signature_construct_decomposes_each_state_once(monkeypatch):
     # comparison decomposes nothing
     assert sum(matrices) == 4 and len(seen) == 1
     assert seen[0][1] == [(0,), (1,), (2,), (3,)] and np.allclose(seen[0][0], computed)
-    # the first read decomposes the 7 unordered cuts once, the second nothing
+    # the first read lists all 14 cuts and decomposes the 7 unordered ones
+    # once, the second reads nothing
     cuts = result.report.bipartition_schmidt
-    assert sum(matrices) == 4 + 7 and len(seen) == 2 and len(seen[1][1]) == 7
+    assert sum(matrices) == 4 + 7 and len(seen) == 2 and len(seen[1][1]) == 14
     assert result.report.bipartition_schmidt is cuts and sum(matrices) == 11
     monkeypatch.undo()
     assert cuts == cut_spectra(result.computed.normalized())  # the state the report was given

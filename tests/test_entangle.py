@@ -7,6 +7,7 @@ independent of the library's implementations.
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -258,6 +259,7 @@ def test_cut_spectra_matches_bipartition_spectrum(name):
     spectra = entangle.cut_spectra(state)
     cuts = [c for r in range(1, nsites) for c in itertools.combinations(range(nsites), r)]
     assert list(spectra) == cuts
+    unit = state.normalized()
     for cut in cuts:
         want = bipartition_spectrum(state, cut)
         assert len(spectra[cut]) == len(want)
@@ -265,6 +267,8 @@ def test_cut_spectra_matches_bipartition_spectrum(name):
         assert np.max(np.abs(np.asarray(spectra[cut]) - want)) <= 1e-12
         rest = tuple(k for k in range(nsites) if k not in cut)
         assert spectra[cut] is spectra[rest]
+        # one matrix per bipartition, whichever side is listed alone
+        assert entangle._spectra(unit, [cut]) == entangle._spectra(unit, [rest])
     # the report decomposes the single-site cuts alone, to the same bits
     report = entanglement_report(state)
     for i, d in enumerate(state.dims):
@@ -294,7 +298,7 @@ def _count_svd_matrices(monkeypatch):
 
 @pytest.mark.parametrize(
     "dims",
-    [(2,), (2, 3), (2, 3, 2), (3, 2, 2, 2), (2,) * 6],
+    [(2,), (2, 3), (3, 3), (2, 3, 2), (2, 2, 4), (4, 2, 2), (3, 2, 2, 2), (2,) * 6],
     ids=lambda dims: "x".join(map(str, dims)),
 )
 def test_entanglement_report_decomposes_single_sites_then_every_cut_on_first_read(
@@ -313,6 +317,14 @@ def test_entanglement_report_decomposes_single_sites_then_every_cut_on_first_rea
     assert sum(matrices) == 2 ** (nsites - 1) - 1
     matrices.clear()
     assert report.bipartition_schmidt is cuts and matrices == []
+    # in any order, each complement listed before its cut and every cut twice,
+    # _spectra still decomposes one matrix per bipartition
+    listed = list(cuts)[::-1] + list(cuts)
+    spectra = entangle._spectra(state.normalized(), listed)
+    assert sum(matrices) == 2 ** (nsites - 1) - 1
+    for cut, got in zip(listed, spectra):
+        rest = tuple(k for k in range(nsites) if k not in cut)
+        assert got is spectra[listed.index(rest)] and got == cuts[cut]
     monkeypatch.undo()
 
     assert cuts == entangle.cut_spectra(state)
@@ -444,20 +456,22 @@ def test_solver_rejects_repeated_differentials():
         solve_weight(state, (t, t), ghz(2), monomial_basis(ctx, [t]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow itself
 @pytest.mark.parametrize("where", ["scale", "target"])
 def test_solver_raises_when_its_residual_overflows(where):
-    # a finite but huge scale overflows the tensor product (1e200 * 1e200) and
-    # the residual is nan; a huge amplitude on a ket no basis column reaches
-    # overflows the residual's norm to inf.  Both used to be reported.
+    # a finite but huge scale overflows the tensor product (1e200 * 1e200); a
+    # huge amplitude on a ket no basis column reaches overflows the
+    # residual's norm to inf.  Each is one ValueError, with no numpy warning.
     ctx = AlgebraContext(2)
     t1, t2 = ctx.theta(1), ctx.theta(2)
     scale, amp = (1e200, 1.0) if where == "scale" else (1.0, complex(1e308, 1e308))
-    state = tensor([coherent_state(ctx, t1, 2, scale), coherent_state(ctx, t2, 2, scale)])
     target = plain((2, 2), {(0, 0): 1.0, (1, 1): amp})
     basis = monomial_basis(ctx, [t1, t2]) if where == "scale" else [Monomial(((t1, 1), (t2, 1)))]
-    with pytest.raises(ValueError, match="overflowed"):
-        solve_weight(state, (t1, t2), target, basis)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflowed"):
+            state = tensor([coherent_state(ctx, t1, 2, scale), coherent_state(ctx, t2, 2, scale)])
+            solve_weight(state, (t1, t2), target, basis)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_solver_feasibility_forbids_grassmann_residue():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ def test_tensor_rejects_context_mismatch():
     b = coherent_state(AlgebraContext(3), AlgebraContext(3).theta(1), 3)
     with pytest.raises(ValueError):
         tensor([a, b])
+
+
+def test_tensor_overflow_raises_without_numpy_warnings():
+    # 1e200 * 1e200 is past the float range: one ValueError, and numpy prints nothing
+    ctx = AlgebraContext(2)
+    factors = [coherent_state(ctx, ctx.theta(k), 2, 1e200) for k in (1, 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflowed"):
+            tensor(factors)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("ket", [(3,), (-1,), (0, 0)], ids=str)
