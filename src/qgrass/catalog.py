@@ -24,15 +24,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraContext, AlgebraElement, Monomial, Variable
+from .algebra import AlgebraContext, AlgebraElement, Variable
 from .entangle import (
     DEFAULT_TOL,
     EntanglementReport,
     IntegralSpec,
+    MonomialBasis,
     WeightSolution,
     entanglement_report,
     integrate_graded,
-    monomial_basis,
     solve_weight,
 )
 from .qstate import (
@@ -193,9 +193,10 @@ class Recipe:
     notes: str = ""
 
     @functools.cached_property
-    def solver_basis(self) -> tuple[Monomial, ...]:
-        """Full monomial basis of the differentials, for the solver cross-check."""
-        return tuple(monomial_basis(self.ctx, self.differentials))
+    def solver_basis(self) -> MonomialBasis:
+        """Full monomial basis of the differentials, for the solver cross-check:
+        an exponent table whose monomials are boxed on first read."""
+        return MonomialBasis(self.ctx, self.differentials)
 
 
 @dataclass

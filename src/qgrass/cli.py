@@ -23,7 +23,7 @@ from typing import Any
 from . import issues
 from .algebra import AlgebraContext, parse_variable
 from .catalog import MATCH_EXACT, catalog_construct, match_at_least, MATCH_SIGNATURE
-from .entangle import monomial_basis, solve_weight
+from .entangle import MonomialBasis, solve_weight
 from .qstate import coherent_state, squeezed_state_exp, squeezed_state_symmetric, tensor
 from .serialize import (
     _integer,
@@ -251,7 +251,7 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
             variables = [parse_variable(s) for s in basis_spec["variables"]]
             top = basis_spec.get("max_exponent")
             top = None if top is None else _integer(top, "max_exponent")
-            basis = monomial_basis(ctx, variables, top)
+            basis = MonomialBasis(ctx, variables, top)
         else:
             basis = [monomial_from_dict(d) for d in basis_spec]
         solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)

@@ -36,10 +36,12 @@ independent references.
 solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
 join over the whole basis and returns the minimum-norm least-squares
-weight, with the residual formed from the join's own entries.  The map is
-block diagonal up to a permutation (columns sharing a row form a block),
-so it is solved block by block, each block under its own cutoff, and
-never stored densely.
+weight, with the residual formed from the join's own entries.  The full
+basis is a MonomialBasis, an int64 exponent table that the join reads as
+it is; a basis monomial is boxed only when read, and the solve reads only
+those of the weight's nonzero terms.  The map is block diagonal up to a
+permutation (columns sharing a row form a block), so it is solved block
+by block, each block under its own cutoff, and never stored densely.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,24 +88,27 @@ class IntegralSpec:
 
 
 def _join(
-    weight: Sequence[tuple[Monomial, complex]],
+    wslots: Sequence[Variable],
+    wexps: np.ndarray,
+    wcoef: np.ndarray,
     differentials: Sequence[Variable],
     state: GradedState,
 ):
     """Every surviving (weight term, state term) pair of integral(weight * state).
 
+    The weight is a table: term i is wcoef[i] times the monomial with
+    exponents wexps[i] (each in 0..n-1) on the sorted variables wslots.
     Returns (rest, rest_slots, ket, term, value): pair i leaves value[i]
     times the monomial with exponents rest[i] on rest_slots, on the ket
     with digits ket[i], from weight term term[i].  Pairs run state term by
     state term (the rows of the state's term table, so kets ascending),
     weight terms in order.
 
-    The weight terms become an exponent table (_exponents, which rejects an
-    exponent outside 1..n-1) over the canonical slots, the sorted union of
-    the state table's slots, the weight's variables and the differentials.
-    A state term m meets the weight terms w with w_d = n-1-m_d on every
-    differential d (sort plus searchsorted, any number of w per key), and a
-    pair survives when every summed exponent is below n.  Its q-exponent is
+    Both tables are read over the canonical slots, the sorted union of the
+    state table's slots, wslots and the differentials.  A state term m
+    meets the weight terms w with w_d = n-1-m_d on every differential d
+    (sort plus searchsorted, any number of w per key), and a pair survives
+    when every summed exponent is below n.  Its q-exponent is
 
         -m.U.w  +  (n-1) * P.p,     P = m + w,
 
@@ -116,11 +120,14 @@ def _join(
     """
     n = state.ctx.n
     table = state._table
-    monos = list(map(itemgetter(0), weight))
-    slots = sorted(set(table.slots).union(differentials, *(map(itemgetter(0), m) for m in monos)))
+    slots = sorted(set(table.slots).union(differentials, wslots))
     slot_of = {v: i for i, v in enumerate(slots)}
-    exps = table.exps if len(slots) == len(table.slots) else _widened(table, slot_of, len(slots))
-    wexps = _exponents(n, monos, slot_of, len(slots))
+    if len(slots) > len(table.slots):
+        exps = _widened(table.slots, table.exps, slot_of, len(slots))
+    else:
+        exps = table.exps
+    if len(slots) > len(wslots):
+        wexps = _widened(wslots, wexps, slot_of, len(slots))
     diff = [slot_of[d] for d in differentials]
 
     keys = _row_keys(
@@ -144,7 +151,6 @@ def _join(
     p = (eps[:, diff] * present).sum(axis=1) % n
     wu = (wexps @ eps.T) % n
     qexp = (n - 1) * ((total @ p) % n) - (exps[si] * wu[wi]).sum(axis=1)
-    wcoef = np.fromiter(map(itemgetter(1), weight), complex, len(weight))
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
 
     rest = sorted(set(range(len(slots))).difference(diff))
@@ -156,15 +162,16 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
 
     Equals state.left_multiply(weight).multi_integrate(differentials), but
     only pairs with w_d + m_d = n-1 on every differential d are multiplied
-    (_join), and the pairs that leave one (monomial, ket) are summed into a
-    term table (_summed), kets ascending.  Every weight exponent must lie in
-    1..n-1.
+    (_join, on the weight's exponent table from _exponents), and the pairs
+    that leave one (monomial, ket) are summed into a term table (_summed),
+    kets ascending.  Every weight exponent must lie in 1..n-1.
     """
     if spec.weight.ctx != state.ctx:
         raise ValueError("weight and state use different algebra contexts")
-    rest, rest_slots, digits, _, value = _join(
-        list(spec.weight.terms.items()), spec.differentials, state
-    )
+    terms = spec.weight.terms
+    wslots, wexps = _exponents(state.ctx.n, list(terms))
+    wcoef = np.fromiter(terms.values(), complex, len(terms))
+    rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, spec.differentials, state)
     table = _summed(state.ctx.n, rest, value, digits, state.space.dims)
     return GradedState._from_table(state.ctx, state.space, _Table(tuple(rest_slots), *table))
 
@@ -438,30 +445,63 @@ class WeightSolution:
 
     residual is |A x - b| over the join's entries and the target's rows;
     rank counts the singular values kept, block by block, each block under
-    its own cutoff (every nonzero one-column block counts one).
+    its own cutoff (every nonzero one-column block counts one).  basis is
+    the MonomialBasis solved on, or a tuple of the monomials given; weight
+    holds the basis monomials whose coefficient is nonzero, so on a
+    MonomialBasis only those are boxed.
     """
 
     weight: AlgebraElement
     residual: float
     feasible: bool
-    basis: tuple[Monomial, ...]
+    basis: Sequence[Monomial]
     rank: int
     coefficients: np.ndarray = field(repr=False, default=None)
     # every block's values, descending, zero-padded to min(rows, basis) as lstsq
     singular_values: np.ndarray = field(repr=False, default=None)
 
 
+class MonomialBasis(Sequence[Monomial]):
+    """All products of powers 0..max_exponent (default n-1) of the variables.
+
+    An exponent table, not a list: slots holds the variables sorted, and
+    exps the N x len(slots) int64 exponents, one row per monomial in
+    itertools.product order (the last variable counts fastest).  len reads
+    the table; indexing and iteration box a row into a Monomial on first
+    read and keep it.  A negative max_exponent gives no monomials over one
+    or more variables, and the monomial 1 over none.
+    """
+
+    def __init__(
+        self, ctx, variables: Iterable[Variable], max_exponent: int | None = None
+    ) -> None:
+        top = ctx.n - 1 if max_exponent is None else max_exponent
+        self.slots = tuple(sorted(set(variables)))
+        radix, width = max(top + 1, 0), len(self.slots)
+        place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self.exps = np.arange(radix**width, dtype=np.int64)[:, None] // place % radix
+        self._boxed: dict[int, Monomial] = {}
+
+    def __len__(self) -> int:
+        return len(self.exps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # a negative i counts from the end
+        mono = self._boxed.get(i)
+        if mono is None:
+            row = zip(self.slots, self.exps[i].tolist())
+            mono = self._boxed[i] = Monomial(tuple((v, e) for v, e in row if e))
+        return mono
+
+
 def monomial_basis(
     ctx, variables: Sequence[Variable], max_exponent: int | None = None
 ) -> list[Monomial]:
-    """All products of powers of the given variables, each exponent < n."""
-    top = ctx.n - 1 if max_exponent is None else max_exponent
-    variables = sorted(set(variables), key=lambda v: v.sort_key)
-    basis = []
-    for exps in itertools.product(range(top + 1), repeat=len(variables)):
-        pairs = tuple((v, e) for v, e in zip(variables, exps) if e)
-        basis.append(Monomial(pairs))
-    return basis
+    """All products of powers of the given variables, each exponent < n: the
+    monomials of MonomialBasis, as a list."""
+    return list(MonomialBasis(ctx, variables, max_exponent))
 
 
 def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -514,7 +554,9 @@ def _block_lstsq(
         a, b = find(j), find(first.setdefault(r, j))
         if a != b:
             parent[a] = b
-    root = np.array([find(j) for j in range(n)], dtype=np.intp)
+    root = np.arange(n)  # only a column with a shared row can have another root
+    linked = np.flatnonzero(np.bincount(cols[shared], minlength=n))
+    root[linked] = [find(j) for j in linked.tolist()]
     single = np.bincount(root, minlength=n)[root] == 1
 
     norm = _column_norms(cols, vals, n)
@@ -569,6 +611,11 @@ def solve_weight(
     target rows no column reaches.  Every basis exponent must lie in
     1..n-1 and the differentials must be distinct, and a residual that
     overflows to inf or nan raises ValueError too.
+
+    A MonomialBasis enters the join as its exponent table, and only the
+    monomials of the weight's nonzero terms are boxed.  Any other sequence
+    is tabulated once (_exponents); a monomial it repeats gets a column
+    each, and the weight sums them.
     """
     if not basis:
         raise ValueError("empty weight basis")
@@ -577,10 +624,21 @@ def solve_weight(
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
     _check_distinct(differentials)
+    table = isinstance(basis, MonomialBasis)
+    if table:
+        wslots, wexps = basis.slots, basis.exps
+        bad = np.flatnonzero((wexps >= ctx.n).any(axis=1))
+        if len(bad):  # raises on the first bad row's first exponent, as on a list
+            _exponents(ctx.n, [basis[bad[0]]])
+    else:
+        basis = tuple(basis)
+        wslots, wexps = _exponents(ctx.n, basis)
 
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        rest, _, ket, cols, vals = _join([(m, 1.0) for m in basis], differentials, state)
+        rest, _, ket, cols, vals = _join(
+            wslots, wexps, np.ones(len(basis), complex), differentials, state
+        )
         # rows: the (monomial, ket) keys of the join's entries and of the
         # target's nonzero amplitudes, kets by flat index; within a column
         # every entry has its own key, as removing the differential blocks
@@ -598,8 +656,13 @@ def solve_weight(
 
         x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
         residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
+    # a table's rows are distinct monomials, so only its nonzero columns are
+    # read; a repeated monomial of a plain basis sums its columns.  Summing
+    # from 0.0 writes a zero part of c as 0.0, never -0.0
+    read = np.flatnonzero(x) if table else np.arange(len(basis))
     terms: dict[Monomial, complex] = {}
-    for m, c in zip(basis, x):  # a repeated basis monomial sums its columns
+    for j, c in zip(read.tolist(), x[read]):
+        m = basis[j]
         terms[m] = terms.get(m, 0.0) + c
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
@@ -608,7 +671,7 @@ def solve_weight(
         weight=AlgebraElement(ctx, terms),
         residual=residual,
         feasible=residual < tol,
-        basis=tuple(basis),
+        basis=basis,
         rank=rank,
         coefficients=x,
         singular_values=singular_values,

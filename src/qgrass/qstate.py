@@ -113,19 +113,21 @@ class _Table(NamedTuple):
     digits: np.ndarray  # T x S int64, the ket of each row
 
 
-def _exponents(n: int, monos: Sequence[Monomial], slot_of: Mapping[Variable, int],
-               width: int) -> np.ndarray:
-    """len(monos) x width int64 table: row i holds monos[i]'s exponents at slot_of.
-    The first block whose exponent lies outside 1..n-1 raises ValueError."""
+def _exponents(n: int, monos: Sequence[Monomial]) -> tuple[tuple[Variable, ...], np.ndarray]:
+    """(slots, exps): the sorted variables of monos, and the len(monos) x
+    len(slots) int64 table whose row i holds monos[i]'s exponents.  The
+    first block whose exponent lies outside 1..n-1 raises ValueError."""
     blocks = list(chain.from_iterable(monos))
     power = np.array([e for _, e in blocks])  # an int beyond int64 stays a Python int
     bad = np.flatnonzero((power < 1) | (power >= n))
     if len(bad):
         v, e = blocks[bad[0]]
         raise ValueError(f"exponent {e} of {v.name} lies outside 1..{n - 1}")
-    exps = np.zeros((len(monos), width), dtype=np.int64)
+    slots = tuple(sorted({v for v, _ in blocks}))
+    slot_of = {v: i for i, v in enumerate(slots)}
+    exps = np.zeros((len(monos), len(slots)), dtype=np.int64)
     exps[[i for i, mono in enumerate(monos) for _ in mono], [slot_of[v] for v, _ in blocks]] = power
-    return exps
+    return slots, exps
 
 
 def _tabulate(n: int, space: LevelSpace,
@@ -143,8 +145,7 @@ def _tabulate(n: int, space: LevelSpace,
             monos += terms
             coef += terms.values()
             kets += [ket] * len(terms)
-    slots = tuple(sorted({v for mono in monos for v, _ in mono}))
-    exps = _exponents(n, monos, {v: i for i, v in enumerate(slots)}, len(slots))
+    slots, exps = _exponents(n, monos)
     digits = np.array(kets, dtype=np.int64).reshape(len(kets), space.nsites)
     return _Table(slots, exps, np.array(coef, dtype=complex), digits)
 
@@ -408,14 +409,15 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     eps = _upper_eps(ctx, slots)
     roots = _roots(n)
     sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)  # unbarred, barred
-    exps, coef, digits = _widened(tables[0], slot_of, len(slots)), tables[0].coef, tables[0].digits
+    exps = _widened(tables[0].slots, tables[0].exps, slot_of, len(slots))
+    coef, digits = tables[0].coef, tables[0].digits
     dims = states[0].space.dims
     shared = _shares_kets(digits)  # some ket has several rows
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for state, t in zip(states[1:], tables[1:]):
             dims += state.space.dims
-            texps = _widened(t, slot_of, len(slots))
+            texps = _widened(t.slots, t.exps, slot_of, len(slots))
             shift = digits.sum(axis=1) - digits.shape[1]
             qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
             total = exps[:, None] + texps  # A x B x K
@@ -436,11 +438,12 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
 
 
-def _widened(table: _Table, slot_of: Mapping[Variable, int], width: int) -> np.ndarray:
-    """table's exponents over the wider slots at slot_of."""
-    exps = np.zeros((len(table.exps), width), dtype=np.int64)
-    exps[:, [slot_of[v] for v in table.slots]] = table.exps
-    return exps
+def _widened(slots: Sequence[Variable], exps: np.ndarray, slot_of: Mapping[Variable, int],
+             width: int) -> np.ndarray:
+    """An exponent table over slots, moved onto the wider slots at slot_of."""
+    wide = np.zeros((len(exps), width), dtype=np.int64)
+    wide[:, [slot_of[v] for v in slots]] = exps
+    return wide
 
 
 def _shares_kets(digits: np.ndarray) -> bool:

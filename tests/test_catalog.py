@@ -17,6 +17,7 @@ from qgrass.catalog import (
     match_at_least,
 )
 from qgrass.entangle import (
+    MonomialBasis,
     bipartition_spectrum,
     cut_spectra,
     monomial_basis,
@@ -422,14 +423,14 @@ def test_every_mes_target_entry_is_maximally_entangled():
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """Count the calls catalog makes to monomial_basis."""
+    """Count the bases catalog builds (MonomialBasis)."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return monomial_basis(*args, **kwargs)
+        return MonomialBasis(*args, **kwargs)
 
-    monkeypatch.setattr(catalog, "monomial_basis", counting)
+    monkeypatch.setattr(catalog, "MonomialBasis", counting)
     return calls
 
 
@@ -444,7 +445,7 @@ def test_solver_basis_is_built_once_on_first_read(basis_calls):
     assert basis_calls == []
     first, second = recipe.solver_basis, recipe.solver_basis
     assert first is second
-    assert first == tuple(monomial_basis(recipe.ctx, recipe.differentials))
+    assert list(first) == monomial_basis(recipe.ctx, recipe.differentials)
     assert len(basis_calls) == 1
 
 

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON schema stability."""
 
+import itertools
 import json
 import math
 import warnings
@@ -361,21 +362,47 @@ def _qutrit_pair_spec(basis):
 
 
 @pytest.mark.parametrize(
-    "basis",
+    "basis, line",
     [
-        {"variables": ["theta_1", "theta_2"], "max_exponent": 3},
-        {"variables": ["theta_1", "theta_2"], "max_exponent": 4},
-        [{"theta_1": 2}, {"theta_1": 0}],
+        ({"variables": ["theta_1", "theta_2"], "max_exponent": 3},
+         "exponent 3 of theta_2 lies outside 1..2"),
+        ({"variables": ["theta_1", "theta_2"], "max_exponent": 4},
+         "exponent 3 of theta_2 lies outside 1..2"),
+        ({"variables": ["theta_1", "theta_2"], "max_exponent": -1}, "empty weight basis"),
+        ([{"theta_1": 2}, {"theta_1": 0}], "exponent 0 of theta_1 lies outside 1..2"),
     ],
-    ids=["max_exponent_n", "max_exponent_above_n", "zero_exponent"],
+    ids=["max_exponent_n", "max_exponent_above_n", "max_exponent_negative", "zero_exponent"],
 )
-def test_solve_weight_basis_exponent_out_of_range_exits_two(tmp_path, capsys, basis):
+def test_solve_weight_basis_exponent_out_of_range_exits_two(tmp_path, capsys, basis, line):
+    # with max_exponent >= n the first monomial out of range, in product
+    # order, is theta_2**n
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(_qutrit_pair_spec(basis)))
     code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
+    assert err == f"error: malformed solve spec: {line}\n"
+
+
+@pytest.mark.parametrize("top", [None, 0, 1])
+def test_solve_weight_variables_basis_reports_as_its_listed_monomials(tmp_path, capsys, top):
+    variables = {"variables": ["theta_2", "theta_1"]}
+    if top is not None:
+        variables["max_exponent"] = top
+    powers = range((2 if top is None else top) + 1)
+    listed = [
+        {name: e for name, e in zip(("theta_1", "theta_2"), exps) if e}
+        for exps in itertools.product(powers, repeat=2)
+    ]
+    outs = []
+    for basis in (variables, listed):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_qutrit_pair_spec(basis)))
+        code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["items"][0]["basis"]) == len(listed)
 
 
 def test_list_text_output_is_one_id_per_line(capsys):

@@ -778,3 +778,83 @@ def test_solve_weight_residual_matches_the_pipeline(problem, monkeypatch):
     residual = _pipeline_residual(recipe.state, recipe.differentials, target, solution.weight)
     assert abs(solution.residual - residual) <= 1e-12
     assert solution.feasible == (residual < 1e-9)
+
+
+# -- the table-backed basis against the list of its monomials --------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_monomial_basis_rows_run_in_product_order(n):
+    ctx = AlgebraContext(n)
+    pool = [Variable(3), T2, TB1, T1]  # not in canonical order
+    for k in range(5):
+        given = pool[:k] + pool[:k][:1]  # a repeat too
+        variables = sorted(pool[:k])
+        for top in range(-3, n):
+            basis = entangle.MonomialBasis(ctx, given, top)
+            rows = list(itertools.product(range(max(top + 1, 0)), repeat=k))
+            monos = [Monomial(tuple((v, e) for v, e in zip(variables, r) if e)) for r in rows]
+            assert basis.slots == tuple(variables)
+            assert basis.exps.dtype == np.int64 and basis.exps.shape == (len(rows), k)
+            assert list(map(tuple, basis.exps.tolist())) == rows
+            assert len(basis) == len(rows)
+            assert list(basis) == monos == monomial_basis(ctx, given, top)
+            assert [basis[i] for i in range(-len(rows), 0)] == monos
+            assert basis[1:3] == monos[1:3]
+            with pytest.raises(IndexError):
+                basis[len(rows)]
+
+
+def _solution_bits(solution):
+    """x, rank, residual, feasibility, singular values, weight terms and basis, bitwise."""
+    terms = [(m, c.real.hex(), c.imag.hex()) for m, c in solution.weight.terms.items()]
+    return (solution.coefficients.tobytes(), solution.rank, solution.residual.hex(),
+            solution.feasible, solution.singular_values.tobytes(), terms, list(solution.basis))
+
+
+@pytest.mark.parametrize("top", [None, 0])
+@pytest.mark.parametrize("case", ["default", "override", "residue"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_table_basis_solves_as_its_list(n, case, top):
+    table, diffs = JOIN_CASES[case]
+    ctx = AlgebraContext(n, phase_table=table)
+    rng = np.random.default_rng(300 * n + len(diffs))
+    state = _random_graded(ctx, rng)
+    basis = entangle.MonomialBasis(ctx, JOIN_VARIABLES, top)
+    image = integrate_graded(
+        IntegralSpec(_random_weight(ctx, rng, basis), diffs), state
+    ).plain_projection()
+    noise = PlainState((2, 3), rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    for target in (image, noise):
+        got = solve_weight(state, diffs, target, basis)
+        want = solve_weight(state, diffs, target, monomial_basis(ctx, JOIN_VARIABLES, top))
+        assert got.basis is basis
+        assert _solution_bits(got) == _solution_bits(want)
+
+
+@pytest.mark.parametrize("problem", SOLVE_PROBLEMS, ids=[p[0] for p in SOLVE_PROBLEMS])
+def test_solver_basis_solves_as_its_list(problem):
+    _, recipe, target = problem
+    got = solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
+    listed = monomial_basis(recipe.ctx, recipe.differentials)
+    want = solve_weight(recipe.state, recipe.differentials, target, listed)
+    assert _solution_bits(got) == _solution_bits(want)
+
+
+def test_table_basis_boxes_only_the_weights_monomials(monkeypatch):
+    boxed = []
+
+    def counting(pairs):
+        boxed.append(pairs)
+        return Monomial(pairs)
+
+    monkeypatch.setattr(entangle, "Monomial", counting)
+    recipe = build_recipe("ghz_n", n=10)
+    basis = recipe.solver_basis
+    solution = solve_weight(recipe.state, recipe.differentials, recipe.target.normalized(), basis)
+    assert solution.feasible and solution.basis is basis
+    assert 0 < len(boxed) <= len(solution.weight.terms)
+    seen = len(boxed)
+    assert len(solution.basis) == 2**10  # what a trace reads on every pass
+    assert basis[3] is basis[3]
+    assert len(boxed) == seen + 1
