@@ -31,6 +31,7 @@ from .entangle import (
     IntegralSpec,
     MonomialBasis,
     WeightSolution,
+    _integrate,
     entanglement_report,
     integrate_graded,
     solve_weight,
@@ -178,12 +179,16 @@ def _local_phases(
 
 @dataclass
 class Recipe:
-    """A cataloged construction before execution."""
+    """A cataloged construction before execution.
+
+    factors are the states whose tensor product the weight is integrated
+    against; the product itself, state, is built on first read.
+    """
 
     entry_id: str
     params: dict
     ctx: AlgebraContext
-    state: GradedState
+    factors: tuple[GradedState, ...]
     weight: AlgebraElement
     differentials: tuple[Variable, ...]
     target: PlainState
@@ -191,6 +196,11 @@ class Recipe:
     mismatch_flag: str | None = None
     extra_flags: tuple[str, ...] = ()
     notes: str = ""
+
+    @functools.cached_property
+    def state(self) -> GradedState:
+        """The tensor product of the factors, built once, on first read."""
+        return tensor(self.factors)
 
     @functools.cached_property
     def solver_basis(self) -> MonomialBasis:
@@ -271,12 +281,12 @@ def _bell_psi(sign: int = 1) -> Recipe:
     v = ctx.theta(1)
     plus = tensor([coherent_state(ctx, v, 2, 1), coherent_state(ctx, v, 2, sign)])
     minus = tensor([coherent_state(ctx, v, 2, -1), coherent_state(ctx, v, 2, -sign)])
-    state = plus - minus
+    factors = (plus - minus,)
     weight = ctx.scalar(-sign / (2.0 * math.sqrt(2.0)))
     amp = 1.0 / math.sqrt(2.0)
     target = plain((2, 2), {(0, 1): amp, (1, 0): sign * amp})
     return Recipe(
-        "bell_psi_pm", {"sign": sign}, ctx, state, weight, (v,), target,
+        "bell_psi_pm", {"sign": sign}, ctx, factors, weight, (v,), target,
         phase_flag="QUBIT_SIGNS", mismatch_flag="QUBIT_SIGNS",
     )
 
@@ -285,13 +295,13 @@ def _bell_phi(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(2)
     t, tb = ctx.theta(1), ctx.theta_bar(1)
-    state = tensor([coherent_state(ctx, tb, 2), coherent_state(ctx, t, 2)])
+    factors = (coherent_state(ctx, tb, 2), coherent_state(ctx, t, 2))
     # exp(sign*theta*tbar) truncates to 1 + sign*theta*tbar by nilpotency
     weight = (sign / math.sqrt(2.0)) * (ctx.one() + sign * ctx.word([t, tb]))
     amp = 1.0 / math.sqrt(2.0)
     target = plain((2, 2), {(0, 0): amp, (1, 1): sign * amp})
     return Recipe(
-        "bell_phi_pm", {"sign": sign}, ctx, state, weight, (tb, t), target,
+        "bell_phi_pm", {"sign": sign}, ctx, factors, weight, (tb, t), target,
         phase_flag="QUBIT_SIGNS", mismatch_flag="QUBIT_SIGNS",
     )
 
@@ -301,11 +311,10 @@ def _w_n(n: int = 3) -> Recipe:
         raise ValueError("W state needs at least two sites")
     ctx = AlgebraContext(2)
     v = ctx.theta(1)
-    factor = coherent_state(ctx, v, 2)
-    state = tensor([factor] * n)
+    factors = (coherent_state(ctx, v, 2),) * n
     weight = ctx.scalar(-1.0 / math.sqrt(n))
     return Recipe(
-        "w_n", {"n": n}, ctx, state, weight, (v,), w_target(n),
+        "w_n", {"n": n}, ctx, factors, weight, (v,), w_target(n),
         phase_flag="QUBIT_SIGNS", mismatch_flag="QUBIT_SIGNS",
     )
 
@@ -315,13 +324,12 @@ def _ghz_n(n: int = 3) -> Recipe:
         raise ValueError("GHZ state needs at least two sites")
     ctx = AlgebraContext(2)
     vs = [ctx.theta(i) for i in range(1, n + 1)]
-    factors = [coherent_state(ctx, vs[k], 2) for k in range(n - 1, -1, -1)]
-    state = tensor(factors)
+    factors = tuple(coherent_state(ctx, vs[k], 2) for k in range(n - 1, -1, -1))
     weight = (1.0 / math.sqrt(2.0)) * (
         ctx.scalar((-1.0) ** (n // 2)) + ctx.word(list(reversed(vs)))
     )
     return Recipe(
-        "ghz_n", {"n": n}, ctx, state, weight, tuple(vs), ghz_target(n),
+        "ghz_n", {"n": n}, ctx, factors, weight, tuple(vs), ghz_target(n),
         phase_flag="QUBIT_SIGNS", mismatch_flag="QUBIT_SIGNS",
     )
 
@@ -330,7 +338,7 @@ def _cluster4(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(2)
     t1, t2, t3, t4 = (ctx.theta(i) for i in range(1, 5))
-    state = tensor([coherent_state(ctx, v, 2) for v in (t1, t2, t3, t4)])
+    factors = tuple(coherent_state(ctx, v, 2) for v in (t1, t2, t3, t4))
     weight = 0.5 * (
         sign * ctx.word([t4, t3, t2, t1])
         + ctx.word([t2, t1])
@@ -338,22 +346,21 @@ def _cluster4(sign: int = 1) -> Recipe:
         - sign * ctx.one()
     )
     return Recipe(
-        "cluster4_pm", {"sign": sign}, ctx, state, weight,
+        "cluster4_pm", {"sign": sign}, ctx, factors, weight,
         (t1, t2, t3, t4), cluster4_target(sign),
         phase_flag="QUBIT_SIGNS", mismatch_flag="QUBIT_SIGNS",
     )
 
 
-def _qutrit_pair(ctx: AlgebraContext) -> tuple[GradedState, Variable, Variable]:
+def _qutrit_pair(ctx: AlgebraContext) -> tuple[tuple[GradedState, ...], Variable, Variable]:
     t1, t2 = ctx.theta(1), ctx.theta(2)
-    state = tensor([coherent_state(ctx, t1, 3), coherent_state(ctx, t2, 3)])
-    return state, t1, t2
+    return (coherent_state(ctx, t1, 3), coherent_state(ctx, t2, 3)), t1, t2
 
 
 def _qutrit_psi(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(3)
-    state, t1, t2 = _qutrit_pair(ctx)
+    factors, t1, t2 = _qutrit_pair(ctx)
     q = ctx.q
     weight = (1.0 / math.sqrt(3.0)) * (
         ctx.word([(t2, 2), (t1, 2)]) + sign * q**2 * ctx.word([t1, t2]) + 2 * q
@@ -361,7 +368,7 @@ def _qutrit_psi(sign: int = 1) -> Recipe:
     amp = 1.0 / math.sqrt(3.0)
     target = plain((3, 3), {(0, 0): amp, (1, 1): sign * amp, (2, 2): amp})
     return Recipe(
-        "qutrit_psi_pm", {"sign": sign}, ctx, state, weight, (t1, t2), target,
+        "qutrit_psi_pm", {"sign": sign}, ctx, factors, weight, (t1, t2), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -369,7 +376,7 @@ def _qutrit_psi(sign: int = 1) -> Recipe:
 def _qutrit_phi(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(3)
-    state, t1, t2 = _qutrit_pair(ctx)
+    factors, t1, t2 = _qutrit_pair(ctx)
     q = ctx.q
     rt2 = math.sqrt(2.0)
     weight = (1.0 / math.sqrt(3.0)) * (
@@ -378,7 +385,7 @@ def _qutrit_phi(sign: int = 1) -> Recipe:
     amp = 1.0 / math.sqrt(3.0)
     target = plain((3, 3), {(0, 2): amp, (1, 1): sign * amp, (2, 0): amp})
     return Recipe(
-        "qutrit_phi_pm", {"sign": sign}, ctx, state, weight, (t1, t2), target,
+        "qutrit_phi_pm", {"sign": sign}, ctx, factors, weight, (t1, t2), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -386,14 +393,14 @@ def _qutrit_phi(sign: int = 1) -> Recipe:
 def _qutrit_sub_00_22(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(3)
-    state, t1, t2 = _qutrit_pair(ctx)
+    factors, t1, t2 = _qutrit_pair(ctx)
     weight = (1.0 / math.sqrt(2.0)) * (
         ctx.word([(t2, 2), (t1, 2)]) + sign * 2 * ctx.q
     )
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3), {(0, 0): amp, (2, 2): sign * amp})
     return Recipe(
-        "qutrit_sub_00_22", {"sign": sign}, ctx, state, weight, (t1, t2), target,
+        "qutrit_sub_00_22", {"sign": sign}, ctx, factors, weight, (t1, t2), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -401,14 +408,14 @@ def _qutrit_sub_00_22(sign: int = 1) -> Recipe:
 def _qutrit_sub_00_11(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(3)
-    state, t1, t2 = _qutrit_pair(ctx)
+    factors, t1, t2 = _qutrit_pair(ctx)
     weight = (1.0 / math.sqrt(2.0)) * (
         ctx.word([(t2, 2), (t1, 2)]) + sign * ctx.q**2 * ctx.word([t1, t2])
     )
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3), {(0, 0): amp, (1, 1): sign * amp})
     return Recipe(
-        "qutrit_sub_00_11", {"sign": sign}, ctx, state, weight, (t1, t2), target,
+        "qutrit_sub_00_11", {"sign": sign}, ctx, factors, weight, (t1, t2), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -417,7 +424,7 @@ def _qutrit_biseparable(sign: int = 1) -> Recipe:
     sign = _check_sign(sign)
     ctx = AlgebraContext(3)
     t1, t2, t3 = (ctx.theta(i) for i in range(1, 4))
-    state = tensor([coherent_state(ctx, v, 3) for v in (t1, t2, t3)])
+    factors = tuple(coherent_state(ctx, v, 3) for v in (t1, t2, t3))
     weight = (1.0 / math.sqrt(3.0)) * (
         ctx.word([(t3, 2), (t2, 2), (t1, 2)])
         + sign * ctx.qp(-1) * ctx.word([(t1, 2), (t2, 1), (t3, 1)])
@@ -425,14 +432,14 @@ def _qutrit_biseparable(sign: int = 1) -> Recipe:
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3, 3), {(0, 0, 0): amp, (0, 1, 1): sign * amp})
     return Recipe(
-        "qutrit_biseparable", {"sign": sign}, ctx, state, weight,
+        "qutrit_biseparable", {"sign": sign}, ctx, factors, weight,
         (t1, t2, t3), target, phase_flag="PHASE_CONVENTION",
     )
 
 
 def _qutrit_psi22(omega_power: int = 1) -> Recipe:
     ctx = AlgebraContext(3)
-    state, t1, t2 = _qutrit_pair(ctx)
+    factors, t1, t2 = _qutrit_pair(ctx)
     q = ctx.q
     omega = ctx.qp(omega_power)  # any cube root of unity
     rt2 = math.sqrt(2.0)
@@ -446,7 +453,7 @@ def _qutrit_psi22(omega_power: int = 1) -> Recipe:
         (3, 3), {(0, 1): amp, (1, 2): omega * amp, (2, 0): omega**2 * amp}
     )
     return Recipe(
-        "qutrit_psi22", {"omega_power": omega_power}, ctx, state, weight,
+        "qutrit_psi22", {"omega_power": omega_power}, ctx, factors, weight,
         (t1, t2), target, phase_flag="PHASE_CONVENTION",
     )
 
@@ -454,8 +461,7 @@ def _qutrit_psi22(omega_power: int = 1) -> Recipe:
 def _qutrit_squeezed_00_22() -> Recipe:
     ctx = AlgebraContext(3)
     xi, xib = ctx.theta(1), ctx.theta_bar(1)
-    factor = squeezed_state_symmetric(ctx, xi)
-    state = tensor([factor, factor])
+    factors = (squeezed_state_symmetric(ctx, xi),) * 2
     qb = ctx.qp(-1)
     weight = (1.0 / math.sqrt(2.0)) * (
         2 * qb * ctx.gen(xib, 2)
@@ -466,7 +472,7 @@ def _qutrit_squeezed_00_22() -> Recipe:
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3), {(0, 0): amp, (2, 2): amp})
     return Recipe(
-        "qutrit_squeezed_00_22", {}, ctx, state, weight, (xib, xi), target,
+        "qutrit_squeezed_00_22", {}, ctx, factors, weight, (xib, xi), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -474,12 +480,12 @@ def _qutrit_squeezed_00_22() -> Recipe:
 def _qutrit_mixed_02_20() -> Recipe:
     ctx = AlgebraContext(3)
     t = ctx.theta(1)
-    state = tensor([squeezed_state_symmetric(ctx, t), coherent_state(ctx, t, 3)])
+    factors = (squeezed_state_symmetric(ctx, t), coherent_state(ctx, t, 3))
     weight = ctx.q + ctx.gen(t)
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3), {(0, 2): amp, (2, 0): amp})
     return Recipe(
-        "qutrit_mixed_02_20", {}, ctx, state, weight, (t,), target,
+        "qutrit_mixed_02_20", {}, ctx, factors, weight, (t,), target,
         phase_flag="PHASE_CONVENTION",
         mismatch_flag="MIXED_RECIPE",
     )
@@ -488,13 +494,12 @@ def _qutrit_mixed_02_20() -> Recipe:
 def _qutrit_squeezed_exp() -> Recipe:
     ctx = AlgebraContext(3)
     xi = ctx.theta(1)
-    factor = squeezed_state_exp(ctx, xi, 3)
-    state = tensor([factor, factor])
+    factors = (squeezed_state_exp(ctx, xi, 3),) * 2
     weight = (1.0 / math.sqrt(2.0)) * (ctx.one() + ctx.gen(xi, 2))
     amp = 1.0 / math.sqrt(2.0)
     target = plain((3, 3), {(0, 0): amp, (2, 2): amp})
     return Recipe(
-        "qutrit_squeezed_exp", {}, ctx, state, weight, (xi,), target,
+        "qutrit_squeezed_exp", {}, ctx, factors, weight, (xi,), target,
         phase_flag="PHASE_CONVENTION",
     )
 
@@ -514,7 +519,7 @@ def _qudit_mes(n: int = 3) -> Recipe:
         raise ValueError(f"qudit MES needs n <= 171, got n={n}: (n-1)! overflows a float")
     ctx = AlgebraContext(n)
     t1, t2 = ctx.theta(1), ctx.theta(2)
-    state = tensor([coherent_state(ctx, t1, n), coherent_state(ctx, t2, n)])
+    factors = (coherent_state(ctx, t1, n), coherent_state(ctx, t2, n))
     weight = ctx.zero()
     for k in range(n):
         j = n - 1 - k
@@ -523,7 +528,7 @@ def _qudit_mes(n: int = 3) -> Recipe:
         coeff = (1.0 / math.sqrt(n)) * math.factorial(k) * ctx.qp(qexp)
         weight = weight + coeff * ctx.word([(t1, j), (t2, j)])
     return Recipe(
-        "qudit_mes_n", {"n": n}, ctx, state, weight, (t1, t2), diagonal_target(n),
+        "qudit_mes_n", {"n": n}, ctx, factors, weight, (t1, t2), diagonal_target(n),
         phase_flag="PHASE_CONVENTION", extra_flags=("QUDIT_WEIGHT_INDEXING",),
     )
 
@@ -541,8 +546,7 @@ def _qudit_squeezed_mes(n: int = 3) -> Recipe:
         raise ValueError(f"squeezed qudit MES needs n <= 198, got n={n}: (i!)**2 overflows a float")
     ctx = AlgebraContext(n)
     xi = ctx.theta(1)
-    factor = squeezed_state_exp(ctx, xi, n)
-    state = tensor([factor, factor])
+    factors = (squeezed_state_exp(ctx, xi, n),) * 2
     weight = ctx.zero()
     infeasible = []
     for i in range(n):
@@ -564,7 +568,7 @@ def _qudit_squeezed_mes(n: int = 3) -> Recipe:
             f"diagonal kets beyond |{n - 1}> are outside the level space"
         )
     return Recipe(
-        "qudit_squeezed_mes_n", {"n": n}, ctx, state, weight, (xi,), target,
+        "qudit_squeezed_mes_n", {"n": n}, ctx, factors, weight, (xi,), target,
         phase_flag="PHASE_CONVENTION", extra_flags=("SQUEEZED_QUDIT_WEIGHT",), notes=notes,
     )
 
@@ -604,11 +608,21 @@ def build_recipe(entry_id: str, **params) -> Recipe:
 def catalog_construct(
     entry_id: str, tol: float = DEFAULT_TOL, solver_check: bool = True, **params
 ) -> ConstructionResult:
-    """Run a cataloged recipe and verify it against its target."""
+    """Run a cataloged recipe and verify it against its target.
+
+    Without the solver check the weight is integrated against the factors
+    through the pruned fold (entangle._integrate), so the full product,
+    recipe.state, is never built.  The solve reads every row of the
+    product, so with the check the integral reads recipe.state, and the
+    product is folded once per call.  Either way the integrated table is
+    the same, bitwise.
+    """
     recipe = build_recipe(entry_id, **params)
-    graded = integrate_graded(
-        IntegralSpec(recipe.weight, recipe.differentials), recipe.state
-    )
+    spec = IntegralSpec(recipe.weight, recipe.differentials)
+    if solver_check:
+        graded = integrate_graded(spec, recipe.state)
+    else:
+        graded = _integrate(spec, recipe.factors)
     residual = graded.grassmann_part_norm()
     computed = graded.plain_projection()
 

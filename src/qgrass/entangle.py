@@ -10,7 +10,11 @@ and the dead pairs are never multiplied.  The join reads only the state's
 term table (qstate: one row of exponents over the canonical slots per
 term, with its coefficient and ket digits, kets ascending), so no state is
 boxed into per-ket algebra elements, and integrate_graded returns such a
-table, kets ascending.
+table, kets ascending.  _integrate takes the factors of the product
+instead, and folds them with the weight's differential exponents as a
+prune (qstate._fold): a row that no weight term completes is dropped as
+soon as its differential exponents are final, and the full product is
+never built.
 The weight becomes a table over the same slots, pairs are matched by
 sorted keys, and the reordering and integration phases are integer dot
 products with the phase table's eps matrix.  A successful construction
@@ -60,6 +64,7 @@ from .qstate import (
     PlainState,
     _Table,
     _exponents,
+    _fold,
     _roots,
     _row_keys,
     _sum_by,
@@ -115,8 +120,9 @@ def _join(
     with U[y, x] = eps(y, x) for slots y < x and 0 elsewhere (the phase of
     monomial_product), and p[u] the sum of U[u, d] over the differentials
     d integrated while u's block is still present, rightmost differential
-    first (the phase of integrate_monomial).  U and p are reduced mod n, so
-    no product exceeds K * n**2.
+    first (the phase of integrate_monomial).  U and p are reduced mod n.
+    U.w is not: the q-exponent is read mod n, and m.U.w stays below
+    K**2 * n**3.
     """
     n = state.ctx.n
     table = state._table
@@ -149,7 +155,7 @@ def _join(
         position[d] = i
     present = np.less.outer(position, np.arange(len(diff)))  # u's block, when d goes
     p = (eps[:, diff] * present).sum(axis=1) % n
-    wu = (wexps @ eps.T) % n
+    wu = wexps @ eps.T
     qexp = (n - 1) * ((total @ p) % n) - (exps[si] * wu[wi]).sum(axis=1)
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
 
@@ -164,16 +170,36 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
     only pairs with w_d + m_d = n-1 on every differential d are multiplied
     (_join, on the weight's exponent table from _exponents), and the pairs
     that leave one (monomial, ket) are summed into a term table (_summed),
-    kets ascending.  Every weight exponent must lie in 1..n-1.
+    kets ascending.  Every weight exponent must lie in 1..n-1.  This is
+    _integrate(spec, (state,)).
     """
-    if spec.weight.ctx != state.ctx:
+    return _integrate(spec, (state,))
+
+
+def _integrate(spec: IntegralSpec, factors: Sequence[GradedState]) -> GradedState:
+    """integrate_graded(spec, tensor(factors)), bitwise, without the rows of
+    the product that no weight term completes.
+
+    The weight is tabulated once; the factors are folded with that table as
+    the prune (qstate._fold), which drops a row as soon as its finished
+    differential exponents match no weight term, and the kept rows run
+    through the same _join and _summed.
+    """
+    ctx = factors[0].ctx
+    if spec.weight.ctx != ctx:
         raise ValueError("weight and state use different algebra contexts")
+    n = ctx.n
     terms = spec.weight.terms
-    wslots, wexps = _exponents(state.ctx.n, list(terms))
+    wslots, wexps = _exponents(n, list(terms))
     wcoef = np.fromiter(terms.values(), complex, len(terms))
-    rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, spec.differentials, state)
-    table = _summed(state.ctx.n, rest, value, digits, state.space.dims)
-    return GradedState._from_table(state.ctx, state.space, _Table(tuple(rest_slots), *table))
+    diffs = spec.differentials
+    union = sorted(set(wslots).union(diffs))
+    slot_of = {v: i for i, v in enumerate(union)}
+    dexps = _widened(wslots, wexps, slot_of, len(union))[:, [slot_of[d] for d in diffs]]
+    state = _fold(factors, (diffs, dexps))
+    rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, diffs, state)
+    table = _summed(n, rest, value, digits, state.space.dims)
+    return GradedState._from_table(ctx, state.space, _Table(tuple(rest_slots), *table))
 
 
 def apply_weight_and_integrate(

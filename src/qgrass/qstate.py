@@ -376,7 +376,15 @@ class GrassmannResidueError(ValueError):
 
 
 def tensor(states: Sequence[GradedState]) -> GradedState:
-    """Tensor product with canonicalization, as one array fold over term tables.
+    """Tensor product with canonicalization, as one array fold over term
+    tables: _fold(states), every row kept.  A coefficient past the float
+    range raises ValueError."""
+    return _fold(states)
+
+
+def _fold(states: Sequence[GradedState],
+          prune: tuple[Sequence[Variable], np.ndarray] | None = None) -> GradedState:
+    """The tensor product of states, folded left to right over term tables.
 
     Each term a|ka> of the product so far meets each term b|kb> of the next
     factor: (a|ka>)(b|kb>) = q**e (a b)|ka kb>.  The exponent row of a b is
@@ -392,8 +400,19 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     ascending, and pairs reaching one (monomial, ket) are summed in pair
     order (_summed, over the dims of the product so far; only needed once a
     ket has several rows); exact zeros are dropped.  No Monomial or
-    AlgebraElement is built.  A coefficient past the float range raises
-    ValueError.
+    AlgebraElement is built.  A coefficient of a kept row past the float
+    range raises ValueError.
+
+    prune = (differentials, wexps), wexps[i, j] the exponent of
+    differentials[j] in weight term i, keeps only the rows that some weight
+    term can complete in the integral over the differentials (entangle's
+    join): a row m with w_d = n-1-m_d on every differential d.  Once no
+    later factor holds d, m_d is final, so after each step between the
+    first and the last factor the rows whose finished exponents no weight
+    term complements are dropped (_pruning).  Kills and sums act on whole
+    (monomial, ket) rows, and a row's finished exponents are those of the
+    rows it came from, so every kept row carries the coefficient of the
+    unpruned fold, summed in the same order.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -406,6 +425,7 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     tables = [s._table for s in states]
     slots = tuple(sorted(set().union(*(t.slots for t in tables))))
     slot_of = {v: i for i, v in enumerate(slots)}
+    steps = _pruning(n, tables, slot_of, *prune) if prune is not None and len(tables) > 2 else {}
     eps = _upper_eps(ctx, slots)
     roots = _roots(n)
     sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)  # unbarred, barred
@@ -415,7 +435,7 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
     shared = _shares_kets(digits)  # some ket has several rows
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for state, t in zip(states[1:], tables[1:]):
+        for step, (state, t) in enumerate(zip(states[1:], tables[1:]), 1):
             dims += state.space.dims
             texps = _widened(t.slots, t.exps, slot_of, len(slots))
             shift = digits.sum(axis=1) - digits.shape[1]
@@ -432,10 +452,47 @@ def tensor(states: Sequence[GradedState]) -> GradedState:
             else:
                 nonzero = coef != 0
                 exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
+            if step in steps:
+                cols, wkeys = steps[step]
+                key = _row_keys(n - 1 - exps[:, cols], [n] * len(cols))
+                keep = wkeys[np.minimum(np.searchsorted(wkeys, key), len(wkeys) - 1)] == key
+                exps, coef, digits = exps[keep], coef[keep], digits[keep]
     if not np.isfinite(coef).all():
         raise ValueError("the tensor product overflowed (a coefficient is not finite); "
                          "scale the factors down")
     return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
+
+
+def _pruning(n: int, tables: Sequence[_Table], slot_of: Mapping[Variable, int],
+             differentials: Sequence[Variable],
+             wexps: np.ndarray) -> dict[int, tuple[list[int], np.ndarray]]:
+    """{fold step: (slot columns, sorted keys)} for _fold's prune.
+
+    Step s (1 <= s <= len(tables) - 2) is listed when some differential is
+    newly finished after it (no later table holds it).  Its columns are the
+    slots of every differential finished by then, and its keys are the
+    _row_keys of the weight rows over those differentials, sorted, which a
+    row's n-1-m must match.  A differential that no table holds stays at 0,
+    so only the weight rows with n-1 there are read; with none left nothing
+    is pruned (the join then drops every row).  Nor is a step whose keys
+    would not pack in mixed radix, the only form in which the keys of
+    separate _row_keys calls agree.
+    """
+    last = {v: i for i, t in enumerate(tables) for v in t.slots}  # the last table holding v
+    held = np.array([d in last for d in differentials], dtype=bool)
+    wexps = wexps[(wexps[:, ~held] == n - 1).all(axis=1)][:, held]
+    if not len(wexps):
+        return {}
+    finish = [last[d] for d in differentials if d in last]
+    cols = [slot_of[d] for d in differentials if d in last]
+    steps, done = {}, 0
+    for step in range(1, len(tables) - 1):
+        finished = [j for j, s in enumerate(finish) if s <= step]
+        if len(finished) > done and n ** len(finished) < 1 << 63:
+            keys = _row_keys(wexps[:, finished], [n] * len(finished))
+            steps[step] = [cols[j] for j in finished], np.sort(keys)
+        done = len(finished)
+    return steps
 
 
 def _widened(slots: Sequence[Variable], exps: np.ndarray, slot_of: Mapping[Variable, int],

@@ -361,6 +361,53 @@ def test_signature_construct_decomposes_each_state_once(monkeypatch):
     assert np.max(np.abs(computed - _rebuilt(result.local_phases, target))) <= 1e-9
 
 
+def test_construct_without_the_solver_never_builds_the_product(monkeypatch):
+    # a builder may fold factors of its own (bell_psi_pm's plus - minus);
+    # once the recipe is built, a call of catalog.tensor, which is how
+    # recipe.state builds the product, fails the construct, and the recipe
+    # holds no product afterwards
+    real_build, real_tensor = catalog.build_recipe, catalog.tensor
+    recipes = []
+
+    def refuse(states):
+        raise AssertionError("the full product was built")
+
+    def build(entry_id, **params):
+        monkeypatch.setattr(catalog, "tensor", real_tensor)
+        recipes.append(real_build(entry_id, **params))
+        monkeypatch.setattr(catalog, "tensor", refuse)
+        return recipes[-1]
+
+    monkeypatch.setattr(catalog, "build_recipe", build)
+    for entry_id, params, floor in CATALOG_RUNS:
+        result = catalog_construct(entry_id, solver_check=False, **params)
+        assert match_at_least(result.match, floor), (entry_id, params)
+        assert "state" not in vars(recipes[-1]), (entry_id, params)
+
+
+def test_construct_with_the_solver_folds_the_product_once(monkeypatch):
+    # recipe.state folds the factors, and the integral and the solve read it:
+    # the integral's own fold is of that one state, which folds nothing
+    real_build, real_fold = catalog.build_recipe, qstate._fold
+    folds, recipes = [], []
+
+    def fold(states, prune=None):
+        folds.append(len(states))
+        return real_fold(states, prune)
+
+    def build(entry_id, **params):
+        recipes.append(real_build(entry_id, **params))
+        folds.clear()  # a builder may fold factors of its own
+        return recipes[-1]
+
+    monkeypatch.setattr(qstate, "_fold", fold)
+    monkeypatch.setattr(entangle, "_fold", fold)
+    monkeypatch.setattr(catalog, "build_recipe", build)
+    for entry_id, params, _ in CATALOG_RUNS:
+        catalog_construct(entry_id, **params)
+        assert folds == [len(recipes[-1].factors), 1], (entry_id, params)
+
+
 def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
     boxed, tabulated = [], []
     real_boxed, real_tabulate = qstate._boxed, qstate._tabulate

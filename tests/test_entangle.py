@@ -559,6 +559,131 @@ def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
         assert max(keys.values()) > 1
 
 
+# -- the pruned fold against tensor-then-integrate ------------------------------
+
+T3 = Variable(3)  # held by no factor; a differential in the "unheld" cases
+PRUNE_CASES = [(name, variant) for name in ("default", "override")
+               for variant in ("random", "shared", "unheld")]
+
+
+def _random_factor(ctx, rng, variables):
+    """A one-site factor over variables (canonical order): 1|0> plus up to five
+    random terms, so the product never vanishes and some kets carry several."""
+    d = int(rng.integers(2, 4))
+    terms = {(MONOMIAL_ONE, (0,)): complex(*rng.standard_normal(2))}
+    for _ in range(int(rng.integers(1, 6))):
+        exps = rng.integers(0, ctx.n, len(variables))
+        mono = Monomial(tuple((v, int(e)) for v, e in zip(variables, exps) if e))
+        terms[(mono, (int(rng.integers(d)),))] = complex(*rng.standard_normal(2))
+    return GradedState(ctx, LevelSpace((d,)), terms)
+
+
+def _completing_weight(ctx, rng, state, diffs):
+    """Weight terms that complete four random rows of state on diffs (n-1 on a
+    differential the state lacks, 0 off the differentials), and three random
+    terms."""
+    n, table = ctx.n, state._table
+    variables = sorted(set(JOIN_VARIABLES).union(diffs))
+    col = {v: i for i, v in enumerate(table.slots)}
+    rows = [[n - 1 - (int(table.exps[r, col[v]]) if v in col else 0) if v in diffs else 0
+             for v in variables] for r in rng.integers(len(table.coef), size=4).tolist()]
+    rows += rng.integers(0, n, (3, len(variables))).tolist()
+    return AlgebraElement(ctx, {
+        Monomial(tuple((v, int(e)) for v, e in zip(variables, row) if e)): complex(*rng.standard_normal(2))
+        for row in rows
+    })
+
+
+def _assert_same_table(got, want):
+    assert got.space == want.space and got._table.slots == want._table.slots
+    for a, b in zip(got._table[1:], want._table[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", PRUNE_CASES, ids="-".join)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pruned_integral_is_bitwise_tensor_then_integrate(n, case, monkeypatch):
+    name, variant = case
+    table, diffs = JOIN_CASES[name]
+    ctx = AlgebraContext(n, phase_table=table)
+    rng = np.random.default_rng(1000 * n + PRUNE_CASES.index(case))
+    factors = []
+    for _ in range(int(rng.integers(3, 6))):
+        held = [v for v in JOIN_VARIABLES if rng.random() < 0.5] or [T2]
+        if variant == "shared":  # every factor holds theta_1
+            held = sorted(set(held) | {T1})
+        factors.append(_random_factor(ctx, rng, held))
+    if variant == "unheld":
+        diffs += (T3,)
+    full = tensor(factors)
+    spec = IntegralSpec(_completing_weight(ctx, rng, full, diffs), diffs)
+    want = integrate_graded(spec, full)
+    assert len(want._table.coef), "reference result is empty; the comparison would prove nothing"
+    seen, join = [], entangle._join
+    monkeypatch.setattr(entangle, "_join", lambda *a: seen.append(len(a[-1]._table.coef)) or join(*a))
+    _assert_same_table(entangle._integrate(spec, factors), want)
+    assert seen[0] <= len(full._table.coef)
+
+
+@pytest.mark.parametrize(
+    "entry_id,params",
+    [(e, p) for e, p, _ in CATALOG_RUNS]
+    + [("ghz_n", {"n": 12}), ("w_n", {"n": 11}), ("qudit_mes_n", {"n": 11})],
+    ids=str,
+)
+def test_pruned_recipe_integral_is_bitwise_tensor_then_integrate(entry_id, params):
+    recipe = build_recipe(entry_id, **params)
+    spec = IntegralSpec(recipe.weight, recipe.differentials)
+    _assert_same_table(entangle._integrate(spec, recipe.factors),
+                       integrate_graded(spec, tensor(recipe.factors)))
+
+
+def test_pruned_fold_hands_the_join_only_completable_rows(monkeypatch):
+    # ghz_n 10: each factor holds one differential and the weight completes
+    # only the all-zero and all-one rows, so 2 rows are kept after each step
+    # before the last, and the join reads 4 rows where the product has 1024
+    seen, join = [], entangle._join
+    monkeypatch.setattr(entangle, "_join", lambda *a: seen.append(len(a[-1]._table.coef)) or join(*a))
+    recipe = build_recipe("ghz_n", n=10)
+    entangle._integrate(IntegralSpec(recipe.weight, recipe.differentials), recipe.factors)
+    assert seen == [4] and len(recipe.state._table.coef) == 1024
+
+
+def test_pruned_fold_overflow_raises_as_tensor_does():
+    # 1e200**2 is past the float range on the all-one row, which the scalar
+    # weight term completes: one ValueError with the same text either way,
+    # and numpy prints nothing
+    ctx = AlgebraContext(2)
+    vs = [ctx.theta(k) for k in (1, 2, 3)]
+    factors = [coherent_state(ctx, v, 2, 1e200) for v in vs]
+    spec = IntegralSpec(ctx.one() + ctx.word(vs), tuple(vs))
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in (lambda: tensor(factors), lambda: entangle._integrate(spec, factors)):
+            with pytest.raises(ValueError, match="overflowed") as raised:
+                run()
+            messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert [str(w.message) for w in caught] == []
+
+
+def test_pruned_fold_integrates_a_product_that_overflows_only_in_dropped_rows():
+    # theta_1 theta_2 theta_3 completes only the all-zero row; the rows that
+    # carry 1e200**2 are dropped after the second factor, so the pruned
+    # integral is finite where the full product overflows
+    ctx = AlgebraContext(2)
+    vs = [ctx.theta(k) for k in (1, 2, 3)]
+    factors = [coherent_state(ctx, v, 2, 1e200) for v in vs]
+    with pytest.raises(ValueError, match="overflowed"):
+        tensor(factors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = entangle._integrate(IntegralSpec(ctx.word(vs), tuple(vs)), factors).to_plain()
+    assert [str(w.message) for w in caught] == []
+    assert np.flatnonzero(got.amps).tolist() == [0] and abs(got.amps[0]) == 1.0
+
+
 def _dense_problem(state, diffs, target, basis):
     """Dense matrix and right-hand side, one left_multiply / multi_integrate per monomial."""
     ctx = state.ctx
