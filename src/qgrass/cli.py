@@ -161,7 +161,7 @@ def cmd_construct(args: argparse.Namespace, config: RunConfig) -> int:
     except KeyError as exc:
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return 2
-    except (TypeError, ValueError, OverflowError) as exc:  # a factorial past the float range
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:  # overflow, or no memory
         sys.stderr.write(f"error: bad parameters for {args.id!r}: {exc}\n")
         return 2
 
@@ -255,7 +255,7 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             basis = [monomial_from_dict(d) for d in basis_spec]
         solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
-    except (KeyError, ValueError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: malformed solve spec: {exc}\n")
         return 2
 

@@ -170,8 +170,8 @@ def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
     only pairs with w_d + m_d = n-1 on every differential d are multiplied
     (_join, on the weight's exponent table from _exponents), and the pairs
     that leave one (monomial, ket) are summed into a term table (_summed),
-    kets ascending.  Every weight exponent must lie in 1..n-1.  This is
-    _integrate(spec, (state,)).
+    kets ascending.  Every weight exponent must lie in 1..n-1; an overflow
+    raises ValueError.  This is _integrate(spec, (state,)).
     """
     return _integrate(spec, (state,))
 
@@ -183,7 +183,7 @@ def _integrate(spec: IntegralSpec, factors: Sequence[GradedState]) -> GradedStat
     The weight is tabulated once; the factors are folded with that table as
     the prune (qstate._fold), which drops a row as soon as its finished
     differential exponents match no weight term, and the kept rows run
-    through the same _join and _summed.
+    through the same _join and _summed; an overflow raises ValueError.
     """
     ctx = factors[0].ctx
     if spec.weight.ctx != ctx:
@@ -196,9 +196,13 @@ def _integrate(spec: IntegralSpec, factors: Sequence[GradedState]) -> GradedStat
     union = sorted(set(wslots).union(diffs))
     slot_of = {v: i for i, v in enumerate(union)}
     dexps = _widened(wslots, wexps, slot_of, len(union))[:, [slot_of[d] for d in diffs]]
-    state = _fold(factors, (diffs, dexps))
-    rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, diffs, state)
-    table = _summed(n, rest, value, digits, state.space.dims)
+    # an overflow is reported once, below, not as numpy warnings on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _fold(factors, (diffs, dexps))
+        rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, diffs, state)
+        table = _summed(n, rest, value, digits, state.space.dims)
+    if not np.isfinite(table[1]).all():
+        raise ValueError("the weight integral overflowed; scale the weight or the factors down")
     return GradedState._from_table(ctx, state.space, _Table(tuple(rest_slots), *table))
 
 
@@ -473,8 +477,8 @@ class WeightSolution:
     rank counts the singular values kept, block by block, each block under
     its own cutoff (every nonzero one-column block counts one).  basis is
     the MonomialBasis solved on, or a tuple of the monomials given; weight
-    holds the basis monomials whose coefficient is nonzero, so on a
-    MonomialBasis only those are boxed.
+    holds the basis monomials whose coefficient is nonzero, and only those
+    are boxed.
     """
 
     weight: AlgebraElement
@@ -520,14 +524,6 @@ class MonomialBasis(Sequence[Monomial]):
             row = zip(self.slots, self.exps[i].tolist())
             mono = self._boxed[i] = Monomial(tuple((v, e) for v, e in row if e))
         return mono
-
-
-def monomial_basis(
-    ctx, variables: Sequence[Variable], max_exponent: int | None = None
-) -> list[Monomial]:
-    """All products of powers of the given variables, each exponent < n: the
-    monomials of MonomialBasis, as a list."""
-    return list(MonomialBasis(ctx, variables, max_exponent))
 
 
 def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -638,10 +634,10 @@ def solve_weight(
     1..n-1 and the differentials must be distinct, and a residual that
     overflows to inf or nan raises ValueError too.
 
-    A MonomialBasis enters the join as its exponent table, and only the
-    monomials of the weight's nonzero terms are boxed.  Any other sequence
-    is tabulated once (_exponents); a monomial it repeats gets a column
-    each, and the weight sums them.
+    A MonomialBasis enters the join as its exponent table; any other
+    sequence is tabulated once (_exponents), a repeated monomial getting a
+    column each.  The weight reads only the nonzero entries of x, boxing
+    their monomials and summing a repeated monomial's columns.
     """
     if not basis:
         raise ValueError("empty weight basis")
@@ -650,8 +646,7 @@ def solve_weight(
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
     _check_distinct(differentials)
-    table = isinstance(basis, MonomialBasis)
-    if table:
+    if isinstance(basis, MonomialBasis):
         wslots, wexps = basis.slots, basis.exps
         bad = np.flatnonzero((wexps >= ctx.n).any(axis=1))
         if len(bad):  # raises on the first bad row's first exponent, as on a list
@@ -682,14 +677,12 @@ def solve_weight(
 
         x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
         residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
-    # a table's rows are distinct monomials, so only its nonzero columns are
-    # read; a repeated monomial of a plain basis sums its columns.  Summing
-    # from 0.0 writes a zero part of c as 0.0, never -0.0
-    read = np.flatnonzero(x) if table else np.arange(len(basis))
+    # a zero column adds no term, and a repeated monomial sums its columns;
+    # summing from 0.0 writes a zero part of x[j] as 0.0, never -0.0
     terms: dict[Monomial, complex] = {}
-    for j, c in zip(read.tolist(), x[read]):
+    for j in np.flatnonzero(x).tolist():
         m = basis[j]
-        terms[m] = terms.get(m, 0.0) + c
+        terms[m] = terms.get(m, 0.0) + x[j]
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 

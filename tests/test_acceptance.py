@@ -31,8 +31,8 @@ from qgrass.catalog import (
     match_at_least,
 )
 from qgrass.entangle import (
+    MonomialBasis,
     bipartition_spectrum,
-    monomial_basis,
     purity_viola,
     reduced_density,
     schmidt_rank,
@@ -231,7 +231,7 @@ def test_criterion_9a_single_variable_infeasibility():
     t = ctx.theta(1)
     state = tensor([coherent_state(ctx, t, 3)] * 2)
     target = PlainState.from_terms((3, 3), {(0, 2): AMP2, (2, 0): AMP2})
-    solution = solve_weight(state, (t,), target, monomial_basis(ctx, [t]))
+    solution = solve_weight(state, (t,), target, MonomialBasis(ctx, [t]))
     ok = (not solution.feasible) and solution.residual > 0.1
     assert report(
         9, f"no single-variable weight reaches (|02>+|20>)/sqrt(2) (residual {solution.residual:.3f})", ok
@@ -256,7 +256,7 @@ def test_criterion_9b_mixed_recipe_succeeds():
     state = tensor([squeezed_state_symmetric(ctx, t), coherent_state(ctx, t, 3)])
     target = PlainState.from_terms((3, 3), {(0, 2): AMP2, (2, 0): AMP2})
     solution = solve_weight(
-        state, (t,), target, monomial_basis(ctx, [t, ctx.theta_bar(1)])
+        state, (t,), target, MonomialBasis(ctx, [t, ctx.theta_bar(1)])
     )
     recipe = catalog_construct("qutrit_mixed_02_20")
     ok = solution.feasible or match_at_least(recipe.match, MATCH_SIGNATURE)

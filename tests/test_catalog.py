@@ -20,7 +20,6 @@ from qgrass.entangle import (
     MonomialBasis,
     bipartition_spectrum,
     cut_spectra,
-    monomial_basis,
     reduced_density,
     schmidt_rank,
     solve_weight,
@@ -492,7 +491,7 @@ def test_solver_basis_is_built_once_on_first_read(basis_calls):
     assert basis_calls == []
     first, second = recipe.solver_basis, recipe.solver_basis
     assert first is second
-    assert list(first) == monomial_basis(recipe.ctx, recipe.differentials)
+    assert list(first) == list(MonomialBasis(recipe.ctx, recipe.differentials))
     assert len(basis_calls) == 1
 
 

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from qgrass import cli
 from qgrass.cli import main
 from qgrass.serialize import graded_from_dict, graded_to_dict, plain_from_dict, plain_to_dict
 from qgrass.algebra import AlgebraContext
@@ -213,6 +214,25 @@ def test_construct_factorial_overflow_exits_two(capsys, entry_id, n):
     assert err.startswith(f"error: bad parameters for {entry_id!r}: ") and err.count("\n") == 1
     # the line names the parameter the user gave
     assert f"got n={n}" in err
+
+
+# what numpy raises for a dense vector of 2**40 amplitudes (ghz_n --n 40)
+_NO_MEMORY = ("Unable to allocate 16.0 TiB for an array with shape (1099511627776,) "
+              "and data type complex128")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(_NO_MEMORY)
+
+
+def test_construct_input_too_large_for_memory_exits_two(capsys, monkeypatch):
+    # raised, not allocated: a real oversized vector may be granted by the
+    # kernel and exhaust the host on first touch
+    monkeypatch.setattr(cli, "catalog_construct", _out_of_memory)
+    code, out, err = run_cli(capsys, "construct", "ghz_n", "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad parameters for 'ghz_n': {_NO_MEMORY}\n"
 
 
 def _ghz2_spec(**overrides):
@@ -568,6 +588,17 @@ def test_solve_weight_overflow_exits_two(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith("error: malformed solve spec: ") and err.count("\n") == 1
     assert "overflowed" in err and "Traceback" not in err
+
+
+def test_solve_weight_input_too_large_for_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # a target on 40 qubit sites asks plain_from_dict for 2**40 amplitudes
+    monkeypatch.setattr(cli, "plain_from_dict", _out_of_memory)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_ghz2_spec()))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed solve spec: {_NO_MEMORY}\n"
 
 
 def test_serialized_numbers_must_be_integral():

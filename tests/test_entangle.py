@@ -30,7 +30,6 @@ from qgrass.entangle import (
     entanglement_report,
     integrate_graded,
     is_maximally_entangled,
-    monomial_basis,
     purity_linear,
     purity_viola,
     reduced_density,
@@ -392,7 +391,7 @@ def test_solver_diagonal_support_for_qutrit_mes():
     t1, t2 = ctx.theta(1), ctx.theta(2)
     state = tensor([coherent_state(ctx, t1, 3), coherent_state(ctx, t2, 3)])
     target = plain((3, 3), {(i, i): AMP3 for i in range(3)})
-    solution = solve_weight(state, (t1, t2), target, monomial_basis(ctx, [t1, t2]))
+    solution = solve_weight(state, (t1, t2), target, entangle.MonomialBasis(ctx, [t1, t2]))
     assert solution.feasible
     assert solution.residual < 1e-9
     for mono, coeff in solution.weight.terms.items():
@@ -404,7 +403,7 @@ def test_solver_single_variable_cannot_reach_02_plus_20():
     t = ctx.theta(1)
     state = tensor([coherent_state(ctx, t, 3)] * 2)
     target = plain((3, 3), {(0, 2): AMP2, (2, 0): AMP2})
-    solution = solve_weight(state, (t,), target, monomial_basis(ctx, [t]))
+    solution = solve_weight(state, (t,), target, entangle.MonomialBasis(ctx, [t]))
     assert not solution.feasible
     assert solution.residual > 0.1
 
@@ -414,7 +413,7 @@ def test_solver_round_trip_recovers_random_weight_image():
     ctx = AlgebraContext(3)
     t1, t2 = ctx.theta(1), ctx.theta(2)
     state = tensor([coherent_state(ctx, t1, 3), coherent_state(ctx, t2, 3)])
-    basis = monomial_basis(ctx, [t1, t2])
+    basis = entangle.MonomialBasis(ctx, [t1, t2])
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     weight = AlgebraElement(ctx, dict(zip(basis, coeffs)))
     image = apply_weight_and_integrate(IntegralSpec(weight, (t1, t2)), state)
@@ -434,7 +433,7 @@ def test_solver_single_variable_cannot_reach_ghz3():
     t = ctx.theta(1)
     state = tensor([coherent_state(ctx, t, 2)] * 3)
     solution = solve_weight(
-        state, (t,), ghz(3), monomial_basis(ctx, [t])
+        state, (t,), ghz(3), entangle.MonomialBasis(ctx, [t])
     )
     assert not solution.feasible
     assert solution.residual > 0.1
@@ -453,7 +452,7 @@ def test_solver_rejects_repeated_differentials():
     t = ctx.theta(1)
     state = tensor([coherent_state(ctx, t, 2)] * 2)
     with pytest.raises(ValueError, match="distinct"):
-        solve_weight(state, (t, t), ghz(2), monomial_basis(ctx, [t]))
+        solve_weight(state, (t, t), ghz(2), entangle.MonomialBasis(ctx, [t]))
 
 
 @pytest.mark.parametrize("where", ["scale", "target"])
@@ -465,7 +464,10 @@ def test_solver_raises_when_its_residual_overflows(where):
     t1, t2 = ctx.theta(1), ctx.theta(2)
     scale, amp = (1e200, 1.0) if where == "scale" else (1.0, complex(1e308, 1e308))
     target = plain((2, 2), {(0, 0): 1.0, (1, 1): amp})
-    basis = monomial_basis(ctx, [t1, t2]) if where == "scale" else [Monomial(((t1, 1), (t2, 1)))]
+    if where == "scale":
+        basis = entangle.MonomialBasis(ctx, [t1, t2])
+    else:
+        basis = [Monomial(((t1, 1), (t2, 1)))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="overflowed"):
@@ -547,7 +549,7 @@ def test_integrate_graded_matches_left_multiply_then_integrate(n, case):
     else:
         state = _random_graded(ctx, rng)
     # every basis monomial, so non-differential variables ride along
-    weight = _random_weight(ctx, rng, monomial_basis(ctx, JOIN_VARIABLES))
+    weight = _random_weight(ctx, rng, entangle.MonomialBasis(ctx, JOIN_VARIABLES))
     want = state.left_multiply(weight).multi_integrate(diffs).terms
     got = integrate_graded(IntegralSpec(weight, diffs), state).terms
     _assert_terms_close(got, want)
@@ -684,6 +686,31 @@ def test_pruned_fold_integrates_a_product_that_overflows_only_in_dropped_rows():
     assert np.flatnonzero(got.amps).tolist() == [0] and abs(got.amps[0]) == 1.0
 
 
+@pytest.mark.parametrize("entry", ["integrate_graded", "apply_weight_and_integrate", "pruned",
+                                   "one_factor"])
+def test_weight_integral_overflow_raises_one_value_error(entry):
+    # 1e100**3 is finite, so the product holds the all-one row; the weight's
+    # scalar 1e200 completes it and takes its integral past the float range.
+    # One ValueError, and numpy prints nothing
+    ctx = AlgebraContext(2)
+    vs = [ctx.theta(k) for k in (1, 2, 3)]
+    factors = [coherent_state(ctx, v, 2, 1e100) for v in vs]
+    spec = IntegralSpec(ctx.scalar(1e200) + ctx.word(vs), tuple(vs))
+    t = vs[0]  # the one-factor case: a 1e200 weight on a 1e200 factor
+    runs = {
+        "integrate_graded": lambda: integrate_graded(spec, tensor(factors)),
+        "apply_weight_and_integrate": lambda: apply_weight_and_integrate(spec, tensor(factors)),
+        "pruned": lambda: entangle._integrate(spec, factors),
+        "one_factor": lambda: apply_weight_and_integrate(
+            IntegralSpec(ctx.scalar(1e200), (t,)), coherent_state(ctx, t, 2, 1e200)),
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflowed"):
+            runs[entry]()
+    assert [str(w.message) for w in caught] == []
+
+
 def _dense_problem(state, diffs, target, basis):
     """Dense matrix and right-hand side, one left_multiply / multi_integrate per monomial."""
     ctx = state.ctx
@@ -732,7 +759,7 @@ def test_solve_weight_matches_per_column_assembly(n, case):
     ctx = AlgebraContext(n, phase_table=table)
     rng = np.random.default_rng(200 * n + len(diffs))
     state = _random_graded(ctx, rng)
-    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    basis = list(entangle.MonomialBasis(ctx, JOIN_VARIABLES))
     basis = basis + basis[1:4]  # repeated monomials get their own columns
     image = integrate_graded(
         IntegralSpec(_random_weight(ctx, rng, basis), diffs), state
@@ -752,7 +779,7 @@ def test_solver_singular_values_match_rank():
     ctx = AlgebraContext(3)
     rng = np.random.default_rng(7)
     state = _random_graded(ctx, rng)
-    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    basis = entangle.MonomialBasis(ctx, JOIN_VARIABLES)
     target = PlainState((2, 3), rng.standard_normal(6))
     solution = solve_weight(state, (T1, T2), target, basis)
     _, _, shape = _reference_solve(state, (T1, T2), target, basis)
@@ -788,7 +815,7 @@ def test_block_solve_matches_dense_lstsq(n, seed):
     ctx = AlgebraContext(n)
     rng = np.random.default_rng(1000 * n + seed)
     state = _state_with_block_structure(ctx, rng)
-    basis = monomial_basis(ctx, JOIN_VARIABLES)
+    basis = list(entangle.MonomialBasis(ctx, JOIN_VARIABLES))
     basis = basis + basis[1:4] + basis[-2:]  # repeats make rank-deficient blocks
     image = integrate_graded(
         IntegralSpec(_random_weight(ctx, rng, basis), (T1,)), state
@@ -923,7 +950,7 @@ def test_monomial_basis_rows_run_in_product_order(n):
             assert basis.exps.dtype == np.int64 and basis.exps.shape == (len(rows), k)
             assert list(map(tuple, basis.exps.tolist())) == rows
             assert len(basis) == len(rows)
-            assert list(basis) == monos == monomial_basis(ctx, given, top)
+            assert list(basis) == monos
             assert [basis[i] for i in range(-len(rows), 0)] == monos
             assert basis[1:3] == monos[1:3]
             with pytest.raises(IndexError):
@@ -952,7 +979,8 @@ def test_table_basis_solves_as_its_list(n, case, top):
     noise = PlainState((2, 3), rng.standard_normal(6) + 1j * rng.standard_normal(6))
     for target in (image, noise):
         got = solve_weight(state, diffs, target, basis)
-        want = solve_weight(state, diffs, target, monomial_basis(ctx, JOIN_VARIABLES, top))
+        listed = list(entangle.MonomialBasis(ctx, JOIN_VARIABLES, top))
+        want = solve_weight(state, diffs, target, listed)
         assert got.basis is basis
         assert _solution_bits(got) == _solution_bits(want)
 
@@ -961,7 +989,7 @@ def test_table_basis_solves_as_its_list(n, case, top):
 def test_solver_basis_solves_as_its_list(problem):
     _, recipe, target = problem
     got = solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
-    listed = monomial_basis(recipe.ctx, recipe.differentials)
+    listed = list(entangle.MonomialBasis(recipe.ctx, recipe.differentials))
     want = solve_weight(recipe.state, recipe.differentials, target, listed)
     assert _solution_bits(got) == _solution_bits(want)
 

@@ -17,7 +17,7 @@ from qgrass.algebra import (
     monomial_product,
     q_power,
 )
-from qgrass.entangle import IntegralSpec, integrate_graded, monomial_basis, solve_weight
+from qgrass.entangle import IntegralSpec, MonomialBasis, integrate_graded, solve_weight
 from qgrass.qstate import (
     GradedState,
     GrassmannResidueError,
@@ -559,7 +559,7 @@ def test_per_ket_operations_match_flat_reference(n, table):
         order = [REF_VARIABLES[i] for i in rng.permutation(4)[: int(rng.integers(1, 3))]]
         weight_terms = {_random_monomial(rng, n): complex(*rng.standard_normal(2))
                         for _ in range(5)}
-        for mono in monomial_basis(ctx, order):
+        for mono in MonomialBasis(ctx, order):
             weight_terms[mono] = complex(*rng.standard_normal(2))
         weight = ctx.element(weight_terms)
         product = _ref_left_multiply(ctx, weight, ref)
@@ -659,7 +659,7 @@ def test_tensor_matches_the_element_fold(n, table):
         present = sorted({v for mono, _ in state.terms for v, _ in mono})
         order = [present[i] for i in rng.permutation(len(present))[: min(2, len(present))]]
         weight = ctx.element({m: complex(*rng.standard_normal(2))
-                              for m in monomial_basis(ctx, REF_VARIABLES)})
+                              for m in MonomialBasis(ctx, REF_VARIABLES)})
         fresh = tensor(factors)
         _assert_same_terms(
             integrate_graded(IntegralSpec(weight, order), fresh).terms,
@@ -669,7 +669,7 @@ def test_tensor_matches_the_element_fold(n, table):
 
         amps = rng.standard_normal(state.space.size) + 1j * rng.standard_normal(state.space.size)
         target = PlainState(state.space.dims, amps / np.linalg.norm(amps))
-        basis = monomial_basis(ctx, order)
+        basis = MonomialBasis(ctx, order)
         solution = solve_weight(fresh, order, target, basis)
         assert fresh._parts is None
         rebuilt = solve_weight(GradedState(ctx, state.space, state.terms), order, target, basis)
@@ -743,7 +743,7 @@ def test_every_state_holds_a_well_formed_table(n, table):
     assert kets[1] not in pairs.parts  # its two elements cancel
     order = [REF_VARIABLES[i] for i in rng.permutation(4)[:2]]
     weight = ctx.element({m: complex(*rng.standard_normal(2))
-                          for m in monomial_basis(ctx, REF_VARIABLES)})
+                          for m in MonomialBasis(ctx, REF_VARIABLES)})
     built = {
         "init": other, "from_pairs": pairs, "tensor": state,
         "add": state + other, "sub": state - other, "sub_self": state - state,
@@ -858,7 +858,7 @@ def test_states_built_out_of_ket_order_hold_ascending_kets(n):
              "interleaved": interleaved, "single": single}
     order = [T1]
     weight = ctx.element({m: complex(*rng.standard_normal(2))
-                          for m in monomial_basis(ctx, [T1, T2])})
+                          for m in MonomialBasis(ctx, [T1, T2])})
     for name, state in built.items():
         runs = _assert_well_formed(state)
         assert list(state.parts) == runs == sorted({k for _, k in state.terms}), name
