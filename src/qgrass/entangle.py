@@ -43,9 +43,10 @@ join over the whole basis and returns the minimum-norm least-squares
 weight, with the residual formed from the join's own entries.  The full
 basis is a MonomialBasis, an int64 exponent table that the join reads as
 it is; a basis monomial is boxed only when read, and the solve reads only
-those of the weight's nonzero terms.  The map is block diagonal up to a
-permutation (columns sharing a row form a block), so it is solved block
-by block, each block under its own cutoff, and never stored densely.
+those of the weight's nonzero terms, in bulk, from one tolist of x's
+nonzero entries and one of their basis rows.  The map is block diagonal
+up to a permutation (columns sharing a row form a block), so it is solved
+block by block, each block under its own cutoff, and never stored densely.
 """
 
 from __future__ import annotations
@@ -498,8 +499,11 @@ class MonomialBasis(Sequence[Monomial]):
     exps the N x len(slots) int64 exponents, one row per monomial in
     itertools.product order (the last variable counts fastest).  len reads
     the table; indexing and iteration box a row into a Monomial on first
-    read and keep it.  A negative max_exponent gives no monomials over one
-    or more variables, and the monomial 1 over none.
+    read and keep it.  A slice, and solve_weight's read of the weight, box
+    their rows in bulk (_box): the rows not yet read come from one tolist,
+    and a row read before returns its kept object.  A negative max_exponent
+    gives no monomials over one or more variables, and the monomial 1 over
+    none.
     """
 
     def __init__(
@@ -517,13 +521,23 @@ class MonomialBasis(Sequence[Monomial]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+            return self._box(range(*i.indices(len(self))))
         i = range(len(self))[i]  # a negative i counts from the end
         mono = self._boxed.get(i)
         if mono is None:
             row = zip(self.slots, self.exps[i].tolist())
             mono = self._boxed[i] = Monomial(tuple((v, e) for v, e in row if e))
         return mono
+
+    def _box(self, idx: Sequence[int]) -> list[Monomial]:
+        """The monomials of the distinct rows idx (each in 0..len-1), in order:
+        the rows not yet read are boxed from one tolist and kept, and a row
+        read before returns its kept object."""
+        boxed, slots = self._boxed, self.slots
+        new = [i for i in idx if i not in boxed]
+        for i, row in zip(new, self.exps[new].tolist()):
+            boxed[i] = Monomial(itertools.compress(zip(slots, row), row))
+        return [boxed[i] for i in idx]
 
 
 def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -635,10 +649,16 @@ def solve_weight(
     overflows to inf or nan raises ValueError too.
 
     A MonomialBasis enters the join as its exponent table; any other
-    sequence is tabulated once (_exponents), a repeated monomial getting a
-    column each.  The weight reads only the nonzero entries of x, boxing
-    their monomials and summing a repeated monomial's columns.
+    iterable is read once into a tuple, before the emptiness check, and
+    tabulated once (_exponents), a repeated monomial getting a column each.
+    The weight reads the nonzero entries of x at once (one flatnonzero,
+    one tolist), a zero part written as 0.0, never -0.0.  A MonomialBasis
+    boxes their rows in bulk (MonomialBasis._box), one term per column, as
+    its rows are distinct; a listed basis sums a repeated monomial's
+    columns in column order.
     """
+    if not isinstance(basis, MonomialBasis):
+        basis = tuple(basis)  # an iterator is read once, before the emptiness check
     if not basis:
         raise ValueError("empty weight basis")
     ctx = state.ctx
@@ -652,7 +672,6 @@ def solve_weight(
         if len(bad):  # raises on the first bad row's first exponent, as on a list
             _exponents(ctx.n, [basis[bad[0]]])
     else:
-        basis = tuple(basis)
         wslots, wexps = _exponents(ctx.n, basis)
 
     # an overflow is reported once, below, not as numpy warnings on the way
@@ -677,12 +696,16 @@ def solve_weight(
 
         x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
         residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
-    # a zero column adds no term, and a repeated monomial sums its columns;
-    # summing from 0.0 writes a zero part of x[j] as 0.0, never -0.0
-    terms: dict[Monomial, complex] = {}
-    for j in np.flatnonzero(x).tolist():
-        m = basis[j]
-        terms[m] = terms.get(m, 0.0) + x[j]
+    # a zero column adds no term; adding 0.0 writes a zero part as 0.0, never -0.0
+    nonzero = np.flatnonzero(x)
+    values = (x[nonzero] + 0.0).tolist()
+    if isinstance(basis, MonomialBasis):  # distinct rows: one term per column
+        terms = dict(zip(basis._box(nonzero.tolist()), values))
+    else:  # a repeated monomial sums its columns, in column order
+        terms = {}
+        for j, c in zip(nonzero.tolist(), values):
+            m = basis[j]
+            terms[m] = terms[m] + c if m in terms else c
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 

@@ -6,9 +6,10 @@ by every constructor and never mutated: the canonical slots (sorted
 Variables), a T x K int64 exponent array over them, a complex coefficient
 per row and the ket digits per row.  Its one form: kets ascending
 (lexicographic digits), exponents in 0..n-1 (0: the slot is absent), no
-coefficient exactly zero and no (monomial, ket) pair repeated.  tensor
-and the weight join (entangle) build and read only tables; _exponents is
-where monomials become rows and _summed adds equal (monomial, ket) rows.
+coefficient exactly zero and no (monomial, ket) pair repeated.  tensor,
+the weight join (entangle) and the one-site builders (coherent_state,
+squeezed_state_exp) build and read only tables; _exponents is where
+monomials become rows and _summed adds equal (monomial, ket) rows.
 ``parts`` is a read-only view, one nonzero AlgebraElement per ket, kets
 ascending, boxed from the table on first read.  The remaining state
 operations (sums, scalar and left multiples, integrals, the annihilation
@@ -223,8 +224,9 @@ class GradedState:
     """Sum over basis kets k of f_k|k>, stored as one term table.
 
     Built from flat {(Monomial, ket): coefficient} terms, from
-    (element, ket) pairs, by tensor and by the weight integral; each builds
-    its table at once.  ``parts`` maps each ket to its nonzero element and
+    (element, ket) pairs, by tensor, by the weight integral and by the
+    one-site builders; each builds its table at once, and the last three
+    never box a Monomial.  ``parts`` maps each ket to its nonzero element and
     is boxed from the table on first read; ``terms`` is the flat view,
     rebuilt on every access.
     """
@@ -574,19 +576,20 @@ def coherent_state(
     """Sum over m < d of conj(q)**(m(m+1)/2)/sqrt(m!) (scale*v)**m |m>.
 
     Eigenstate of the d-level annihilation operator with eigenvalue
-    scale*v when d equals the grade n.
+    scale*v when d equals the grade n.  Built as its term table (_one_site):
+    row m has exponent m on v and ket |m>; a coefficient that is exactly
+    zero (scale 0, or a power of a tiny scale that underflows) is dropped.
     """
     if d > ctx.n:
         raise ValueError(f"coherent state needs d <= n, got d={d}, n={ctx.n}")
     if d > 171:  # 170! is the largest factorial below the float maximum
         raise ValueError(f"coherent state needs d <= 171, got d={d}: (d-1)! overflows a float")
-    terms: dict[tuple[Monomial, BasisKet], complex] = {}
+    coef = []
     for m in range(d):
         coeff = q_power(ctx.n, -(m * (m + 1)) // 2) / math.sqrt(math.factorial(m))
         coeff *= complex(scale) ** m
-        mono = MONOMIAL_ONE if m == 0 else Monomial(((v, m),))
-        terms[(mono, (m,))] = coeff
-    return GradedState(ctx, LevelSpace((d,)), terms)
+        coef.append(coeff)
+    return _one_site(ctx, v, LevelSpace((d,)), range(d), range(d), coef)
 
 
 def squeezed_state_symmetric(ctx: AlgebraContext, v: Variable) -> GradedState:
@@ -606,18 +609,34 @@ def squeezed_state_symmetric(ctx: AlgebraContext, v: Variable) -> GradedState:
 
 
 def squeezed_state_exp(ctx: AlgebraContext, v: Variable, d: int) -> GradedState:
-    """Sum over i of conj(q)**(i(i-1))/i! v**i |2i>, truncated to 2i <= d-1."""
+    """Sum over i of conj(q)**(i(i-1))/i! v**i |2i>, truncated to 2i <= d-1.
+
+    Built as its term table (_one_site): row i has exponent i on v and ket |2i>.
+    """
     if min(ctx.n - 1, (d - 1) // 2) > 170:  # the last term divides by i! >= 171!
         raise ValueError(f"squeezed state needs d <= 342 or n <= 171, got d={d}, n={ctx.n}: "
                          "171! overflows a float")
-    terms: dict[tuple[Monomial, BasisKet], complex] = {}
+    coef = []
     for i in range(ctx.n):
         if 2 * i > d - 1:
             break
-        coeff = q_power(ctx.n, -i * (i - 1)) / math.factorial(i)
-        mono = MONOMIAL_ONE if i == 0 else Monomial(((v, i),))
-        terms[(mono, (2 * i,))] = coeff
-    return GradedState(ctx, LevelSpace((d,)), terms)
+        coef.append(q_power(ctx.n, -i * (i - 1)) / math.factorial(i))
+    powers = range(len(coef))
+    return _one_site(ctx, v, LevelSpace((d,)), powers, [2 * i for i in powers], coef)
+
+
+def _one_site(ctx: AlgebraContext, v: Variable, space: LevelSpace, powers: Sequence[int],
+              levels: Sequence[int], coef: Sequence[complex]) -> GradedState:
+    """Sum over i of coef[i] v**powers[i] |levels[i]> on one site, levels
+    ascending and powers in 0..n-1, tabulated directly: the exact zeros are
+    dropped, and the slots are (v,) unless every row left is v**0."""
+    coef = np.array(coef, dtype=complex)
+    keep = coef != 0
+    exps = np.array(powers, dtype=np.int64)[keep].reshape(-1, 1)
+    digits = np.array(levels, dtype=np.int64)[keep].reshape(-1, 1)
+    slots = (v,) if exps.any() else ()
+    table = _Table(slots, exps[:, : len(slots)], coef[keep], digits)
+    return GradedState._from_table(ctx, space, table)
 
 
 def nilpotent_polynomial_state(coeffs: Sequence[complex]) -> PlainState:

@@ -42,6 +42,7 @@ from qgrass.qstate import (
     LevelSpace,
     PlainState,
     coherent_state,
+    squeezed_state_exp,
     squeezed_state_symmetric,
     tensor,
 )
@@ -1011,3 +1012,126 @@ def test_table_basis_boxes_only_the_weights_monomials(monkeypatch):
     assert len(solution.basis) == 2**10  # what a trace reads on every pass
     assert basis[3] is basis[3]
     assert len(boxed) == seen + 1
+
+
+# -- the weight read: one bulk read of x, bitwise the per-column loop -------------
+
+
+def _loop_weight(ctx, basis, x):
+    """The weight as a loop over the nonzero columns reads it, one at a time."""
+    terms = {}
+    for j in np.flatnonzero(x).tolist():
+        m = basis[j]
+        terms[m] = terms.get(m, 0.0) + x[j]
+    return AlgebraElement(ctx, terms)
+
+
+def _weight_bits(weight):
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in weight.terms.items()]
+
+
+def _assert_reads_as_the_loop(ctx, solution):
+    want = _loop_weight(ctx, solution.basis, solution.coefficients)
+    assert _weight_bits(solution.weight) == _weight_bits(want)
+    assert not any(math.copysign(1.0, part) < 0 and part == 0
+                   for c in solution.weight.terms.values() for part in (c.real, c.imag))
+
+
+def _benchmark_solve_problems():
+    """The solve benchmark's six problems at seeds 0-2, targets drawn as it draws them."""
+    qubits = build_recipe("ghz_n", n=8)
+    qudits = [build_recipe("qudit_mes_n", n=n) for n in (9, 10, 11)]
+    mixed = build_recipe("qutrit_mixed_02_20")
+    problems = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        problems.append((f"dense8-seed{seed}", qubits, _random_target(rng, qubits.target.dims)))
+        problems.append((f"ghz8-seed{seed}", qubits, qubits.target.normalized()))
+        for recipe in qudits:
+            label = f"qudit{recipe.params['n']}-seed{seed}"
+            problems.append((label, recipe, _random_target(rng, recipe.target.dims)))
+        problems.append((f"mixed-seed{seed}", mixed, mixed.target.normalized()))
+    return problems
+
+
+READ_PROBLEMS = SOLVE_PROBLEMS[: len(CATALOG_RUNS)] + _benchmark_solve_problems()
+
+
+@pytest.mark.parametrize("problem", READ_PROBLEMS, ids=[p[0] for p in READ_PROBLEMS])
+def test_weight_read_is_bitwise_the_per_column_loop(problem):
+    _, recipe, target = problem
+    got = solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
+    _assert_reads_as_the_loop(recipe.ctx, got)
+    listed = list(entangle.MonomialBasis(recipe.ctx, recipe.differentials))
+    want = solve_weight(recipe.state, recipe.differentials, target, listed)
+    _assert_reads_as_the_loop(recipe.ctx, want)
+    assert _solution_bits(got) == _solution_bits(want)
+
+
+def test_listed_weight_read_sums_repeats_and_skips_zero_columns():
+    ctx = AlgebraContext(3)
+    t = ctx.theta(1)
+    state = squeezed_state_exp(ctx, t, 3)  # 1|0> + t|2>: no term meets the weight 1
+    target = PlainState((3,), np.array([0.6, 0.0, 0.8j]))
+    t1, t2 = Monomial(((t, 1),)), Monomial(((t, 2),))
+    basis = [t2, MONOMIAL_ONE, t1, t2, t1, t2]
+    solution = solve_weight(state, (t,), target, basis)
+    x = solution.coefficients
+    assert x[1] == 0 and np.count_nonzero(x) == 5
+    assert solution.feasible and list(solution.weight.terms) == [t2, t1]
+    _assert_reads_as_the_loop(ctx, solution)
+
+
+def test_weight_read_writes_a_zero_part_as_positive_zero(monkeypatch):
+    # x parts of either sign of zero, as a block's SVD may leave them
+    crafted = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0),
+               complex(0.0, -3.0), complex(-1.0, 0.0)]
+    real = entangle._block_lstsq
+
+    def signed_zeros(*args):
+        x, rank, values = real(*args)
+        x[: len(crafted)] = crafted
+        return x, rank, values
+
+    monkeypatch.setattr(entangle, "_block_lstsq", signed_zeros)
+    recipe = build_recipe("qutrit_psi_pm", sign=1)
+    target = recipe.target.normalized()
+    for basis in (recipe.solver_basis, list(recipe.solver_basis),
+                  list(recipe.solver_basis)[:2] * 3):
+        solution = solve_weight(recipe.state, recipe.differentials, target, basis)
+        assert any(math.copysign(1.0, part) < 0
+                   for c in solution.coefficients.tolist() for part in (c.real, c.imag) if part == 0)
+        _assert_reads_as_the_loop(recipe.ctx, solution)
+
+
+def test_an_empty_basis_raises_in_every_form():
+    recipe = build_recipe("qutrit_psi_pm", sign=1)
+    target = recipe.target.normalized()
+    for basis in ([], (), (m for m in []), iter([]),
+                  entangle.MonomialBasis(recipe.ctx, recipe.differentials, -1)):
+        with pytest.raises(ValueError, match="empty weight basis"):
+            solve_weight(recipe.state, recipe.differentials, target, basis)
+
+
+def test_bulk_boxing_keeps_the_boxing_contract(monkeypatch):
+    boxed = []
+
+    def counting(pairs):
+        boxed.append(pairs)
+        return Monomial(pairs)
+
+    monkeypatch.setattr(entangle, "Monomial", counting)
+    ctx = AlgebraContext(3)
+    basis = entangle.MonomialBasis(ctx, [T1, T2, TB1])
+    first, third = basis[3], basis[-2]
+    assert len(boxed) == 2
+    rows = [0, 3, 7, len(basis) - 2, 12]
+    monos = basis._box(rows)
+    assert len(boxed) == 5  # rows 0, 7 and 12 only
+    assert monos[1] is first and monos[3] is third
+    assert all(m is basis[i] for m, i in zip(monos, rows))
+    assert basis[2:9] == [basis[i] for i in range(2, 9)]
+    assert len(boxed) == 5 + 5  # the slice boxes rows 2, 4, 5, 6 and 8
+    assert basis._box([]) == [] and len(boxed) == 10
+    listed = list(entangle.MonomialBasis(ctx, [T1, T2, TB1]))
+    assert basis._box(list(range(len(basis)))) == listed

@@ -892,3 +892,110 @@ def test_monomials_outside_1_to_n_minus_1_raise(where, exponent):
         else:
             target = PlainState((3,), np.array([1.0, 0.0, 0.0]))
             solve_weight(state, (T1,), target, [MONOMIAL_ONE, bad])
+
+
+# -- the one-site builders emit their term table directly ---------------------------
+
+
+def _dict_coherent(ctx, v, d, scale=1.0):
+    """coherent_state built as flat {(Monomial, ket): c} terms, then tabulated."""
+    if d > ctx.n:
+        raise ValueError(f"coherent state needs d <= n, got d={d}, n={ctx.n}")
+    if d > 171:
+        raise ValueError(f"coherent state needs d <= 171, got d={d}: (d-1)! overflows a float")
+    terms = {}
+    for m in range(d):
+        coeff = q_power(ctx.n, -(m * (m + 1)) // 2) / math.sqrt(math.factorial(m))
+        coeff *= complex(scale) ** m
+        mono = MONOMIAL_ONE if m == 0 else Monomial(((v, m),))
+        terms[(mono, (m,))] = coeff
+    return GradedState(ctx, LevelSpace((d,)), terms)
+
+
+def _dict_squeezed_exp(ctx, v, d):
+    """squeezed_state_exp built as flat {(Monomial, ket): c} terms, then tabulated."""
+    if min(ctx.n - 1, (d - 1) // 2) > 170:
+        raise ValueError(f"squeezed state needs d <= 342 or n <= 171, got d={d}, n={ctx.n}: "
+                         "171! overflows a float")
+    terms = {}
+    for i in range(ctx.n):
+        if 2 * i > d - 1:
+            break
+        coeff = q_power(ctx.n, -i * (i - 1)) / math.factorial(i)
+        mono = MONOMIAL_ONE if i == 0 else Monomial(((v, i),))
+        terms[(mono, (2 * i,))] = coeff
+    return GradedState(ctx, LevelSpace((d,)), terms)
+
+
+def _table_bits(state):
+    """slots, then dtype, shape and bytes of exps, coef and digits."""
+    table = state._table
+    arrays = (table.exps, table.coef, table.digits)
+    return table.slots, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _built_alike(build, reference, *args):
+    """Both builders raise the same error, or build bitwise-equal tables."""
+    try:
+        want = _table_bits(reference(*args))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        assert str(info.value) == str(exc)
+        return False
+    assert _table_bits(build(*args)) == want
+    return True
+
+
+@pytest.mark.parametrize("barred", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_site_builders_tabulate_as_the_dict_built_state(n, barred):
+    ctx = AlgebraContext(n)
+    v = ctx.theta_bar(2) if barred else ctx.theta(2)
+    for d in range(2, n + 1):
+        for scale in (1, -1, 0, 2j, 1e-300):
+            assert _built_alike(coherent_state, _dict_coherent, ctx, v, d, scale)
+    for d in range(2, 2 * n + 1):
+        assert _built_alike(squeezed_state_exp, _dict_squeezed_exp, ctx, v, d)
+
+
+def test_a_vanishing_scale_leaves_the_level_zero_row_over_no_slots():
+    ctx = AlgebraContext(4)
+    table = coherent_state(ctx, ctx.theta(1), 4, 0)._table
+    assert table.slots == () and table.exps.shape == (1, 0)
+    assert table.coef.tolist() == [1 + 0j] and table.digits.tolist() == [[0]]
+    partial = coherent_state(ctx, ctx.theta(1), 4, 1e-200)._table  # scale**2 underflows
+    assert partial.slots == (ctx.theta(1),)
+    assert partial.exps.tolist() == [[0], [1]] and partial.digits.tolist() == [[0], [1]]
+
+
+@pytest.mark.parametrize("n", [3, 172])
+def test_one_site_builder_errors_are_unchanged(n):
+    ctx = AlgebraContext(n)
+    v = ctx.theta(1)
+    raised = 0
+    for d in (0, 1, n + 1, 172):
+        raised += not _built_alike(coherent_state, _dict_coherent, ctx, v, d, 1.0)
+        raised += not _built_alike(squeezed_state_exp, _dict_squeezed_exp, ctx, v, d)
+    assert raised == 6  # coherent: d < 2 or d > min(n, 171); squeezed: d < 2
+    with pytest.raises(ValueError, match=r"every site needs >= 2 levels, got \(1,\)"):
+        coherent_state(ctx, v, 1)
+    with pytest.raises(ValueError, match="171! overflows a float"):
+        squeezed_state_exp(ctx if n > 171 else AlgebraContext(172), v, 343)
+
+
+def _catalog_factors():
+    from qgrass.catalog import build_recipe, catalog_ids
+
+    runs = [(entry_id, {}) for entry_id in catalog_ids()]
+    runs += [("ghz_n", {"n": 12}), ("w_n", {"n": 11}), ("qudit_mes_n", {"n": 11})]
+    for entry_id, params in runs:
+        recipe = build_recipe(entry_id, **params)
+        for i, factor in enumerate(recipe.factors):
+            yield f"{entry_id}{params or ''}[{i}]", factor
+
+
+@pytest.mark.parametrize("label,factor", list(_catalog_factors()))
+def test_catalog_factors_hold_the_table_of_their_terms(label, factor):
+    assert factor.terms, label
+    assert _table_bits(factor) == _table_bits(GradedState(factor.ctx, factor.space, factor.terms))
