@@ -499,11 +499,11 @@ class MonomialBasis(Sequence[Monomial]):
     exps the N x len(slots) int64 exponents, one row per monomial in
     itertools.product order (the last variable counts fastest).  len reads
     the table; indexing and iteration box a row into a Monomial on first
-    read and keep it.  A slice, and solve_weight's read of the weight, box
-    their rows in bulk (_box): the rows not yet read come from one tolist,
-    and a row read before returns its kept object.  A negative max_exponent
-    gives no monomials over one or more variables, and the monomial 1 over
-    none.
+    read and keep it.  Every read boxes through _box, which takes the rows
+    not yet read from one tolist (a slice and solve_weight's read of the
+    weight pass many rows at once), and a row read before returns its kept
+    object.  A negative max_exponent gives no monomials over one or more
+    variables, and the monomial 1 over none.
     """
 
     def __init__(
@@ -524,10 +524,7 @@ class MonomialBasis(Sequence[Monomial]):
             return self._box(range(*i.indices(len(self))))
         i = range(len(self))[i]  # a negative i counts from the end
         mono = self._boxed.get(i)
-        if mono is None:
-            row = zip(self.slots, self.exps[i].tolist())
-            mono = self._boxed[i] = Monomial(tuple((v, e) for v, e in row if e))
-        return mono
+        return self._box([i])[0] if mono is None else mono
 
     def _box(self, idx: Sequence[int]) -> list[Monomial]:
         """The monomials of the distinct rows idx (each in 0..len-1), in order:
@@ -653,9 +650,8 @@ def solve_weight(
     tabulated once (_exponents), a repeated monomial getting a column each.
     The weight reads the nonzero entries of x at once (one flatnonzero,
     one tolist), a zero part written as 0.0, never -0.0.  A MonomialBasis
-    boxes their rows in bulk (MonomialBasis._box), one term per column, as
-    its rows are distinct; a listed basis sums a repeated monomial's
-    columns in column order.
+    boxes their rows in bulk (MonomialBasis._box); either way the weight
+    sums a repeated monomial's columns in column order.
     """
     if not isinstance(basis, MonomialBasis):
         basis = tuple(basis)  # an iterator is read once, before the emptiness check
@@ -699,13 +695,15 @@ def solve_weight(
     # a zero column adds no term; adding 0.0 writes a zero part as 0.0, never -0.0
     nonzero = np.flatnonzero(x)
     values = (x[nonzero] + 0.0).tolist()
-    if isinstance(basis, MonomialBasis):  # distinct rows: one term per column
-        terms = dict(zip(basis._box(nonzero.tolist()), values))
-    else:  # a repeated monomial sums its columns, in column order
-        terms = {}
-        for j, c in zip(nonzero.tolist(), values):
-            m = basis[j]
-            terms[m] = terms[m] + c if m in terms else c
+    if isinstance(basis, MonomialBasis):
+        monos = basis._box(nonzero.tolist())
+    else:
+        monos = [basis[j] for j in nonzero.tolist()]
+    terms = {}
+    for m, c in zip(monos, values):
+        # one hash per new monomial; a repeated one sums its columns, in order
+        if terms.setdefault(m, c) is not c:
+            terms[m] += c
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 
