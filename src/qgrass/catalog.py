@@ -10,15 +10,19 @@ the target under the policy
 where "signature" means equal up to a global phase and one diagonal phase
 gate per site, decided exactly: the gates are either found, and kept on
 the result, or proved not to exist by an integer normal form of the
-target's support.  Each entry also attaches an independent least-squares
-solver cross-check over a full monomial basis.  Non-exact matches are
-flagged with stable discrepancy ids, never silently accepted.
+target's support, computed over Python ints.  Every test reads only the
+union of the two states' supports.  Each entry also attaches an
+independent least-squares solver cross-check over a full monomial basis.
+Non-exact matches are flagged with stable discrepancy ids, never silently
+accepted.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,16 +84,24 @@ def compare_states(
       exist;
     * mismatch: none of these.
 
+    Both norms are taken over the full vectors; every test then reads only
+    the union of the two supports, where off it a and b are both zero, so
+    each maximum and the first largest |b_k| are those of the full vectors.
     local_phases is (c, (u_0, ..., u_{S-1})) for global_phase (all u_s = 1)
     and signature, None otherwise.  Both states must have the same site
-    dimensions (ValueError otherwise).
+    dimensions, and the target must not be zero (ValueError otherwise).
     """
     if computed.dims != target.dims:
         raise ValueError(f"cannot compare dims {computed.dims} with {target.dims}")
-    if computed.norm() == 0.0:
+    norm_a = computed.norm()
+    if norm_a == 0.0:
         return MATCH_MISMATCH, None
-    a = computed.normalized().amps
-    b = target.normalized().amps
+    norm_b = target.norm()
+    if norm_b == 0.0:
+        raise ValueError("cannot compare with the zero target state")
+    flat = np.flatnonzero((computed.amps != 0) | (target.amps != 0))
+    a = computed.amps[flat] / norm_a
+    b = target.amps[flat] / norm_b
     if np.max(np.abs(a - b)) <= tol:
         return MATCH_EXACT, None
     k = int(np.argmax(np.abs(b)))
@@ -100,32 +112,35 @@ def compare_states(
             return MATCH_GLOBAL_PHASE, (complex(phase), ones)
     # equal magnitudes are necessary for any diagonal unitary gates
     if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
-        gates = _local_phases(a, b, target.dims, tol)
+        gates = _local_phases(a, b, flat, target.dims, tol)
         if gates is not None:
             return MATCH_SIGNATURE, gates
     return MATCH_MISMATCH, None
 
 
 def _local_phases(
-    a: np.ndarray, b: np.ndarray, dims: tuple[int, ...], tol: float
+    a: np.ndarray, b: np.ndarray, flat: np.ndarray, dims: tuple[int, ...], tol: float
 ) -> LocalPhases | None:
     """Gates (c, (u_0, ..., u_{S-1})) with |c| = |u_s(l)| = 1 and
     max_k |a_k - c prod_s u_s(k_s) b_k| <= tol, or None when none exist.
 
-    On the support {k : |b_k| > tol} the gates must satisfy
+    a and b are amplitudes gathered at the ascending flat indices flat, which
+    must hold every k where either is nonzero: off them the test holds for
+    any gates.  On the support {k : |b_k| > tol} the gates must satisfy
     arg c + sum_s arg u_s(k_s) = arg(a_k / b_k) (mod 2 pi): an integer
     linear system whose matrix is the support's incidence matrix (a column
     for c and one per (site, level), a 1 where ket k has that level).  Its
-    rows are brought to echelon form, the triangular half of Hermite's
-    normal form, by unimodular row operations on Python ints (Cohen,
+    rows, lists of Python ints, are brought to echelon form, the triangular
+    half of Hermite's normal form, by unimodular row operations (Cohen,
     A Course in Computational Algebraic Number Theory, 2.4), each applied
-    to the ratios' angles too.  The pivot rows give the angles by
-    back-substitution, free columns at 0.  A row that reduces to zero is an
-    integer relation among the ratios, which any gates satisfy; the
-    back-substituted angles satisfy every pivot row, so they solve the
-    whole system exactly when all such relations hold, and gates exist at
-    all only if these do.  The elementwise test over all amplitudes
-    decides, each ratio within the tolerance its amplitude leaves it.
+    to the ratios' angles, Python floats, too.  The pivot rows give the
+    angles by back-substitution over their nonzero entries, free columns
+    at 0.  A row that reduces to zero is an integer relation among the
+    ratios, which any gates satisfy; the back-substituted angles satisfy
+    every pivot row, so they solve the whole system exactly when all such
+    relations hold, and gates exist at all only if these do.  The
+    elementwise test at the gathered indices decides, each ratio within the
+    tolerance its amplitude leaves it.
     """
     support = np.flatnonzero(np.abs(b) > tol)
     # larger amplitudes first: their ratios are the sharpest pivots
@@ -133,46 +148,53 @@ def _local_phases(
     m = len(support)
     starts = np.cumsum((1,) + dims[:-1])
     ncols = 1 + sum(dims)
-    rows = np.zeros((m, ncols), dtype=object)
-    rows[:, 0] = 1
-    kets = np.array(np.unravel_index(support, dims))
-    rows[np.arange(m)[:, None], starts + kets.T] = 1
-    angle = np.angle(a[support] / b[support])
+    kets = np.unravel_index(flat, dims)
+    rows = []
+    for cols in (starts + np.stack(kets, axis=-1)[support]).tolist():
+        row = [0] * ncols
+        row[0] = 1
+        for col in cols:
+            row[col] = 1
+        rows.append(row)
+    angle = np.angle(a[support] / b[support]).tolist()
 
     top, pivots = 0, []
     for col in range(ncols):
         if top == m:
             break
         while True:
-            live = top + np.flatnonzero(rows[top:, col])
-            if live.size == 0:
+            live = [i for i in range(top, m) if rows[i][col]]
+            if not live:
                 break
             # Euclid's step: the smallest entry leaves the smallest remainders
-            p = live[np.argmin(np.abs(rows[live, col]))]
-            rows[[top, p]], angle[[top, p]] = rows[[p, top]], angle[[p, top]]
-            rest = top + 1 + np.flatnonzero(rows[top + 1:, col])
-            if rest.size == 0:
+            p = min(live, key=lambda i: abs(rows[i][col]))
+            rows[top], rows[p] = rows[p], rows[top]
+            angle[top], angle[p] = angle[p], angle[top]
+            pivot = rows[top]
+            rest = [i for i in range(top + 1, m) if rows[i][col]]
+            if not rest:
                 break
-            q = rows[rest, col] // rows[top, col]
-            rows[rest] -= q[:, None] * rows[top]
-            step = angle[rest] - q.astype(float) * angle[top]
-            # reduced to [-pi, pi) so repeated steps keep the angles' precision
-            angle[rest] = (step + np.pi) % (2 * np.pi) - np.pi
-        if rows[top, col] != 0:
+            for i in rest:
+                q = rows[i][col] // pivot[col]
+                rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
+                # reduced to [-pi, pi) so repeated steps keep the angles' precision
+                angle[i] = (angle[i] - float(q) * angle[top] + math.pi) % (2 * math.pi) - math.pi
+        if rows[top][col] != 0:
             pivots.append(col)
             top += 1
 
-    theta = np.zeros(ncols)
+    theta = [0.0] * ncols
     for i in reversed(range(top)):
-        col = pivots[i]
-        h = rows[i, col + 1:].astype(float)
-        theta[col] = (angle[i] - h @ theta[col + 1:]) / rows[i, col]
-    c = complex(np.exp(1j * theta[0]))
-    gates = tuple(np.exp(1j * theta[s:s + d]) for s, d in zip(starts, dims))
-    g = np.array(c)
-    for u in gates:
-        g = np.multiply.outer(g, u)
-    if np.max(np.abs(a - g.reshape(-1) * b)) <= tol:
+        col, row = pivots[i], rows[i]
+        known = sum(row[j] * theta[j] for j in range(col + 1, ncols) if row[j])
+        theta[col] = (angle[i] - known) / row[col]
+    u = np.exp(1j * np.array(theta))
+    c = complex(u[0])
+    gates = tuple(u[s:s + d] for s, d in zip(starts, dims))
+    g = c * gates[0][kets[0]]
+    for gate, ket in zip(gates[1:], kets[1:]):
+        g = g * gate[ket]
+    if np.max(np.abs(a - g * b)) <= tol:
         return c, gates
     return None
 
@@ -270,8 +292,9 @@ def diagonal_target(n: int) -> PlainState:
 
 
 def _check_sign(sign: int) -> int:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    # a bool equals 1 or 0 but is no sign
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return sign
 
 
@@ -438,6 +461,9 @@ def _qutrit_biseparable(sign: int = 1) -> Recipe:
 
 
 def _qutrit_psi22(omega_power: int = 1) -> Recipe:
+    # a non-integer power of q is no cube root of unity
+    if isinstance(omega_power, bool) or not isinstance(omega_power, numbers.Integral):
+        raise ValueError(f"omega_power must be an integer, got {omega_power!r}")
     ctx = AlgebraContext(3)
     factors, t1, t2 = _qutrit_pair(ctx)
     q = ctx.q
@@ -597,11 +623,24 @@ def catalog_ids() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@functools.cache
+def _parameters(builder: Callable[..., Recipe]) -> tuple[str, ...]:
+    return tuple(inspect.signature(builder).parameters)
+
+
 def build_recipe(entry_id: str, **params) -> Recipe:
+    """The recipe of a cataloged entry: KeyError for an unknown entry,
+    TypeError for a parameter its builder does not take."""
     try:
         builder = _BUILDERS[entry_id]
     except KeyError:
         raise KeyError(f"unknown catalog id {entry_id!r}; see catalog_ids()") from None
+    takes = _parameters(builder)
+    unknown = [name for name in params if name not in takes]
+    if unknown:
+        raise TypeError(
+            f"{entry_id} takes {', '.join(takes) or 'no parameters'}, not {', '.join(unknown)}"
+        )
     return builder(**params)
 
 

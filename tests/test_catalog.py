@@ -499,3 +499,209 @@ def test_catalog_runs_list_each_flag_once():
     for entry_id, params, _floor in CATALOG_RUNS:
         flags = catalog_construct(entry_id, solver_check=False, **params).flags
         assert len(set(flags)) == len(flags), (entry_id, params, flags)
+
+
+# -- recipe parameters -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry_id, params, takes", [
+    ("qutrit_psi22", {"n": 3}, "takes omega_power, not n"),
+    ("w_n", {"omega_power": 2}, "takes n, not omega_power"),
+    ("qudit_mes_n", {"sign": 1}, "takes n, not sign"),
+    ("qutrit_squeezed_exp", {"n": 2}, "takes no parameters, not n"),
+])
+def test_unknown_parameter_names_the_entry_and_what_it_takes(entry_id, params, takes):
+    with pytest.raises(TypeError) as info:
+        catalog.build_recipe(entry_id, **params)
+    assert str(info.value) == f"{entry_id} {takes}"
+
+
+@pytest.mark.parametrize("entry_id, params", [
+    ("qutrit_psi22", {"omega_power": 1.5}),
+    ("qutrit_psi22", {"omega_power": 2.0}),
+    ("qutrit_psi22", {"omega_power": True}),
+    ("bell_psi_pm", {"sign": True}),
+    ("cluster4_pm", {"sign": True}),
+    ("qutrit_psi_pm", {"sign": False}),
+])
+def test_bool_and_non_integer_parameters_are_rejected(entry_id, params):
+    # omega_power = 1.5 used to build omega = -1, no cube root of unity, and
+    # report it exact; True passed as 1 and was recorded as true
+    with pytest.raises(ValueError, match=next(iter(params))):
+        catalog.build_recipe(entry_id, **params)
+
+
+def test_integer_omega_power_and_sign_are_kept():
+    assert catalog.build_recipe("qutrit_psi22", omega_power=np.int64(2)).params == {"omega_power": 2}
+    assert catalog.build_recipe("bell_phi_pm", sign=-1).params == {"sign": -1}
+
+
+# -- the signature decision against its dense reference ----------------------------
+#
+# _dense_compare_states and _dense_local_phases are compare_states and
+# _local_phases as they were before the decision read only the union of the
+# two supports: both vectors normalized in full, the echelon on an
+# object-dtype matrix, and the gates multiplied out over every amplitude.
+
+
+def _dense_compare_states(computed, target, tol=1e-9):
+    if computed.dims != target.dims:
+        raise ValueError(f"cannot compare dims {computed.dims} with {target.dims}")
+    if computed.norm() == 0.0:
+        return MATCH_MISMATCH, None
+    a = computed.normalized().amps
+    b = target.normalized().amps
+    if np.max(np.abs(a - b)) <= tol:
+        return MATCH_EXACT, None
+    k = int(np.argmax(np.abs(b)))
+    if abs(a[k]) > tol:
+        phase = a[k] / b[k]
+        if abs(abs(phase) - 1.0) <= tol and np.max(np.abs(a - phase * b)) <= tol:
+            ones = tuple(np.ones(d, dtype=complex) for d in target.dims)
+            return MATCH_GLOBAL_PHASE, (complex(phase), ones)
+    if np.max(np.abs(np.abs(a) - np.abs(b))) <= tol:
+        gates = _dense_local_phases(a, b, target.dims, tol)
+        if gates is not None:
+            return MATCH_SIGNATURE, gates
+    return MATCH_MISMATCH, None
+
+
+def _dense_local_phases(a, b, dims, tol):
+    support = np.flatnonzero(np.abs(b) > tol)
+    support = support[np.argsort(-np.abs(b[support]), kind="stable")]
+    m = len(support)
+    starts = np.cumsum((1,) + dims[:-1])
+    ncols = 1 + sum(dims)
+    rows = np.zeros((m, ncols), dtype=object)
+    rows[:, 0] = 1
+    kets = np.array(np.unravel_index(support, dims))
+    rows[np.arange(m)[:, None], starts + kets.T] = 1
+    angle = np.angle(a[support] / b[support])
+
+    top, pivots = 0, []
+    for col in range(ncols):
+        if top == m:
+            break
+        while True:
+            live = top + np.flatnonzero(rows[top:, col])
+            if live.size == 0:
+                break
+            p = live[np.argmin(np.abs(rows[live, col]))]
+            rows[[top, p]], angle[[top, p]] = rows[[p, top]], angle[[p, top]]
+            rest = top + 1 + np.flatnonzero(rows[top + 1:, col])
+            if rest.size == 0:
+                break
+            q = rows[rest, col] // rows[top, col]
+            rows[rest] -= q[:, None] * rows[top]
+            step = angle[rest] - q.astype(float) * angle[top]
+            angle[rest] = (step + np.pi) % (2 * np.pi) - np.pi
+        if rows[top, col] != 0:
+            pivots.append(col)
+            top += 1
+
+    theta = np.zeros(ncols)
+    for i in reversed(range(top)):
+        col = pivots[i]
+        h = rows[i, col + 1:].astype(float)
+        theta[col] = (angle[i] - h @ theta[col + 1:]) / rows[i, col]
+    c = complex(np.exp(1j * theta[0]))
+    gates = tuple(np.exp(1j * theta[s:s + d]) for s, d in zip(starts, dims))
+    if np.max(np.abs(a - _rebuilt((c, gates), b))) <= tol:
+        return c, gates
+    return None
+
+
+def _same_gates(found, reference):
+    if found is None or reference is None:
+        return found is reference
+    (c, gates), (rc, rgates) = found, reference
+    return abs(c - rc) <= 1e-12 and len(gates) == len(rgates) and all(
+        np.max(np.abs(u - ru)) <= 1e-12 for u, ru in zip(gates, rgates)
+    )
+
+
+def _agrees_with_the_dense_reference(computed, target, tol=1e-9):
+    """compare_states and _local_phases against their dense references: one
+    class, gates within 1e-12, and found gates rebuild the computed state
+    within tol.  Returns the class."""
+    match, phases = compare_states(computed, target, tol)
+    reference_match, reference_phases = _dense_compare_states(computed, target, tol)
+    assert match == reference_match and _same_gates(phases, reference_phases)
+    a, b = computed.normalized().amps, target.normalized().amps
+    if phases is not None:
+        assert np.max(np.abs(a - _rebuilt(phases, b))) <= tol
+    # the gate search itself, also where the magnitudes differ
+    flat = np.flatnonzero((computed.amps != 0) | (target.amps != 0))
+    gates = catalog._local_phases(a[flat], b[flat], flat, target.dims, tol)
+    assert _same_gates(gates, _dense_local_phases(a, b, target.dims, tol))
+    if gates is not None:
+        assert np.max(np.abs(a - _rebuilt(gates, b))) <= tol
+    return match
+
+
+_CONSTRUCT_LARGE_OPS = [
+    ("ghz_n", {"n": 12}), ("ghz_n", {"n": 10}), ("w_n", {"n": 11}), ("qudit_mes_n", {"n": 11}),
+    ("cluster4_pm", {"sign": 1}), ("cluster4_pm", {"sign": -1}),
+    ("qutrit_biseparable", {"sign": 1}), ("qutrit_biseparable", {"sign": -1}),
+]
+
+
+@pytest.mark.parametrize("entry_id, params", [(e, p) for e, p, _ in CATALOG_RUNS] + _CONSTRUCT_LARGE_OPS)
+def test_catalog_comparisons_agree_with_the_dense_reference(entry_id, params):
+    result = catalog_construct(entry_id, solver_check=False, **params)
+    assert _agrees_with_the_dense_reference(result.computed, result.target) == result.match
+
+
+def _random_pair(seed):
+    """A seeded (computed, target) pair near the signature decision: one of
+    five kinds, by seed % 5 -- gates only; gates and a perturbation of size
+    1e-12 .. 1e-3; target entries nonzero but below tol; a computed entry off
+    the target's support; one ket's phase off.  The gates are all 1 when
+    seed % 10 == 0."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(1, 5)))
+    size = math.prod(dims)
+    amps = np.zeros(size, dtype=complex)
+    support = rng.choice(size, size=rng.integers(1, size + 1), replace=False)
+    amps[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    if kind == 2 and len(support) < size:
+        faint = rng.choice(np.setdiff1d(np.arange(size), support), size=1)
+        amps[faint] = 10.0 ** rng.uniform(-14, -10) * np.exp(2j * np.pi * rng.random())
+    target = PlainState(dims, amps)
+    phases = (np.exp(2j * np.pi * rng.random()),
+              tuple(np.exp(2j * np.pi * rng.random(d)) for d in dims))
+    if seed % 10 == 0:
+        phases = (1.0, tuple(np.ones(d) for d in dims))
+    computed = _rebuilt(phases, target.amps / target.norm())
+    eps = 10.0 ** rng.uniform(-12, -3)
+    if kind == 1:
+        touched = rng.choice(support, size=rng.integers(1, len(support) + 1), replace=False)
+        computed[touched] += eps * np.exp(2j * np.pi * rng.random(len(touched)))
+    if kind == 3 and len(support) < size:
+        stray = rng.choice(np.setdiff1d(np.arange(size), support))
+        computed[stray] = eps * np.exp(2j * np.pi * rng.random())
+    if kind == 4:
+        computed[rng.choice(support)] *= np.exp(1j * rng.uniform(0.1, 2 * np.pi - 0.1))
+    return PlainState(dims, computed), target
+
+
+def test_random_pairs_cover_every_class():
+    matches = [compare_states(*_random_pair(seed))[0] for seed in range(320)]
+    assert {MATCH_EXACT, MATCH_GLOBAL_PHASE, MATCH_SIGNATURE, MATCH_MISMATCH} <= set(matches)
+
+
+@pytest.mark.parametrize("seed", range(320))
+def test_random_comparisons_agree_with_the_dense_reference(seed):
+    _agrees_with_the_dense_reference(*_random_pair(seed))
+
+
+def test_zero_states_and_unequal_dims_as_the_dense_reference():
+    computed, target = _random_pair(1)
+    zero = PlainState(target.dims, np.zeros(len(target.amps)))
+    for compare in (compare_states, _dense_compare_states):
+        assert compare(zero, target) == (MATCH_MISMATCH, None)
+        with pytest.raises(ValueError):
+            compare(computed, zero)
+        with pytest.raises(ValueError, match="dims"):
+            compare(PlainState((2, 3), np.ones(6)), PlainState((3, 2), np.ones(6)))

@@ -610,3 +610,16 @@ def test_serialized_numbers_must_be_integral():
             graded_from_dict({**state, key: bad})
     with pytest.raises(ValueError, match="must be an integer"):
         plain_from_dict({"sites": [2, 1.5], "terms": []})
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (("qutrit_psi22", "--n", "3"), "_qutrit_psi22"),
+    (("w_n", "--omega-power", "2"), "_w_n"),
+    (("qudit_mes_n", "--sign", "+"), "_qudit_mes"),
+])
+def test_construct_unknown_parameter_exits_two_without_builder_name(capsys, argv, builder):
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad parameters for {argv[0]!r}: {argv[0]} takes ")
+    assert err.count("\n") == 1 and builder not in err
