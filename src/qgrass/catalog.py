@@ -291,9 +291,17 @@ def diagonal_target(n: int) -> PlainState:
 # -- recipe builders ----------------------------------------------------------
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int; a bool, a float or any other non-integer raises
+    ValueError (a bool equals 1 or 0 but is no count or power)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_sign(sign: int) -> int:
-    # a bool equals 1 or 0 but is no sign
-    if isinstance(sign, bool) or sign not in (1, -1):
+    sign = _integer("sign", sign)
+    if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     return sign
 
@@ -330,6 +338,7 @@ def _bell_phi(sign: int = 1) -> Recipe:
 
 
 def _w_n(n: int = 3) -> Recipe:
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("W state needs at least two sites")
     ctx = AlgebraContext(2)
@@ -343,6 +352,7 @@ def _w_n(n: int = 3) -> Recipe:
 
 
 def _ghz_n(n: int = 3) -> Recipe:
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("GHZ state needs at least two sites")
     ctx = AlgebraContext(2)
@@ -461,9 +471,7 @@ def _qutrit_biseparable(sign: int = 1) -> Recipe:
 
 
 def _qutrit_psi22(omega_power: int = 1) -> Recipe:
-    # a non-integer power of q is no cube root of unity
-    if isinstance(omega_power, bool) or not isinstance(omega_power, numbers.Integral):
-        raise ValueError(f"omega_power must be an integer, got {omega_power!r}")
+    omega_power = _integer("omega_power", omega_power)  # else q**power is no cube root of unity
     ctx = AlgebraContext(3)
     factors, t1, t2 = _qutrit_pair(ctx)
     q = ctx.q
@@ -539,6 +547,7 @@ def _qudit_mes(n: int = 3) -> Recipe:
     phase indexed by n-1-k instead of k does not produce uniform
     magnitudes; see the QUDIT_WEIGHT_INDEXING note.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("qudit MES needs n >= 2")
     if n > 171:  # the coherent factors and the weight term k = n-1 carry (n-1)!
@@ -566,6 +575,7 @@ def _qudit_squeezed_mes(n: int = 3) -> Recipe:
     dropped and reported.  Target kets |2k> with 2k > n-1 do not exist in
     the level space, so the reachable even diagonal is used as target.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("squeezed qudit MES needs n >= 2")
     if n > 198:  # the weight term i = (n-1)//2 carries (i!)**2, past the float range from 99

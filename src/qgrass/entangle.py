@@ -28,7 +28,9 @@ test (every single-site reduction maximally mixed).  cut_spectra
 decomposes every unordered cut of a state from its nonzero amplitudes
 only, as small matrices stacked by shape into a few batched SVDs
 (_spectra, which takes any list of cuts and decomposes each bipartition
-once, from its side that holds site 0).  entanglement_report runs that
+once, from its side that holds site 0; the side masks, place values and
+axis ranks take a fixed handful of array passes per call, whatever the
+number of cuts).  entanglement_report runs that
 decomposition on the single-site cuts alone, which is all its measures
 read: a site's density spectrum is its cut's Schmidt values squared.  Its
 bipartition_schmidt, every cut's spectrum, is cut_spectra of the state it
@@ -141,23 +143,23 @@ def _join(
         np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff)
     )
     skey, wkey = keys[: len(exps)], keys[len(exps) :]
-    order = np.argsort(wkey, kind="stable")
-    lo = np.searchsorted(wkey[order], skey)
-    count = np.searchsorted(wkey[order], skey, "right") - lo
-    si = np.repeat(np.arange(len(exps)), count)
-    wi = order[np.arange(len(si)) + np.repeat(lo + count - np.cumsum(count), count)]
+    order = wkey.argsort(kind="stable")
+    wkey = wkey[order]
+    lo = wkey.searchsorted(skey)
+    count = wkey.searchsorted(skey, "right") - lo
+    si = np.arange(len(exps)).repeat(count)
+    wi = order[np.arange(len(si)) + (lo + count - count.cumsum()).repeat(count)]
     total = exps[si] + wexps[wi]
-    alive = (total < n).all(axis=1)
+    alive = np.logical_and.reduce(total < n, axis=1)
     si, wi, total = si[alive], wi[alive], total[alive]
 
     eps = _upper_eps(state.ctx, slots)
-    position = [-1] * len(slots)  # of each differential in the integration order
-    for i, d in enumerate(diff):
-        position[d] = i
-    present = np.less.outer(position, np.arange(len(diff)))  # u's block, when d goes
-    p = (eps[:, diff] * present).sum(axis=1) % n
-    wu = wexps @ eps.T
-    qexp = (n - 1) * ((total @ p) % n) - (exps[si] * wu[wi]).sum(axis=1)
+    # (n-1) * p[u], with p[u] the sum of U[u, d] over the differentials d
+    # after u's own position (every one for a u that is not integrated)
+    after = dict(zip(diff, range(1, len(diff) + 1)))
+    p = [(n - 1) * (sum(map(row.__getitem__, diff[after.get(u, 0) :])) % n)
+         for u, row in enumerate(eps.tolist())]
+    qexp = total @ np.array(p, dtype=np.int64) - (exps[si] * (wexps @ eps.T)[wi]).sum(axis=1)
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
 
     rest = sorted(set(range(len(slots))).difference(diff))
@@ -344,90 +346,93 @@ def cut_spectra(state: PlainState) -> dict[tuple[int, ...], list[float]]:
 
 
 def _spectra(unit: PlainState, cuts: Sequence[tuple[int, ...]]) -> list[list[float]]:
-    """Schmidt spectrum across each listed cut of a normalized state.
+    """Schmidt spectrum across each listed cut (a nonempty tuple of sites) of
+    a normalized state.
 
     A bipartition has one spectrum whichever side is listed, so each cut
-    stands for its side that holds site 0, each distinct side is
-    decomposed once, and a cut and its complement get the same list.
-    Only the state's K nonzero amplitudes enter.  One matrix product of
-    their digits with per-side place values gives each amplitude's row key
-    (its digits on the larger side) and column key (the smaller side) for
-    every side at once; on a tie the site-0 side takes the rows.  A
-    matrix is min(K, d_large) x min(K, d_small): an axis longer than K is
-    indexed by the rank of its key instead, which only drops zero rows or
-    columns, so the nonzero singular values are those of the full matrix;
-    the spectrum is padded with 0.0.  Sides with the same matrix shape are
-    decomposed in one stacked SVD, and each matrix depends only on its own
-    bipartition, so a cut's values do not depend on which other cuts are
-    listed.
+    stands for its side that holds site 0, named by its bit mask, each
+    distinct side is decomposed once, and a cut and its complement get the
+    same list.  Only the state's K nonzero amplitudes enter.  The masks
+    come from one bitwise-or reduction over the listed sites, and every
+    side's sites, its complement's, their C-order place values and the
+    sides' lengths from a few passes over one side x site array; one
+    matrix product of the amplitudes' digits with the place values gives
+    each amplitude's row key (its digits on the larger side) and column
+    key (the smaller side) for every side at once; on a tie the site-0
+    side takes the rows.  A matrix is min(K, d_large) x min(K, d_small):
+    an axis longer than K is indexed by the rank of its key instead
+    (_axis_index), which only drops zero rows or columns, so the nonzero
+    singular values are those of the full matrix; the spectrum is padded
+    with 0.0.  Sides with the same matrix shape are decomposed in one
+    stacked SVD, and each matrix depends only on its own bipartition, so a
+    cut's values do not depend on which other cuts are listed.
     """
-    nsites = unit.nsites
+    dims = unit.dims
     psi = unit.amps
-    support = np.flatnonzero(psi)
+    support = psi.nonzero()[0]
     amps, nsupp = psi[support], len(support)
-    # keys are integers below 2**53, so BLAS float64 products give them exactly
-    digits = np.stack(np.unravel_index(support, unit.dims), axis=1).astype(float)  # K x S
 
-    dims = np.array(unit.dims, dtype=np.int64)
-    sizes = [len(c) for c in cuts]
-    on_rows = np.zeros((len(cuts), nsites), dtype=bool)
-    on_rows[np.repeat(np.arange(len(cuts)), sizes),
-            np.fromiter(itertools.chain.from_iterable(cuts), np.intp, sum(sizes))] = True
-    on_rows ^= ~on_rows[:, :1]  # each cut's side that holds site 0
     # a side's bit mask names it: int64 holds 62 sites, and a state on 63
     # would need 2**63 amplitudes
-    masks = (on_rows @ (1 << np.arange(nsites, dtype=np.int64))).tolist()
-    first: dict[int, int] = {}  # side mask -> the first cut that lists it
-    for i, mask in enumerate(masks):
-        first.setdefault(mask, i)
-    sides = list(first)
-    on_rows = on_rows[list(first.values())]
-    # rows take the larger side: a transpose keeps the spectrum, and numpy's
-    # SVD is faster on tall matrices
-    cut_size = np.prod(np.where(on_rows, dims, 1), axis=1)
-    on_rows ^= (cut_size * cut_size < psi.size)[:, None]
-    # C-order place values of each site within its side of every cut
-    place, size = [], []
-    for side in (on_rows, ~on_rows):
-        factors = np.where(side, dims, 1)
-        tail = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1]  # product over sites >= s
-        place.append(np.where(side, tail // factors, 0).T.astype(float))  # S x cuts
-        size.append(tail[:, 0])
-    (row_place, col_place), (da, db) = place, size
-    nrows, ncols = np.minimum(da, nsupp), np.minimum(db, nsupp)
+    bits = 1 << np.arange(len(dims), dtype=np.int64)
+    starts = list(itertools.accumulate(map(len, cuts), initial=0))
+    sites = np.fromiter(itertools.chain.from_iterable(cuts), np.intp, starts[-1])
+    masks = np.bitwise_or.reduceat(bits[sites], starts[:-1]) if cuts else bits[:0]
+    masks = np.where(masks & 1, masks, masks ^ bits.sum()).tolist()
+    sides = list(dict.fromkeys(masks))
+    # each side's sites, then its complement's; C-order place values of each
+    # site within its part, and each part's length
+    on = (np.array(sides, dtype=np.int64)[:, None] & bits) != 0
+    on = np.concatenate([on, ~on])
+    factors = np.where(on, dims, 1)
+    tail = factors[:, ::-1].cumprod(axis=1)[:, ::-1]  # product over sites >= s
+    length = tail[:, 0].tolist()
+    # keys are integers below 2**53, so BLAS float64 products give them exactly
+    digits = np.stack(np.unravel_index(support, dims), axis=1).astype(float)  # K x S
+    keys = digits @ np.where(on, tail // factors, 0).T.astype(float)
 
-    # da * db is the state's size, so a group's sides share da and db, and
-    # _axis_index takes the same path for each of them
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, shape in enumerate(zip(nrows.tolist(), ncols.tolist(), db.tolist())):
-        groups.setdefault(shape, []).append(i)
+    # rows take the larger part: a transpose keeps the spectrum, and numpy's
+    # SVD is faster on tall matrices.  da * db is the state's size, so a
+    # group's sides share da and db, and _axis_index takes the same path
+    # for each of them
+    groups: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for j in range(len(sides)):  # (side, its row keys' column, its column keys')
+        r, c = (j, j + len(sides)) if length[j] ** 2 >= psi.size else (j + len(sides), j)
+        groups.setdefault((min(length[r], nsupp), min(length[c], nsupp), length[c]),
+                          []).append((j, r, c))
     spectra: dict[int, list[float]] = {}  # side mask -> its spectrum
-    for (rows, cols, m), members in groups.items():
+    for (rows, cols, db), members in groups.items():
+        da = psi.size // db
         step = max(1, _STACK_ENTRIES // (rows * cols))
         for lo in range(0, len(members), step):
-            idx = np.array(members[lo : lo + step])
-            rkeys = _axis_index(digits @ row_place[:, idx], da[idx], nsupp)
-            ckeys = _axis_index(digits @ col_place[:, idx], db[idx], nsupp)
+            idx, r, c = np.array(members[lo : lo + step]).T
+            rkeys = _axis_index(keys[:, r], da, nsupp)
+            ckeys = _axis_index(keys[:, c], db, nsupp)
             stack = np.zeros((len(idx), rows * cols), dtype=complex)
             stack[np.arange(len(idx))[:, None], (rkeys * cols + ckeys).T] = amps
             s = np.linalg.svd(stack.reshape(-1, rows, cols), compute_uv=False)
             s = s / np.linalg.norm(s, axis=1, keepdims=True)
-            pad = [0.0] * (m - s.shape[1])
-            for i, row in zip(idx.tolist(), s.tolist()):
-                spectra[sides[i]] = row + pad
+            pad = [0.0] * (db - s.shape[1])
+            for j, row in zip(idx.tolist(), s.tolist()):
+                spectra[sides[j]] = row + pad
     return [spectra[mask] for mask in masks]
 
 
-def _axis_index(keys: np.ndarray, length: np.ndarray, nsupp: int) -> np.ndarray:
-    """Matrix index of each key (K x cuts): the key itself when every
-    cut's axis is at most K long, else the key's rank among its cut's keys."""
+def _axis_index(keys: np.ndarray, length: int, nsupp: int) -> np.ndarray:
+    """Matrix index of each key (K x cuts, every cut's axis of the given
+    length): the key itself when the axis is at most K long, else the
+    key's rank among its cut's distinct keys, from one sort per column."""
     keys = keys.astype(np.int64)
-    if np.all(length <= nsupp):
+    if length <= nsupp:
         return keys
-    span = int(keys.max()) + 1  # shift each cut's keys into its own range
-    _, inverse = np.unique(keys + span * np.arange(keys.shape[1]), return_inverse=True)
-    inverse = inverse.reshape(keys.shape)
-    return inverse - inverse.min(axis=0)
+    order = keys.argsort(axis=0)
+    cols = np.arange(keys.shape[1])
+    ranked = keys[order, cols]
+    step = np.zeros(keys.shape, dtype=np.int64)
+    step[1:] = ranked[1:] != ranked[:-1]  # 1 where a new key starts
+    rank = np.empty_like(step)
+    rank[order, cols] = step.cumsum(axis=0)
+    return rank
 
 
 def entanglement_report(state: PlainState, tol: float = DEFAULT_TOL) -> EntanglementReport:

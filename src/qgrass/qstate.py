@@ -9,7 +9,12 @@ per row and the ket digits per row.  Its one form: kets ascending
 coefficient exactly zero and no (monomial, ket) pair repeated.  tensor,
 the weight join (entangle) and the one-site builders (coherent_state,
 squeezed_state_exp) build and read only tables; _exponents is where
-monomials become rows and _summed adds equal (monomial, ket) rows.
+monomials become rows and _summed adds equal (monomial, ket) rows (rows
+whose keys already ascend strictly are left ungrouped).  The fold behind
+tensor and the weight integral (_fold) forms everything that depends on
+one factor alone once per call, on the factors' tables stacked into one
+array (_stacked), so each fold step does only the pair work; the roots of
+unity it reads are one read-only array per grade (_roots).
 ``parts`` is a read-only view, one nonzero AlgebraElement per ket, kets
 ascending, boxed from the table on first read.  The remaining state
 operations (sums, scalar and left multiples, integrals, the annihilation
@@ -34,9 +39,11 @@ q-commutator closures, plus the coherent / squeezed state builders.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -189,13 +196,25 @@ def _summed(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
             dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows with equal (exponents in 0..n-1, ket digits below dims) summed in row order,
     exact zeros dropped; out by ket, then by exponent row, lexicographically ascending."""
-    keys = _row_keys(np.column_stack([exps[:, ::-1], digits[:, ::-1]]),
+    rows, coef = _sum_rows(n, exps, coef, digits, dims)
+    return exps[rows], coef, digits[rows]
+
+
+def _sum_rows(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
+              dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sums) of _summed: the first row of each group with a nonzero sum, and
+    that sum.  Keys already strictly ascending need no grouping, as no two rows
+    meet; each sum is then its one value plus 0.0, which writes a -0.0 part as
+    0.0, as the summing bincount does."""
+    keys = _row_keys(np.concatenate([exps[:, ::-1], digits[:, ::-1]], axis=1),
                      [n] * exps.shape[1] + list(dims[::-1]))
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    coef = _sum_by(group, coef, len(first))
+    if (keys[1:] > keys[:-1]).all():
+        first, coef = np.arange(len(keys)), coef + 0.0
+    else:
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        coef = _sum_by(group, coef, len(first))
     nonzero = coef != 0
-    rows = first[nonzero]
-    return exps[rows], coef[nonzero], digits[rows]
+    return first[nonzero], coef[nonzero]
 
 
 def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
@@ -215,9 +234,12 @@ def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
     return eps
 
 
+@functools.cache
 def _roots(n: int) -> np.ndarray:
-    """q**k for k = 0..n-1, each from q_power."""
-    return np.array([q_power(n, k) for k in range(n)])
+    """q**k for k = 0..n-1, each from q_power; one read-only array per grade."""
+    roots = np.array([q_power(n, k) for k in range(n)])
+    roots.flags.writeable = False
+    return roots
 
 
 class GradedState:
@@ -398,10 +420,19 @@ def _fold(states: Sequence[GradedState],
     the reordering phase of monomial_product (U from _upper_eps, so phase
     table overrides count) plus the grading twist that pulls b leftwards
     across ka: S = sum(m-1 over ka), u and v the unbarred and barred
-    degrees of b.  Rows run left factor major, so the product's kets stay
-    ascending, and pairs reaching one (monomial, ket) are summed in pair
-    order (_summed, over the dims of the product so far; only needed once a
-    ket has several rows); exact zeros are dropped.  No Monomial or
+    degrees of b.
+
+    Everything that depends on one factor alone is formed once, before the
+    loop, on the factors' tables stacked into one int64 array (_stacked):
+    a row holds the term's exponents over the canonical slots, its S over
+    its own sites and its digits at its sites' columns of the product ket.
+    So a pair's row is the sum of its two rows (exponents and S add, the
+    digits concatenate), and every pair's e is one matrix product with the
+    stacked rows' -(U.b, u - v).  A step then does only the pair work.
+    Rows run left factor major, so the product's kets stay ascending, and
+    pairs reaching one (monomial, ket) are summed in pair order (_sum_rows,
+    over the dims of the product so far; only needed once a factor has a
+    ket with several rows); exact zeros are dropped.  No Monomial or
     AlgebraElement is built.  A coefficient of a kept row past the float
     range raises ValueError.
 
@@ -409,12 +440,13 @@ def _fold(states: Sequence[GradedState],
     differentials[j] in weight term i, keeps only the rows that some weight
     term can complete in the integral over the differentials (entangle's
     join): a row m with w_d = n-1-m_d on every differential d.  Once no
-    later factor holds d, m_d is final, so after each step between the
-    first and the last factor the rows whose finished exponents no weight
-    term complements are dropped (_pruning).  Kills and sums act on whole
-    (monomial, ket) rows, and a row's finished exponents are those of the
-    rows it came from, so every kept row carries the coefficient of the
-    unpruned fold, summed in the same order.
+    later factor holds d, m_d is final, so at each step between the first
+    and the last factor that finishes a differential, the pairs whose
+    finished exponents no weight term complements are dropped with the
+    dead ones (_pruning).  Kills and sums act on whole (monomial, ket)
+    rows, and a row's finished exponents are those of the rows it came
+    from, so every kept row carries the coefficient of the unpruned fold,
+    summed in the same order.
     """
     if not states:
         raise ValueError("tensor of no states")
@@ -427,74 +459,125 @@ def _fold(states: Sequence[GradedState],
     tables = [s._table for s in states]
     slots = tuple(sorted(set().union(*(t.slots for t in tables))))
     slot_of = {v: i for i, v in enumerate(slots)}
-    steps = _pruning(n, tables, slot_of, *prune) if prune is not None and len(tables) > 2 else {}
-    eps = _upper_eps(ctx, slots)
+    k = len(slots)
+    dims = tuple(chain.from_iterable(s.space.dims for s in states))
+    stack, ends, reorder, shared_from = _stacked(ctx, slots, tables, len(dims))
+    steps = (_pruning(n, tables, slot_of, *prune, stack.shape[1])
+             if prune is not None and len(tables) > 2 else {})
     roots = _roots(n)
-    sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)  # unbarred, barred
-    exps = _widened(tables[0].slots, tables[0].exps, slot_of, len(slots))
-    coef, digits = tables[0].coef, tables[0].digits
-    dims = states[0].space.dims
-    shared = _shares_kets(digits)  # some ket has several rows
+    rows, coef = stack[: ends[0]], tables[0].coef
+    sites = states[0].space.nsites  # of the product so far
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, (state, t) in enumerate(zip(states[1:], tables[1:]), 1):
-            dims += state.space.dims
-            texps = _widened(t.slots, t.exps, slot_of, len(slots))
-            shift = digits.sum(axis=1) - digits.shape[1]
-            qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
-            total = exps[:, None] + texps  # A x B x K
-            ai, bi = np.nonzero((total < n).all(axis=2))
-            coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
-            exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
-            shared = shared or _shares_kets(t.digits)
-            if shared:  # rows of one ket pair may meet
-                exps, coef, digits = _summed(n, exps, coef, joined, dims)
-            elif coef.all():
-                digits = joined
-            else:
-                nonzero = coef != 0
-                exps, coef, digits = exps[nonzero], coef[nonzero], joined[nonzero]
+        for step in range(1, len(tables)):
+            lo, hi = ends[step - 1], ends[step]
+            sites += states[step].space.nsites
+            total = rows[:, None] + stack[lo:hi]  # A x B x row width
+            live = np.logical_and.reduce(total[:, :, :k] < n, axis=2)
             if step in steps:
-                cols, wkeys = steps[step]
-                key = _row_keys(n - 1 - exps[:, cols], [n] * len(cols))
-                keep = wkeys[np.minimum(np.searchsorted(wkeys, key), len(wkeys) - 1)] == key
-                exps, coef, digits = exps[keep], coef[keep], digits[keep]
+                place, keys = steps[step]
+                key = total @ place
+                live &= keys[keys.searchsorted(key)] == key
+            phase = roots[(rows[:, : k + 1] @ reorder[:, lo:hi]) % n]
+            coef = (coef[:, None] * tables[step].coef * phase)[live]
+            rows = total[live]
+            if step >= shared_from:  # rows of one ket pair may meet
+                keep, coef = _sum_rows(n, rows[:, :k], coef, rows[:, k + 1 : k + 1 + sites],
+                                       dims[:sites])
+                rows = rows[keep]
+            elif not coef.all():
+                nonzero = coef != 0
+                rows, coef = rows[nonzero], coef[nonzero]
     if not np.isfinite(coef).all():
         raise ValueError("the tensor product overflowed (a coefficient is not finite); "
                          "scale the factors down")
-    return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
+    table = _Table(slots, rows[:, :k], coef, rows[:, k + 1 :])
+    return GradedState._from_table(ctx, LevelSpace(dims), table)
+
+
+def _stacked(ctx: AlgebraContext, slots: tuple[Variable, ...], tables: Sequence[_Table],
+             nsites: int) -> tuple[np.ndarray, list[int], np.ndarray, int]:
+    """(stack, ends, reorder, shared_from): _fold's per-factor set-up, formed once.
+
+    stack holds every table's rows, table i at rows ends[i-1]:ends[i], each
+    as exponents over slots (K columns), then S = sum(m-1) over the table's
+    own sites, then the nsites digits of the product ket, zero off the
+    table's own sites.  reorder is the (K+1) x rows matrix -(U.b, u - v)
+    of every row b, so a row [a, S] of the product times reorder[:, b]
+    is the q-exponent of the pair.  shared_from is the first fold step
+    whose factor, or an earlier one, has a ket with several rows (the
+    number of tables when none has).
+    """
+    k = len(slots)
+    slot_of = {v: i for i, v in enumerate(slots)}
+    ends = list(accumulate(len(t.coef) for t in tables))
+    stack = np.zeros((ends[-1], k + 1 + nsites), dtype=np.int64)
+    lo, site = 0, k + 1
+    for t, hi in zip(tables, ends):
+        width = t.digits.shape[1]
+        stack[lo:hi, [slot_of[v] for v in t.slots]] = t.exps
+        stack[lo:hi, k] = -width
+        stack[lo:hi, site : site + width] = t.digits
+        lo, site = hi, site + width
+    ket = stack[:, k + 1 :]
+    stack[:, k] += ket.sum(axis=1)
+    phase = np.empty((k, k + 1), dtype=np.int64)  # U, then u - v: 1 unbarred, -1 barred
+    phase[:, :k] = _upper_eps(ctx, slots)
+    phase[:, k] = [1 if v[1] else -1 for v in slots]
+    reorder = -(stack[:, :k] @ phase).T
+    # adjacent rows of one table with equal digits share a ket
+    same = np.logical_and.reduce(ket[1:] == ket[:-1], axis=1)
+    same[[e - 1 for e in ends[:-1] if 0 < e < ends[-1]]] = False  # rows of two tables
+    hit = same.nonzero()[0]
+    shared_from = max(bisect_right(ends, int(hit[0])), 1) if len(hit) else len(tables)
+    return stack, ends, reorder, shared_from
 
 
 def _pruning(n: int, tables: Sequence[_Table], slot_of: Mapping[Variable, int],
-             differentials: Sequence[Variable],
-             wexps: np.ndarray) -> dict[int, tuple[list[int], np.ndarray]]:
-    """{fold step: (slot columns, sorted keys)} for _fold's prune.
+             differentials: Sequence[Variable], wexps: np.ndarray,
+             width: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{fold step: (place, keys)} for _fold's prune, over rows of the given width.
 
     Step s (1 <= s <= len(tables) - 2) is listed when some differential is
-    newly finished after it (no later table holds it).  Its columns are the
-    slots of every differential finished by then, and its keys are the
-    _row_keys of the weight rows over those differentials, sorted, which a
-    row's n-1-m must match.  A differential that no table holds stays at 0,
-    so only the weight rows with n-1 there are read; with none left nothing
+    newly finished after it (no later table holds it).  The differentials
+    finished by a step are a prefix of their finishing order, and the one
+    of rank r there gets the place value n**r, so a row's key, its
+    exponents times place (zero off the finished differentials' slots),
+    must be one of keys: the weight rows' n-1-w over the same
+    differentials and places, sorted, then one int64 maximum that no kept
+    row's key reaches.  A differential that no table holds stays at 0, so
+    only the weight rows with n-1 there are read; with none left nothing
     is pruned (the join then drops every row).  Nor is a step whose keys
-    would not pack in mixed radix, the only form in which the keys of
-    separate _row_keys calls agree.
+    would not fit int64 (n**finished >= 2**63).
     """
     last = {v: i for i, t in enumerate(tables) for v in t.slots}  # the last table holding v
-    held = np.array([d in last for d in differentials], dtype=bool)
-    wexps = wexps[(wexps[:, ~held] == n - 1).all(axis=1)][:, held]
+    held = [d in last for d in differentials]
+    if not all(held):
+        wexps = wexps[(wexps[:, [not h for h in held]] == n - 1).all(axis=1)][:, held]
     if not len(wexps):
         return {}
-    finish = [last[d] for d in differentials if d in last]
     cols = [slot_of[d] for d in differentials if d in last]
-    steps, done = {}, 0
+    finish = [last[d] for d in differentials if d in last]
+    finishing = sorted(finish)
+    listed, counts, done = [], [], 0
     for step in range(1, len(tables) - 1):
-        finished = [j for j, s in enumerate(finish) if s <= step]
-        if len(finished) > done and n ** len(finished) < 1 << 63:
-            keys = _row_keys(wexps[:, finished], [n] * len(finished))
-            steps[step] = [cols[j] for j in finished], np.sort(keys)
-        done = len(finished)
-    return steps
+        count = bisect_right(finishing, step)  # differentials finished by now
+        if count > done and n**count < 1 << 63:
+            listed.append(step)
+            counts.append(count)
+        done = count
+    if not listed:
+        return {}
+    rank = [0] * len(finish)  # in the finishing order
+    for r, j in enumerate(sorted(range(len(finish)), key=finish.__getitem__)):
+        rank[j] = r
+    power = [n**r if r < counts[-1] else 0 for r in rank]
+    places = np.where(np.less.outer(rank, counts).T, power, 0)  # listed steps x held
+    keys = np.full((len(listed), len(wexps) + 1), np.iinfo(np.int64).max)
+    keys[:, :-1] = np.sort(places @ (n - 1 - wexps).T, axis=1)
+    wide = np.zeros((len(listed), width), dtype=np.int64)
+    wide[:, cols] = places
+    return dict(zip(listed, zip(wide, keys)))
 
 
 def _widened(slots: Sequence[Variable], exps: np.ndarray, slot_of: Mapping[Variable, int],
@@ -503,11 +586,6 @@ def _widened(slots: Sequence[Variable], exps: np.ndarray, slot_of: Mapping[Varia
     wide = np.zeros((len(exps), width), dtype=np.int64)
     wide[:, [slot_of[v] for v in slots]] = exps
     return wide
-
-
-def _shares_kets(digits: np.ndarray) -> bool:
-    """Whether two rows of a table's (ascending) digits share a ket."""
-    return not (digits[1:] != digits[:-1]).any(axis=1).all()
 
 
 # -- plain (Grassmann-free) states ----------------------------------------

@@ -1,5 +1,6 @@
 """Catalog construction and comparison-policy tests."""
 
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from qgrass.entangle import (
     solve_weight,
 )
 from qgrass.qstate import PlainState
+from qgrass.serialize import construction_to_dict
 from qgrass.suites import CATALOG_RUNS
 
 AMP2 = 1.0 / math.sqrt(2.0)
@@ -534,6 +536,39 @@ def test_bool_and_non_integer_parameters_are_rejected(entry_id, params):
 def test_integer_omega_power_and_sign_are_kept():
     assert catalog.build_recipe("qutrit_psi22", omega_power=np.int64(2)).params == {"omega_power": 2}
     assert catalog.build_recipe("bell_phi_pm", sign=-1).params == {"sign": -1}
+
+
+@pytest.mark.parametrize("entry_id, params", [
+    ("bell_psi_pm", {"sign": 1.0}),
+    ("bell_phi_pm", {"sign": -1.0}),
+    ("cluster4_pm", {"sign": np.float64(1.0)}),
+    ("w_n", {"n": 4.0}),
+    ("ghz_n", {"n": True}),
+    ("qudit_mes_n", {"n": 3.0}),
+    ("qudit_squeezed_mes_n", {"n": np.float64(4.0)}),
+])
+def test_float_parameters_are_rejected(entry_id, params):
+    # sign=1.0 used to be accepted and recorded as 1.0
+    with pytest.raises(ValueError, match=f"^{next(iter(params))} must be"):
+        catalog.build_recipe(entry_id, **params)
+
+
+@pytest.mark.parametrize("entry_id, params", [
+    ("bell_psi_pm", {"sign": np.int64(-1)}),
+    ("qutrit_psi22", {"omega_power": np.int32(2)}),
+    ("w_n", {"n": np.int64(4)}),
+    ("ghz_n", {"n": np.int16(3)}),
+    ("qudit_mes_n", {"n": np.uint8(3)}),
+    ("qudit_squeezed_mes_n", {"n": np.int64(4)}),
+])
+def test_numpy_integer_parameters_are_recorded_as_python_ints(entry_id, params):
+    # a numpy integer used to be recorded as it was, so the JSON dump of the
+    # construction raised TypeError
+    recipe = catalog.build_recipe(entry_id, **params)
+    assert recipe.params == {k: int(v) for k, v in params.items()}
+    assert all(type(v) is int for v in recipe.params.values())
+    result = catalog.catalog_construct(entry_id, solver_check=False, **params)
+    assert json.loads(json.dumps(construction_to_dict(result)))["params"] == recipe.params
 
 
 # -- the signature decision against its dense reference ----------------------------
