@@ -34,7 +34,15 @@ monomial_product and integrate_monomial apply the two rules to canonical
 monomials; normal_order gives the fold of monomial_product over an
 arbitrary word, summing the phases pair by pair.  All q-phases are
 tracked as integer exponents and converted to a complex scalar once per
-term, so reordering accumulates no phase drift.
+term, so reordering accumulates no phase drift; q_power memoizes each
+(n, k mod n) it evaluates.
+
+An AlgebraElement maps canonical monomials to complex coefficients, none
+exactly 0.  The public constructor enforces that on any mapping (copy,
+complex() per value, drop exact zeros).  The element operations build
+their results as fresh dicts of complex values and hand them to the
+private AlgebraElement._adopt, which trusts the values, keeps the dict
+and only drops exact zeros.
 """
 
 from __future__ import annotations
@@ -47,13 +55,24 @@ from typing import Iterable, Mapping, Sequence
 
 CMP_TOL = 1e-9
 
+# q_power's memo, keyed by (n, k mod n); filled one power at a time as the
+# algebra meets it, never a whole grade (n may be 10**9 + 7)
+_Q_POWERS: dict[tuple[int, int], complex] = {}
+
+
 def q_power(n: int, k: int) -> complex:
-    """exp(2*pi*i*k/n), with the exponent reduced mod n before evaluation."""
+    """exp(2*pi*i*k/n), with the exponent reduced mod n before evaluation.
+
+    Memoized per (n, k mod n).  The entry is evaluated from a Python int
+    exponent, so an int and a numpy integer k give the same bits.
+    """
     n = int(n)
-    k = k % n
-    if k == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * cmath.pi * k / n)
+    key = (n, k % n)
+    q = _Q_POWERS.get(key)
+    if q is None:
+        k = int(key[1])
+        q = _Q_POWERS[key] = cmath.exp(2j * cmath.pi * k / n) if k else 1.0 + 0.0j
+    return q
 
 
 class Variable(tuple):
@@ -298,7 +317,7 @@ class AlgebraContext:
         qexp, mono = normal_order(blocks, self.phase_table, self.n)
         if mono is None:
             return self.zero()
-        return AlgebraElement(self, {mono: q_power(self.n, qexp)})
+        return AlgebraElement._adopt(self, {mono: q_power(self.n, qexp)})
 
     def element(self, terms: Mapping[Monomial, complex]) -> "AlgebraElement":
         return AlgebraElement(self, dict(terms))
@@ -307,9 +326,15 @@ class AlgebraContext:
 class AlgebraElement:
     """Finite sum of complex coefficients times canonical monomials.
 
-    Immutable by convention: every operation returns a new element.  A
-    term is dropped at construction only when its coefficient is exactly 0,
-    so small but genuine coefficients (1/15! at grade 16) survive.
+    Immutable by convention: every operation returns a new element.
+    Invariant: every value of `terms` is a complex and none is exactly 0.
+    A term is dropped only when its coefficient is exactly 0, so small but
+    genuine coefficients (1/15! at grade 16) survive.
+
+    The public constructor enforces the invariant on any mapping: it
+    copies it, converts each value with complex() and drops exact zeros.
+    The algebra's own results go through _adopt instead, which trusts that
+    its fresh dict already holds complex values and only drops exact zeros.
     """
 
     __slots__ = ("ctx", "terms")
@@ -317,6 +342,18 @@ class AlgebraElement:
     def __init__(self, ctx: AlgebraContext, terms: Mapping[Monomial, complex]):
         self.ctx = ctx
         self.terms = {m: complex(c) for m, c in terms.items() if c != 0}
+
+    @classmethod
+    def _adopt(cls, ctx: AlgebraContext, terms: dict[Monomial, complex]) -> "AlgebraElement":
+        """Element owning `terms`, a dict of complex values no one else holds.
+
+        Keeps the dict itself when no value is exactly 0; otherwise keeps
+        the nonzero terms in order.  Bitwise equal to cls(ctx, terms).
+        """
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
+        return self
 
     # -- ring structure -------------------------------------------------
 
@@ -332,16 +369,23 @@ class AlgebraElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0.0) + c
-        return AlgebraElement(self.ctx, out)
+        return AlgebraElement._adopt(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ctx, {m: -c for m, c in self.terms.items()})
+        return AlgebraElement._adopt(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
+        # a - c is a + (-c) in IEEE arithmetic, signed zeros included
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else self + (-other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check_ctx(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0.0) - c
+        return AlgebraElement._adopt(self.ctx, out)
 
     def __rsub__(self, other) -> "AlgebraElement":
         other = self._coerce(other)
@@ -349,9 +393,10 @@ class AlgebraElement:
 
     def __mul__(self, other) -> "AlgebraElement":
         if isinstance(other, (int, float, complex)):
-            return AlgebraElement(
-                self.ctx, {m: c * other for m, c in self.terms.items()}
-            )
+            terms = {m: c * other for m, c in self.terms.items()}
+            if type(other) in (int, float, complex):
+                return AlgebraElement._adopt(self.ctx, terms)
+            return AlgebraElement(self.ctx, terms)  # a numpy scalar's products are numpy values
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_ctx(other)
@@ -364,7 +409,7 @@ class AlgebraElement:
                 if mono is None:
                     continue
                 out[mono] = out.get(mono, 0.0) + ca * cb * q_power(n, qexp)
-        return AlgebraElement(self.ctx, out)
+        return AlgebraElement._adopt(self.ctx, out)
 
     def __rmul__(self, other) -> "AlgebraElement":
         return self * other if isinstance(other, (int, float, complex)) else NotImplemented
@@ -397,7 +442,7 @@ class AlgebraElement:
             if new is None:
                 continue
             out[new] = out.get(new, 0.0) + c.conjugate() * q_power(n, qexp)
-        return AlgebraElement(self.ctx, out)
+        return AlgebraElement._adopt(self.ctx, out)
 
     def scale_variable(self, v: Variable, c: complex) -> "AlgebraElement":
         """Substitute v -> c*v, multiplying each term by c**exponent(v)."""
@@ -424,7 +469,7 @@ class AlgebraElement:
             qexp, rest = integrate_monomial(mono, order, table, n)
             if rest is not None:  # distinct surviving terms keep distinct rests
                 out[rest] = c * q_power(n, qexp)
-        return AlgebraElement(self.ctx, out)
+        return AlgebraElement._adopt(self.ctx, out)
 
     # -- queries ----------------------------------------------------------
 

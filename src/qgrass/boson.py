@@ -18,6 +18,7 @@ two-level Grassmann integral recipes, with the orthonormal bosonic pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,13 +135,19 @@ def _fermion_halves(sign: int) -> tuple[PlainState, PlainState]:
     return zero_half, one_half
 
 
+@functools.cache
+def _fermion_pair(sign: int) -> tuple[complex, complex]:
+    """The |0> and |1> amplitudes of _fermion_halves(sign), integrated once per sign."""
+    zero_half, one_half = _fermion_halves(sign)
+    return zero_half.coefficient((0,)), one_half.coefficient((1,))
+
+
 def _fermion_amplitudes(kind: str) -> tuple[complex, complex]:
     """The |0>_f and |1>_f amplitudes of a hybrid kind from _fermion_halves:
     1/sqrt(2) and +-1/sqrt(2), + for the *_plus kinds."""
     if kind not in ("psi_plus", "psi_minus", "phi_plus", "phi_minus"):
         raise ValueError(f"unknown hybrid kind {kind!r}")
-    zero_half, one_half = _fermion_halves(1 if kind.endswith("plus") else -1)
-    return zero_half.coefficient((0,)), one_half.coefficient((1,))
+    return _fermion_pair(1 if kind.endswith("plus") else -1)
 
 
 def super_state(

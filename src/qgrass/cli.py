@@ -248,12 +248,17 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         differentials = tuple(parse_variable(s) for s in spec["differentials"])
         basis_spec = spec["basis"]
         if isinstance(basis_spec, dict):
-            variables = [parse_variable(s) for s in basis_spec["variables"]]
+            names = basis_spec["variables"]
+            if not isinstance(names, list):
+                raise ValueError(f"basis variables must be a list of variable names, got {names!r}")
+            variables = [parse_variable(s) for s in names]
             top = basis_spec.get("max_exponent")
             top = None if top is None else _integer(top, "max_exponent")
             basis = MonomialBasis(ctx, variables, top)
-        else:
+        elif isinstance(basis_spec, list):
             basis = [monomial_from_dict(d) for d in basis_spec]
+        else:
+            raise ValueError(f"basis must be a list of monomials or an object, got {basis_spec!r}")
         solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
     except (KeyError, ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: malformed solve spec: {exc}\n")

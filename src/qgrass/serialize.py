@@ -62,6 +62,9 @@ def monomial_to_dict(mono: Monomial) -> dict[str, int]:
 
 
 def monomial_from_dict(d: dict[str, int]) -> Monomial:
+    """Monomial from {name: exponent}; anything but a dict is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a monomial must be an object of variable exponents, got {d!r}")
     pairs = sorted(
         (parse_variable(name), _integer(e, f"exponent of {name}")) for name, e in d.items()
     )

@@ -87,7 +87,7 @@ def _random_element(
         qexp, mono = normal_order(blocks, ctx.phase_table, ctx.n)
         if mono is not None:
             terms[mono] = terms.get(mono, 0.0) + q_power(ctx.n, qexp) * coeff
-    return AlgebraElement(ctx, terms)
+    return AlgebraElement._adopt(ctx, terms)
 
 
 def _random_word(rng: random.Random, max_len: int = 6) -> list[Variable]:

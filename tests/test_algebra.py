@@ -5,6 +5,7 @@ oracle (sort a flat variable word one swap at a time using only the
 two-variable exchange rule) and frozen against the production path.
 """
 
+import cmath
 import copy
 import math
 import pickle
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgrass import algebra
 from qgrass.algebra import (
     MONOMIAL_ONE,
     AlgebraContext,
+    AlgebraElement,
     Monomial,
     PhaseTable,
     Variable,
@@ -66,6 +69,33 @@ def test_q_power_identity_and_periodicity():
 
 def test_q_power_quarter_turn():
     assert abs(q_power(4, 1) - 1j) < 1e-15
+
+
+def _closed_q_power(n, k):
+    """q**k evaluated afresh, without q_power's memo."""
+    k = int(k) % n
+    return 1.0 + 0.0j if k == 0 else cmath.exp(2j * cmath.pi * k / n)
+
+
+def _bits(c):
+    return type(c), c.real.hex(), c.imag.hex()
+
+
+@pytest.mark.parametrize("first", [int, np.int64], ids=["int_first", "int64_first"])
+def test_q_power_memo_is_bitwise_the_closed_form_for_either_exponent_type(first):
+    # numpy divides complex numbers with other rounding than Python, so an
+    # entry filled from a numpy exponent must still hold the int's bits
+    second = np.int64 if first is int else int
+    cases = [(n, k) for n in range(2, 65) for k in range(-3 * n, 3 * n)]
+    big = 10**9 + 7
+    cases += [(big, k) for k in (0, 1, -1, 5, big - 1, big + 3, 3 * big - 2, -7 * big + 11)]
+    algebra._Q_POWERS.clear()
+    for n, k in cases:
+        want = _bits(_closed_q_power(n, k))
+        assert _bits(q_power(n, first(k))) == want, (n, k)
+        assert _bits(q_power(n, second(k))) == want, (n, k)
+    # one entry per power met, never a whole grade
+    assert len(algebra._Q_POWERS) == len({(n, k % n) for n, k in cases})
 
 
 def test_grade_config_rejects_small_n():
@@ -679,3 +709,159 @@ def test_suite_algebra_is_reproducible_and_leaves_numpys_global_state_alone(seed
     assert snapshot(first) == snapshot(suite_algebra(seed=seed))
     assert before[0] == after[0] and np.array_equal(before[1], after[1])
     assert before[2:] == after[2:]
+
+
+# -- element results against the public-constructor path ----------------------
+
+
+def _same_bits(x, y):
+    assert list(x.terms) == list(y.terms)  # same monomials, same order
+    assert [_bits(c) for c in x.terms.values()] == [_bits(c) for c in y.terms.values()]
+
+
+def _ref_add(a, b):
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out.get(m, 0.0) + c
+    return AlgebraElement(a.ctx, out)
+
+
+def _ref_neg(a):
+    return AlgebraElement(a.ctx, {m: -c for m, c in a.terms.items()})
+
+
+def _ref_scale(a, s):
+    return AlgebraElement(a.ctx, {m: c * s for m, c in a.terms.items()})
+
+
+def _ref_mul(a, b):
+    n, table, out = a.ctx.n, a.ctx.phase_table, {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            qexp, mono = monomial_product(ma, mb, table, n)
+            if mono is not None:
+                out[mono] = out.get(mono, 0.0) + ca * cb * _closed_q_power(n, qexp)
+    return AlgebraElement(a.ctx, out)
+
+
+def _ref_conjugate(a):
+    n, table, out = a.ctx.n, a.ctx.phase_table, {}
+    for mono, c in a.terms.items():
+        qexp, new = normal_order([(v.conjugate, e) for (v, e) in reversed(mono)], table, n)
+        if new is not None:
+            out[new] = out.get(new, 0.0) + c.conjugate() * _closed_q_power(n, qexp)
+    return AlgebraElement(a.ctx, out)
+
+
+def _ref_integrate(a, order):
+    n, table, out = a.ctx.n, a.ctx.phase_table, {}
+    for mono, c in a.terms.items():
+        qexp, rest = integrate_monomial(mono, order, table, n)
+        if rest is not None:
+            out[rest] = c * _closed_q_power(n, qexp)
+    return AlgebraElement(a.ctx, out)
+
+
+def _ref_word(ctx, blocks):
+    qexp, mono = normal_order(blocks, ctx.phase_table, ctx.n)
+    terms = {} if mono is None else {mono: _closed_q_power(ctx.n, qexp)}
+    return AlgebraElement(ctx, terms)
+
+
+@pytest.fixture
+def adopted(monkeypatch):
+    """Check every dict the algebra adopts against the public constructor on a
+    copy of it; the returned list counts the dicts that held an exact zero."""
+    real = AlgebraElement._adopt
+    zero_drops = []
+
+    def checked(ctx, terms):
+        want = AlgebraElement(ctx, dict(terms))
+        if not all(terms.values()):
+            zero_drops.append(len(terms) - len(want.terms))
+        got = real(ctx, terms)
+        _same_bits(got, want)
+        return got
+
+    monkeypatch.setattr(AlgebraElement, "_adopt", staticmethod(checked))
+    return zero_drops
+
+
+@pytest.mark.parametrize("table", sorted(PRIMITIVE_TABLES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_element_operations_are_bitwise_the_public_constructor_path(n, table, adopted):
+    from qgrass.suites import _random_element
+
+    ctx = AlgebraContext(n, phase_table=PRIMITIVE_TABLES[table])
+    rng = random.Random(n)
+    for _ in range(40):
+        a, b = _random_element(ctx, rng, max_terms=5), _random_element(ctx, rng, max_terms=5)
+        s = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        v = Variable(rng.randrange(1, 4), rng.random() < 0.5)
+        order = [v, Variable(rng.randrange(1, 4), rng.random() < 0.5)]
+        if order[0] == order[1]:
+            order.pop()
+        blocks = [(Variable(rng.randrange(1, 4), rng.random() < 0.5), rng.randrange(1, n))
+                  for _ in range(rng.randrange(0, 5))]
+        for got, want in [
+            (a + b, _ref_add(a, b)),
+            (a - b, _ref_add(a, _ref_neg(b))),  # the former a + (-b)
+            (-a, _ref_neg(a)),
+            (a * b, _ref_mul(a, b)),
+            (a * s, _ref_scale(a, s)),
+            (2 * a, _ref_scale(a, 2)),
+            (a * 0.5, _ref_scale(a, 0.5)),
+            (a * np.complex128(s), _ref_scale(a, np.complex128(s))),  # values stay Python complex
+            (a * np.float64(0.5), _ref_scale(a, np.float64(0.5))),
+            (a.conjugate(), _ref_conjugate(a)),
+            (a.multi_integrate(order), _ref_integrate(a, order)),
+            (a.berezin_integrate(v), _ref_integrate(a, [v])),
+            (ctx.word(blocks), _ref_word(ctx, blocks)),
+            (ctx.gen(v, n - 1), _ref_word(ctx, [(v, n - 1)])),
+            (a - a, ctx.zero()),
+            (a + (-a), ctx.zero()),
+            (a * 0, ctx.zero()),
+        ]:
+            _same_bits(got, want)
+
+    # (1 + t)(1 - t) cancels t exactly
+    one, t = ctx.one(), ctx.gen(ctx.theta(1))
+    _same_bits((one + t) * (one - t), _ref_mul(_ref_add(one, t), _ref_add(one, _ref_neg(t))))
+    assert MONOMIAL_ONE in ((one + t) * (one - t)).terms
+    assert Monomial(((ctx.theta(1), 1),)) not in ((one + t) * (one - t)).terms
+    assert adopted and all(k > 0 for k in adopted)  # the zero-drop branch ran
+
+
+def test_subtraction_keeps_the_signed_zeros_of_adding_the_negation():
+    ctx = AlgebraContext(3)
+    t1, t2 = ctx.theta(1), ctx.theta(2)
+    monos = [MONOMIAL_ONE, Monomial(((t1, 1),)), Monomial(((t2, 2),))]
+    parts = (0.0, -0.0, 1.5, -1.5)
+    values = [complex(re, im) for re in parts for im in parts]
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            a = AlgebraElement(ctx, {monos[0]: x, monos[1]: y})
+            b = AlgebraElement(ctx, {monos[0]: y, monos[2]: x, monos[1]: values[(i + j) % 16]})
+            _same_bits(a - b, _ref_add(a, _ref_neg(b)))
+            _same_bits(b - a, _ref_add(b, _ref_neg(a)))
+            _same_bits(a - y, _ref_add(a, _ref_neg(ctx.scalar(y))))
+
+
+def test_public_constructor_copies_and_converts_its_mapping():
+    ctx = AlgebraContext(3)
+    t1 = Monomial(((ctx.theta(1), 1),))
+    raw = {MONOMIAL_ONE: 2, t1: 0.5, Monomial(((ctx.theta(2), 1),)): 0}
+    e = AlgebraElement(ctx, raw)
+    assert e.terms is not raw
+    assert [_bits(c) for c in e.terms.values()] == [_bits(2 + 0j), _bits(0.5 + 0j)]
+    raw[t1] = 7.0
+    raw[MONOMIAL_ONE] = 0
+    assert e.terms == {MONOMIAL_ONE: 2 + 0j, t1: 0.5 + 0j}
+    assert ctx.element(raw).terms == {t1: 7 + 0j}
+
+
+def test_suite_algebra_runs_at_a_grade_too_large_to_tabulate():
+    from qgrass.suites import suite_algebra
+
+    items = suite_algebra(seed=0, cases=50, grades=(10**9 + 7,))
+    assert [it.status for it in items] == ["pass"] * 5 + ["flagged"]

@@ -139,3 +139,26 @@ def test_overlap_grid_matches_a_per_pair_reference_loop():
     item = next(it for it in suite_boson(cutoff=cutoff) if it.item_id == "boson.overlap_grid")
     # max_error is a finite float >= 0, so == compares it bit for bit
     assert item.payload == {"pairs": 625, "max_error": worst, "cutoff": cutoff}
+
+
+def test_fermion_halves_are_integrated_once_per_sign(monkeypatch):
+    from qgrass import boson
+
+    calls, real = [], boson.apply_weight_and_integrate
+
+    def counting(spec, state):
+        calls.append(spec)
+        return real(spec, state)
+
+    want = {kind: super_state(kind, 1.2, -0.3).amps.copy()
+            for kind in ("psi_plus", "psi_minus", "phi_plus", "phi_minus")}
+    naive = naive_super_matrix("psi_minus", 0.8, 0.3)
+    boson._fermion_pair.cache_clear()
+    monkeypatch.setattr(boson, "apply_weight_and_integrate", counting)
+    for _ in range(3):
+        for kind, amps in want.items():
+            got = super_state(kind, 1.2, -0.3).amps
+            assert got.tobytes() == amps.tobytes()
+        assert naive_super_matrix("psi_minus", 0.8, 0.3).tobytes() == naive.tobytes()
+    # two integrals (the |0> and the |1> half) for each of the two signs
+    assert len(calls) == 4

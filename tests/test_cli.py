@@ -404,6 +404,28 @@ def test_solve_weight_basis_exponent_out_of_range_exits_two(tmp_path, capsys, ba
     assert err == f"error: malformed solve spec: {line}\n"
 
 
+@pytest.mark.parametrize(
+    "basis, line",
+    [
+        ("theta_1", "basis must be a list of monomials or an object, got 'theta_1'"),
+        ([1], "a monomial must be an object of variable exponents, got 1"),
+        ([{"theta_1": 1}, "x"], "a monomial must be an object of variable exponents, got 'x'"),
+        ({"variables": "theta_1"},
+         "basis variables must be a list of variable names, got 'theta_1'"),
+    ],
+    ids=["string_basis", "number_entry", "string_entry", "string_variables"],
+)
+def test_solve_weight_malformed_basis_exits_two(tmp_path, capsys, basis, line):
+    # the listed forms used to exit 1 with an AttributeError traceback, and a
+    # string of variables was parsed one character at a time
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_ghz2_spec(basis=basis)))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed solve spec: {line}\n"  # one line, no traceback
+
+
 @pytest.mark.parametrize("top", [None, 0, 1])
 def test_solve_weight_variables_basis_reports_as_its_listed_monomials(tmp_path, capsys, top):
     variables = {"variables": ["theta_2", "theta_1"]}
