@@ -27,6 +27,7 @@ from .entangle import MonomialBasis, solve_weight
 from .qstate import coherent_state, squeezed_state_exp, squeezed_state_symmetric, tensor
 from .serialize import (
     _integer,
+    _objects,
     _pair2c,
     construction_to_dict,
     monomial_from_dict,
@@ -222,17 +223,29 @@ def _build_factor(ctx: AlgebraContext, spec: dict):
     raise ValueError(f"unknown factor kind {kind!r}")
 
 
+def _build_product(ctx: AlgebraContext, factors: Any):
+    return tensor([_build_factor(ctx, f) for f in _objects(factors, "factors")])
+
+
 def _build_state(ctx: AlgebraContext, spec: dict):
     if "combination" in spec:
-        if not spec["combination"]:
+        parts = _objects(spec["combination"], "combination")
+        if not parts:
             raise ValueError("combination names no product")
         state = None
-        for part in spec["combination"]:
+        for part in parts:
             coeff = _pair2c(part.get("coeff", [1.0, 0.0]))
-            product = coeff * tensor([_build_factor(ctx, f) for f in part["factors"]])
+            product = coeff * _build_product(ctx, part["factors"])
             state = product if state is None else state + product
         return state
-    return tensor([_build_factor(ctx, f) for f in spec["factors"]])
+    return _build_product(ctx, spec["factors"])
+
+
+def _variables(names: Any, what: str) -> list:
+    """The variables a list of names gives; anything but a list is a ValueError naming what."""
+    if not isinstance(names, list):
+        raise ValueError(f"{what} must be a list of variable names, got {names!r}")
+    return [parse_variable(s) for s in names]
 
 
 def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
@@ -244,14 +257,11 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
                 spec = json.load(fh)
         ctx = AlgebraContext(_integer(spec["grade_n"], "grade_n"))
         state = _build_state(ctx, spec)
-        target = plain_from_dict(spec["target"])
-        differentials = tuple(parse_variable(s) for s in spec["differentials"])
+        target = plain_from_dict(spec["target"], "target")
+        differentials = tuple(_variables(spec["differentials"], "differentials"))
         basis_spec = spec["basis"]
         if isinstance(basis_spec, dict):
-            names = basis_spec["variables"]
-            if not isinstance(names, list):
-                raise ValueError(f"basis variables must be a list of variable names, got {names!r}")
-            variables = [parse_variable(s) for s in names]
+            variables = _variables(basis_spec["variables"], "basis variables")
             top = basis_spec.get("max_exponent")
             top = None if top is None else _integer(top, "max_exponent")
             basis = MonomialBasis(ctx, variables, top)

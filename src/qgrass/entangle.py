@@ -43,12 +43,15 @@ solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
 join over the whole basis and returns the minimum-norm least-squares
 weight, with the residual formed from the join's own entries.  The full
-basis is a MonomialBasis, an int64 exponent table that the join reads as
-it is; a basis monomial is boxed only when read, and the solve reads only
-those of the weight's nonzero terms, in bulk, from one tolist of x's
-nonzero entries and one of their basis rows.  The map is block diagonal
-up to a permutation (columns sharing a row form a block), so it is solved
-block by block, each block under its own cutoff, and never stored densely.
+basis is a MonomialBasis, an int64 exponent table; a basis monomial is
+boxed only when read, and the solve reads only those of the weight's
+nonzero terms, in bulk, from one tolist of x's nonzero entries and one of
+their basis rows.  On the grid basis every catalog solve uses (every
+exponent 0..n-1 on exactly the differentials) each state term meets one
+column, whose index the join computes; any other basis is sort-merged.
+The map is block diagonal up to a permutation (columns sharing a row form
+a block), so it is solved block by block, each block under its own
+cutoff, and never stored densely.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -101,6 +104,7 @@ def _join(
     wcoef: np.ndarray,
     differentials: Sequence[Variable],
     state: GradedState,
+    grid: bool = False,
 ):
     """Every surviving (weight term, state term) pair of integral(weight * state).
 
@@ -114,9 +118,15 @@ def _join(
 
     Both tables are read over the canonical slots, the sorted union of the
     state table's slots, wslots and the differentials.  A state term m
-    meets the weight terms w with w_d = n-1-m_d on every differential d
-    (sort plus searchsorted, any number of w per key), and a pair survives
-    when every summed exponent is below n.  Its q-exponent is
+    meets the weight terms w with w_d = n-1-m_d on every differential d,
+    and a pair survives when every summed exponent is below n.  On a grid
+    weight (a MonomialBasis whose slots are the differentials, every
+    exponent 0..n-1, product order) m meets exactly one term, at index
+    (n-1-m).place over the sorted differentials, and the pair survives, as
+    every differential sums to n-1 and every other slot keeps m's own
+    exponent: the index join reads that index and never widens the table.
+    Any other weight is matched by sort plus searchsorted, any number of w
+    per key.  A pair's q-exponent is
 
         -m.U.w  +  (n-1) * P.p,     P = m + w,
 
@@ -135,31 +145,40 @@ def _join(
         exps = _widened(table.slots, table.exps, slot_of, len(slots))
     else:
         exps = table.exps
-    if len(slots) > len(wslots):
-        wexps = _widened(wslots, wexps, slot_of, len(slots))
     diff = [slot_of[d] for d in differentials]
-
-    keys = _row_keys(
-        np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff)
-    )
-    skey, wkey = keys[: len(exps)], keys[len(exps) :]
-    order = wkey.argsort(kind="stable")
-    wkey = wkey[order]
-    lo = wkey.searchsorted(skey)
-    count = wkey.searchsorted(skey, "right") - lo
-    si = np.arange(len(exps)).repeat(count)
-    wi = order[np.arange(len(si)) + (lo + count - count.cumsum()).repeat(count)]
-    total = exps[si] + wexps[wi]
-    alive = np.logical_and.reduce(total < n, axis=1)
-    si, wi, total = si[alive], wi[alive], total[alive]
-
     eps = _upper_eps(state.ctx, slots)
+
+    if grid:
+        si = slice(None)  # every state term once, in order
+        paired = np.zeros_like(exps)  # the weight term each state term meets, widened
+        paired[:, diff] = n - 1 - exps[:, diff]
+        wi = paired[:, sorted(diff)] @ n ** np.arange(len(diff) - 1, -1, -1, dtype=np.int64)
+        total = exps + paired
+        wu = paired @ eps.T
+    else:
+        if len(slots) > len(wslots):
+            wexps = _widened(wslots, wexps, slot_of, len(slots))
+        keys = _row_keys(
+            np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff)
+        )
+        skey, wkey = keys[: len(exps)], keys[len(exps) :]
+        order = wkey.argsort(kind="stable")
+        wkey = wkey[order]
+        lo = wkey.searchsorted(skey)
+        count = wkey.searchsorted(skey, "right") - lo
+        si = np.arange(len(exps)).repeat(count)
+        wi = order[np.arange(len(si)) + (lo + count - count.cumsum()).repeat(count)]
+        total = exps[si] + wexps[wi]
+        alive = np.logical_and.reduce(total < n, axis=1)
+        si, wi, total = si[alive], wi[alive], total[alive]
+        wu = (wexps @ eps.T)[wi]
+
     # (n-1) * p[u], with p[u] the sum of U[u, d] over the differentials d
     # after u's own position (every one for a u that is not integrated)
     after = dict(zip(diff, range(1, len(diff) + 1)))
     p = [(n - 1) * (sum(map(row.__getitem__, diff[after.get(u, 0) :])) % n)
          for u, row in enumerate(eps.tolist())]
-    qexp = total @ np.array(p, dtype=np.int64) - (exps[si] * (wexps @ eps.T)[wi]).sum(axis=1)
+    qexp = total @ np.array(p, dtype=np.int64) - (exps[si] * wu).sum(axis=1)
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
 
     rest = sorted(set(range(len(slots))).difference(diff))
@@ -500,15 +519,17 @@ class WeightSolution:
 class MonomialBasis(Sequence[Monomial]):
     """All products of powers 0..max_exponent (default n-1) of the variables.
 
-    An exponent table, not a list: slots holds the variables sorted, and
-    exps the N x len(slots) int64 exponents, one row per monomial in
-    itertools.product order (the last variable counts fastest).  len reads
-    the table; indexing and iteration box a row into a Monomial on first
-    read and keep it.  Every read boxes through _box, which takes the rows
-    not yet read from one tolist (a slice and solve_weight's read of the
-    weight pass many rows at once), and a row read before returns its kept
-    object.  A negative max_exponent gives no monomials over one or more
-    variables, and the monomial 1 over none.
+    An exponent table, not a list: slots holds the variables sorted, radix
+    is max_exponent + 1 (0 for a negative one), and exps the
+    radix**len(slots) x len(slots) int64 exponents, one row per monomial in
+    itertools.product order (the last variable counts fastest), so row i
+    holds the digits of i in base radix.  len reads the table; indexing and
+    iteration box a row into a Monomial on first read and keep it.  Every
+    read boxes through _box, which takes the rows not yet read from one
+    tolist (a slice, iteration and solve_weight's read of the weight pass
+    many rows at once), and a row read before returns its kept object.  A
+    negative max_exponent gives no monomials over one or more variables,
+    and the monomial 1 over none.
     """
 
     def __init__(
@@ -516,13 +537,16 @@ class MonomialBasis(Sequence[Monomial]):
     ) -> None:
         top = ctx.n - 1 if max_exponent is None else max_exponent
         self.slots = tuple(sorted(set(variables)))
-        radix, width = max(top + 1, 0), len(self.slots)
-        place = radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        self.exps = np.arange(radix**width, dtype=np.int64)[:, None] // place % radix
+        self.radix, width = max(top + 1, 0), len(self.slots)
+        place = self.radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        self.exps = np.arange(self.radix**width, dtype=np.int64)[:, None] // place % self.radix
         self._boxed: dict[int, Monomial] = {}
 
     def __len__(self) -> int:
         return len(self.exps)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return iter(self._box(range(len(self))))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -638,7 +662,11 @@ def solve_weight(
 
     Column j is integral(basis[j] * state); all columns come from one
     array join (_join) over the basis, in which a basis monomial w meets
-    only the state terms with w_d + m_d = n-1 on every differential d.
+    only the state terms with w_d + m_d = n-1 on every differential d.  A
+    MonomialBasis of radix n over exactly the differentials is the grid
+    that the index join reads: each state term's one column is computed,
+    not searched for.  Any other basis (a listed one, a max_exponent below
+    n-1, other variables) runs the sort-merge join.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
     clean Grassmann-free match.  The least-squares step is _block_lstsq:
@@ -650,13 +678,17 @@ def solve_weight(
     1..n-1 and the differentials must be distinct, and a residual that
     overflows to inf or nan raises ValueError too.
 
-    A MonomialBasis enters the join as its exponent table; any other
+    A MonomialBasis enters the join as its exponent table, which is
+    scanned for exponents >= n only when its radix exceeds n; any other
     iterable is read once into a tuple, before the emptiness check, and
     tabulated once (_exponents), a repeated monomial getting a column each.
     The weight reads the nonzero entries of x at once (one flatnonzero,
     one tolist), a zero part written as 0.0, never -0.0.  A MonomialBasis
-    boxes their rows in bulk (MonomialBasis._box); either way the weight
-    sums a repeated monomial's columns in column order.
+    boxes their rows in bulk (MonomialBasis._box) and, its rows being
+    distinct, zips them with the values into the weight's dict; a listed
+    basis sums a repeated monomial's columns in column order.  Either dict
+    holds nonzero complex values only and is adopted as it is
+    (AlgebraElement._adopt).
     """
     if not isinstance(basis, MonomialBasis):
         basis = tuple(basis)  # an iterator is read once, before the emptiness check
@@ -667,18 +699,21 @@ def solve_weight(
         raise ValueError("target dimensions do not match the state")
     differentials = tuple(differentials)
     _check_distinct(differentials)
+    grid = False
     if isinstance(basis, MonomialBasis):
         wslots, wexps = basis.slots, basis.exps
-        bad = np.flatnonzero((wexps >= ctx.n).any(axis=1))
-        if len(bad):  # raises on the first bad row's first exponent, as on a list
-            _exponents(ctx.n, [basis[bad[0]]])
+        if basis.radix > ctx.n:  # only then can a row hold an exponent >= n
+            bad = np.flatnonzero((wexps >= ctx.n).any(axis=1))
+            if len(bad):  # raises on the first bad row's first exponent, as on a list
+                _exponents(ctx.n, [basis[bad[0]]])
+        grid = basis.radix == ctx.n and set(wslots) == set(differentials)
     else:
         wslots, wexps = _exponents(ctx.n, basis)
 
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         rest, _, ket, cols, vals = _join(
-            wslots, wexps, np.ones(len(basis), complex), differentials, state
+            wslots, wexps, np.ones(len(basis), complex), differentials, state, grid
         )
         # rows: the (monomial, ket) keys of the join's entries and of the
         # target's nonzero amplitudes, kets by flat index; within a column
@@ -701,19 +736,19 @@ def solve_weight(
     nonzero = np.flatnonzero(x)
     values = (x[nonzero] + 0.0).tolist()
     if isinstance(basis, MonomialBasis):
-        monos = basis._box(nonzero.tolist())
+        # distinct rows: one hash per monomial
+        terms = dict(zip(basis._box(nonzero.tolist()), values))
     else:
-        monos = [basis[j] for j in nonzero.tolist()]
-    terms = {}
-    for m, c in zip(monos, values):
-        # one hash per new monomial; a repeated one sums its columns, in order
-        if terms.setdefault(m, c) is not c:
-            terms[m] += c
+        terms = {}
+        for m, c in zip([basis[j] for j in nonzero.tolist()], values):
+            # one hash per new monomial; a repeated one sums its columns, in order
+            if terms.setdefault(m, c) is not c:
+                terms[m] += c
     if not np.isfinite(residual):
         raise ValueError(f"the solve overflowed (residual {residual}); scale it down")
 
     return WeightSolution(
-        weight=AlgebraElement(ctx, terms),
+        weight=AlgebraElement._adopt(ctx, terms),
         residual=residual,
         feasible=residual < tol,
         basis=basis,

@@ -57,6 +57,16 @@ def _integer(x: Any, what: str) -> int:
     return int(x)
 
 
+def _objects(x: Any, what: str) -> list[dict]:
+    """x, which must be a list of objects; anything else is a ValueError naming what."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list of objects, got {x!r}")
+    for item in x:
+        if not isinstance(item, dict):
+            raise ValueError(f"every entry of {what} must be an object, got {item!r}")
+    return x
+
+
 def monomial_to_dict(mono: Monomial) -> dict[str, int]:
     return {v.name: e for v, e in mono.exps}
 
@@ -97,7 +107,7 @@ def graded_from_dict(d: dict[str, Any], ctx: AlgebraContext | None = None) -> Gr
     ctx = ctx or AlgebraContext(_integer(d["grade_n"], "grade_n"))
     space = LevelSpace(tuple(_integer(x, "a site dimension") for x in d["sites"]))
     terms: dict[tuple[Monomial, tuple[int, ...]], complex] = {}
-    for t in d["terms"]:
+    for t in _objects(d["terms"], "state terms"):
         mono = monomial_from_dict(t.get("monomial", {}))
         key = (mono, tuple(_integer(x, "a ket level") for x in t["ket"]))
         terms[key] = terms.get(key, 0.0) + _pair2c(t["coeff"])
@@ -112,10 +122,11 @@ def plain_to_dict(s: PlainState, grade_n: int | None = None) -> dict[str, Any]:
     return {"grade_n": grade_n, "sites": list(s.dims), "terms": terms}
 
 
-def plain_from_dict(d: dict[str, Any]) -> PlainState:
+def plain_from_dict(d: dict[str, Any], what: str = "state") -> PlainState:
+    """The plain state of d; what names d in an error (a solve spec's "target")."""
     dims = tuple(_integer(x, "a site dimension") for x in d["sites"])
     terms: dict[tuple[int, ...], complex] = {}
-    for t in d["terms"]:
+    for t in _objects(d["terms"], f"{what} terms"):
         if t.get("monomial"):
             raise ValueError("plain state cannot carry monomials")
         ket = tuple(_integer(x, "a ket level") for x in t["ket"])

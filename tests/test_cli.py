@@ -426,6 +426,51 @@ def test_solve_weight_malformed_basis_exits_two(tmp_path, capsys, basis, line):
     assert err == f"error: malformed solve spec: {line}\n"  # one line, no traceback
 
 
+@pytest.mark.parametrize(
+    "field, bad, line",
+    [
+        ("target.terms", {"a": 1}, "target terms must be a list of objects, got {'a': 1}"),
+        ("target.terms", [1], "every entry of target terms must be an object, got 1"),
+        ("combination", {"factors": []}, "combination must be a list of objects, got {'factors': []}"),
+        ("combination", ["x"], "every entry of combination must be an object, got 'x'"),
+        ("differentials", "theta_1",
+         "differentials must be a list of variable names, got 'theta_1'"),
+        ("factors", {"kind": "coherent"}, "factors must be a list of objects, got {'kind': 'coherent'}"),
+        ("factors", [[1]], "every entry of factors must be an object, got [1]"),
+    ],
+    ids=["object_terms", "number_term", "object_combination", "string_part",
+         "string_differentials", "object_factors", "list_factor"],
+)
+def test_solve_weight_malformed_field_exits_two(tmp_path, capsys, field, bad, line):
+    # the object forms of terms and combination, and a number among the
+    # terms, used to exit 1 with an AttributeError traceback; a string of
+    # differentials was parsed one character at a time, and factors given as
+    # an object failed on "string indices must be integers"
+    path = tmp_path / "spec.json"
+    spec = _ghz2_spec()
+    if field == "target.terms":
+        spec["target"]["terms"] = bad
+    else:  # a combination takes the place of the factors
+        spec[field] = bad
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed solve spec: {line}\n"  # one line, no traceback
+    assert "Traceback" not in err
+
+
+def test_serialized_terms_must_be_a_list_of_objects():
+    ctx = AlgebraContext(2)
+    state = graded_to_dict(coherent_state(ctx, ctx.theta(1), 2))
+    for bad, line in [({"a": 1}, "state terms must be a list of objects"),
+                      ([1], "every entry of state terms must be an object")]:
+        with pytest.raises(ValueError, match=line):
+            graded_from_dict({**state, "terms": bad})
+        with pytest.raises(ValueError, match=line):
+            plain_from_dict({"sites": [2], "terms": bad})
+
+
 @pytest.mark.parametrize("top", [None, 0, 1])
 def test_solve_weight_variables_basis_reports_as_its_listed_monomials(tmp_path, capsys, top):
     variables = {"variables": ["theta_2", "theta_1"]}

@@ -965,25 +965,78 @@ def _solution_bits(solution):
             solution.feasible, solution.singular_values.tobytes(), terms, list(solution.basis))
 
 
-@pytest.mark.parametrize("top", [None, 0])
-@pytest.mark.parametrize("case", ["default", "override", "residue"])
+# name: (phase table, differentials, basis variables, whether the basis at
+# max_exponent n-1 is the grid the index join reads: radix n over exactly
+# the differentials, in any order, with variables off them or missing from
+# the state)
+BASIS_CASES = {
+    "default": (*JOIN_CASES["default"], JOIN_VARIABLES, True),
+    "override": (*JOIN_CASES["override"], JOIN_VARIABLES, True),
+    "residue": (*JOIN_CASES["residue"], JOIN_VARIABLES, False),  # a superset
+    "rest": (PhaseTable(), (T2, T1), [T1, T2], True),
+    "rest-override": (JOIN_CASES["override"][0], (T2, TB1), [TB1, T2], True),
+    "unheld": (PhaseTable(), (T3, T1), [T1, T3], True),
+    "width-0": (PhaseTable(), (), [], True),
+    "subset": (PhaseTable(), (T2, T1), [T1], False),
+    "others": (PhaseTable(), (T1,), [T2, TB1], False),
+}
+
+
+def _count_sort_merge_joins(monkeypatch):
+    """A list that gains one entry per call of _row_keys, which solve_weight
+    makes once for its rows and the sort-merge join once more; the index
+    join makes none."""
+    calls = []
+    row_keys = entangle._row_keys
+    monkeypatch.setattr(entangle, "_row_keys", lambda *a: calls.append(1) or row_keys(*a))
+    return calls
+
+
+@pytest.mark.parametrize("top", [None, 0, "n-1"])
+@pytest.mark.parametrize("case", list(BASIS_CASES))
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_table_basis_solves_as_its_list(n, case, top):
-    table, diffs = JOIN_CASES[case]
+def test_table_basis_solves_as_its_list(n, case, top, monkeypatch):
+    table, diffs, variables, grid = BASIS_CASES[case]
     ctx = AlgebraContext(n, phase_table=table)
+    top = n - 1 if top == "n-1" else top
+    grid = grid and top != 0  # max_exponent 0 < n-1 is no grid
     rng = np.random.default_rng(300 * n + len(diffs))
     state = _random_graded(ctx, rng)
-    basis = entangle.MonomialBasis(ctx, JOIN_VARIABLES, top)
+    basis = entangle.MonomialBasis(ctx, variables, top)
     image = integrate_graded(
         IntegralSpec(_random_weight(ctx, rng, basis), diffs), state
     ).plain_projection()
     noise = PlainState((2, 3), rng.standard_normal(6) + 1j * rng.standard_normal(6))
     for target in (image, noise):
+        calls = _count_sort_merge_joins(monkeypatch)
         got = solve_weight(state, diffs, target, basis)
-        listed = list(entangle.MonomialBasis(ctx, JOIN_VARIABLES, top))
+        assert len(calls) == (1 if grid else 2)
+        monkeypatch.undo()
+        listed = list(entangle.MonomialBasis(ctx, variables, top))
         want = solve_weight(state, diffs, target, listed)
         assert got.basis is basis
         assert _solution_bits(got) == _solution_bits(want)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_basis_exponent_of_n_or_more_raises_as_its_list(n, width):
+    ctx = AlgebraContext(n)
+    state = _random_graded(ctx, np.random.default_rng(n))
+    diffs = tuple(JOIN_VARIABLES[:width])
+    target = PlainState((2, 3), np.ones(6))
+    for top in (n, n + 1):
+        basis = entangle.MonomialBasis(ctx, diffs, top)
+        assert basis.radix > n
+        if width == 0:  # the monomial 1: nothing out of range
+            assert solve_weight(state, diffs, target, basis).basis is basis
+            continue
+        with pytest.raises(ValueError) as listed:
+            solve_weight(state, diffs, target, list(basis))
+        with pytest.raises(ValueError) as table_basis:
+            solve_weight(state, diffs, target, basis)
+        assert str(table_basis.value) == str(listed.value)
+        assert str(listed.value) == f"exponent {n} of {diffs[-1].name} lies outside 1..{n - 1}"
 
 
 @pytest.mark.parametrize("problem", SOLVE_PROBLEMS, ids=[p[0] for p in SOLVE_PROBLEMS])
@@ -993,6 +1046,16 @@ def test_solver_basis_solves_as_its_list(problem):
     listed = list(entangle.MonomialBasis(recipe.ctx, recipe.differentials))
     want = solve_weight(recipe.state, recipe.differentials, target, listed)
     assert _solution_bits(got) == _solution_bits(want)
+
+
+@pytest.mark.parametrize("problem", SOLVE_PROBLEMS, ids=[p[0] for p in SOLVE_PROBLEMS])
+def test_solver_bases_take_the_index_join(problem, monkeypatch):
+    _, recipe, target = problem
+    calls = _count_sort_merge_joins(monkeypatch)
+    solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
+    assert calls == [1]
+    solve_weight(recipe.state, recipe.differentials, target, list(recipe.solver_basis))
+    assert calls == [1, 1, 1]
 
 
 def test_table_basis_boxes_only_the_weights_monomials(monkeypatch):

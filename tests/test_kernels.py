@@ -7,7 +7,9 @@ instead of once per step: the fold widened every factor and formed its
 reordering rows inside the loop and pruned after summing, the join rebuilt
 its phase matrices from scratch, the sum always grouped with np.unique, and
 the spectra built their side masks and place values with array passes.
-The kernels must give the same arrays, bit for bit.
+The kernels must give the same arrays, bit for bit.  The index join that
+_join runs on a solver's grid basis (every exponent row 0..n-1 on exactly
+the differentials) is checked against the sort-merge _ref_join as well.
 """
 
 import itertools
@@ -339,6 +341,25 @@ def test_fold_join_and_sum_are_bitwise_the_earlier_kernels_on_the_catalog(entry_
     _assert_same_arrays(qstate._summed(*args), _ref_summed(*args))
 
 
+def _grid_join_args(ctx, differentials, state):
+    """_join's weight arguments for the grid basis on differentials, the
+    table solve_weight hands it, then the differentials and the state."""
+    basis = entangle.MonomialBasis(ctx, differentials)
+    assert basis.radix == ctx.n and set(basis.slots) == set(differentials)
+    return basis.slots, basis.exps, np.ones(len(basis), complex), differentials, state
+
+
+@pytest.mark.parametrize("entry_id,params", RUNS, ids=str)
+def test_index_join_is_bitwise_the_earlier_join_on_the_solver_bases(entry_id, params):
+    recipe = build_recipe(entry_id, **params)
+    args = _grid_join_args(recipe.ctx, recipe.differentials, recipe.state)
+    assert len(recipe.solver_basis) == len(args[1])
+    joined = entangle._join(*args, grid=True)
+    _assert_same_arrays(joined, _ref_join(*args))
+    _assert_same_arrays(joined, entangle._join(*args))  # the sort-merge join, unchanged
+    assert len(joined[3]) == len(recipe.state._table.coef)  # one pair per state term
+
+
 @pytest.mark.parametrize("entry_id,params", RUNS, ids=str)
 def test_spectra_are_bitwise_the_earlier_kernel_on_the_catalog(entry_id, params):
     recipe = build_recipe(entry_id, **params)
@@ -421,6 +442,19 @@ def test_random_folds_joins_and_sums_are_bitwise_the_earlier_kernels(table, shar
     _assert_same_state(entangle._integrate(spec, factors), _ref_integrate(spec, factors))
     _assert_same_arrays(entangle._join(*_weight_table(spec), spec.differentials, product),
                         _ref_join(*_weight_table(spec), spec.differentials, product))
+
+
+@pytest.mark.parametrize("table,shared,seed", RANDOM_CASES)
+def test_random_index_joins_are_bitwise_the_earlier_join(table, shared, seed):
+    # differentials in canonical and reversed order; the states hold
+    # variables off the differentials, and some lack a differential; the
+    # factors' own tables keep their coefficients' -0.0 parts, which the
+    # product's sums write as 0.0
+    factors, spec = _random_case(table, shared, seed)
+    for state in [qstate._fold(factors)] + factors:
+        for diffs in (spec.differentials, spec.differentials[::-1]):
+            args = _grid_join_args(state.ctx, diffs, state)
+            _assert_same_arrays(entangle._join(*args, grid=True), _ref_join(*args))
 
 
 def _cancelling_factors():
