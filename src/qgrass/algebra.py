@@ -140,6 +140,8 @@ class PhaseTable:
     signed: dict[tuple[Variable, Variable], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # tuples throughout, so a table, and a context holding it, hashes
+        object.__setattr__(self, "overrides", tuple(map(tuple, self.overrides)))
         signed: dict[tuple[Variable, Variable], int] = {}
         for (a, b, e) in self.overrides:
             if a == b:

@@ -255,6 +255,8 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             with open(args.spec) as fh:
                 spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"the spec must be an object, got {type(spec).__name__}")
         ctx = AlgebraContext(_integer(spec["grade_n"], "grade_n"))
         state = _build_state(ctx, spec)
         target = plain_from_dict(spec["target"], "target")
@@ -270,7 +272,10 @@ def cmd_solve_weight(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             raise ValueError(f"basis must be a list of monomials or an object, got {basis_spec!r}")
         solution = solve_weight(state, differentials, target, basis, tol=config.tolerance)
-    except (KeyError, ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
+    except KeyError as exc:
+        sys.stderr.write(f"error: malformed solve spec: missing field {exc}\n")
+        return 2
+    except (ValueError, TypeError, OverflowError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: malformed solve spec: {exc}\n")
         return 2
 

@@ -59,6 +59,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import types
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -98,6 +100,44 @@ class IntegralSpec:
         _check_distinct(self.differentials)
 
 
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(ctx, state_slots: tuple, weight_slots: tuple, differentials: tuple) -> tuple:
+    """_join's frame, fixed by the context (with its phase table), the slots
+    and the differentials (in order): (slots, slot_of, diff, U, (n-1)*p,
+    rest, rest_slots, grid, top, roots), every array read-only.  The grid
+    row that state row m meets is top - m.place, and the pair's q-exponent
+    (see _join) is m.(m G) + m.v + C, with grid = [G | v | place]: row d
+    of G is U[:, d] on each differential d and 0 elsewhere, v is (n-1)*p
+    off the differentials less (n-1) * U[:, diff].sum(1), and C, (n-1) *
+    ((n-1)*p)[diff].sum(), is folded into roots[k] = q**(k + C)."""
+    n = ctx.n
+    slots = tuple(sorted(set(state_slots).union(differentials, weight_slots)))
+    slot_of = {v: i for i, v in enumerate(slots)}
+    diff = [slot_of[d] for d in differentials]
+    eps = _upper_eps(ctx, slots)
+    # (n-1) * p[u], with p[u] the sum of U[u, d] over the differentials d
+    # after u's own position (every one for a u that is not integrated)
+    after = dict(zip(diff, range(1, len(diff) + 1)))
+    p = np.array([(n - 1) * (sum(map(row.__getitem__, diff[after.get(u, 0) :])) % n)
+                  for u, row in enumerate(eps.tolist())], dtype=np.int64)
+    rest = sorted(set(range(len(slots))).difference(diff))
+    grid = np.zeros((len(slots), len(slots) + 2), dtype=np.int64)
+    grid[diff, :-2] = eps[:, diff].T
+    grid[rest, -2] = p[rest]
+    grid[:, -2] -= (n - 1) * eps[:, diff].sum(axis=1)
+    grid[sorted(diff), -1] = n ** np.arange(len(diff) - 1, -1, -1, dtype=np.int64)
+    roots = _roots(n)[(np.arange(n) + (n - 1) * int(p[diff].sum())) % n]
+    return (slots, types.MappingProxyType(slot_of), _frozen(diff), eps, _frozen(p),
+            _frozen(rest), tuple(slots[i] for i in rest), _frozen(grid),
+            (n - 1) * int(grid[:, -1].sum()), _frozen(roots, complex))
+
+
 def _join(
     wslots: Sequence[Variable],
     wexps: np.ndarray,
@@ -117,16 +157,18 @@ def _join(
     weight terms in order.
 
     Both tables are read over the canonical slots, the sorted union of the
-    state table's slots, wslots and the differentials.  A state term m
-    meets the weight terms w with w_d = n-1-m_d on every differential d,
-    and a pair survives when every summed exponent is below n.  On a grid
-    weight (a MonomialBasis whose slots are the differentials, every
-    exponent 0..n-1, product order) m meets exactly one term, at index
-    (n-1-m).place over the sorted differentials, and the pair survives, as
-    every differential sums to n-1 and every other slot keeps m's own
-    exponent: the index join reads that index and never widens the table.
-    Any other weight is matched by sort plus searchsorted, any number of w
-    per key.  A pair's q-exponent is
+    state table's slots, wslots and the differentials; all that the
+    structure alone fixes is read from its cached frame (_frame).  A state
+    term m meets the weight terms w with w_d = n-1-m_d on every
+    differential d, and a pair survives when every summed exponent is
+    below n.  On a grid weight (a MonomialBasis whose slots are the
+    differentials, every exponent 0..n-1, product order) m meets exactly
+    one term, at index (n-1-m).place over the sorted differentials, and
+    the pair survives, as every differential sums to n-1 and every other
+    slot keeps m's own exponent: the index join reads that index and the
+    q-exponent from one product with the frame's grid matrix.  Any other
+    weight is matched by sort plus searchsorted, any number of w per key.
+    A pair's q-exponent is
 
         -m.U.w  +  (n-1) * P.p,     P = m + w,
 
@@ -139,50 +181,33 @@ def _join(
     """
     n = state.ctx.n
     table = state._table
-    slots = sorted(set(table.slots).union(differentials, wslots))
-    slot_of = {v: i for i, v in enumerate(slots)}
-    if len(slots) > len(table.slots):
-        exps = _widened(table.slots, table.exps, slot_of, len(slots))
-    else:
-        exps = table.exps
-    diff = [slot_of[d] for d in differentials]
-    eps = _upper_eps(state.ctx, slots)
-
+    slots, slot_of, diff, eps, phase, rest, rest_slots, grid_matrix, top, roots = _frame(
+        state.ctx, table.slots, tuple(wslots), tuple(differentials))
+    k = len(slots)
+    exps = table.exps if k == len(table.slots) else _widened(table.slots, table.exps, slot_of, k)
     if grid:
-        si = slice(None)  # every state term once, in order
-        paired = np.zeros_like(exps)  # the weight term each state term meets, widened
-        paired[:, diff] = n - 1 - exps[:, diff]
-        wi = paired[:, sorted(diff)] @ n ** np.arange(len(diff) - 1, -1, -1, dtype=np.int64)
-        total = exps + paired
-        wu = paired @ eps.T
-    else:
-        if len(slots) > len(wslots):
-            wexps = _widened(wslots, wexps, slot_of, len(slots))
-        keys = _row_keys(
-            np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff)
-        )
-        skey, wkey = keys[: len(exps)], keys[len(exps) :]
-        order = wkey.argsort(kind="stable")
-        wkey = wkey[order]
-        lo = wkey.searchsorted(skey)
-        count = wkey.searchsorted(skey, "right") - lo
-        si = np.arange(len(exps)).repeat(count)
-        wi = order[np.arange(len(si)) + (lo + count - count.cumsum()).repeat(count)]
-        total = exps[si] + wexps[wi]
-        alive = np.logical_and.reduce(total < n, axis=1)
-        si, wi, total = si[alive], wi[alive], total[alive]
-        wu = (wexps @ eps.T)[wi]
+        cross = exps @ grid_matrix  # m G, m.v and m.place, per state row
+        wi = top - cross[:, -1]
+        qexp = (exps * cross[:, :k]).sum(axis=1) + cross[:, k]
+        value = wcoef[wi] * table.coef * roots[qexp % n]
+        return exps[:, rest], list(rest_slots), table.digits, wi, value
 
-    # (n-1) * p[u], with p[u] the sum of U[u, d] over the differentials d
-    # after u's own position (every one for a u that is not integrated)
-    after = dict(zip(diff, range(1, len(diff) + 1)))
-    p = [(n - 1) * (sum(map(row.__getitem__, diff[after.get(u, 0) :])) % n)
-         for u, row in enumerate(eps.tolist())]
-    qexp = total @ np.array(p, dtype=np.int64) - (exps[si] * wu).sum(axis=1)
+    if k > len(wslots):
+        wexps = _widened(wslots, wexps, slot_of, k)
+    keys = _row_keys(np.concatenate([n - 1 - exps[:, diff], wexps[:, diff]]), [n] * len(diff))
+    skey, wkey = keys[: len(exps)], keys[len(exps) :]
+    order = wkey.argsort(kind="stable")
+    wkey = wkey[order]
+    lo = wkey.searchsorted(skey)
+    count = wkey.searchsorted(skey, "right") - lo
+    si = np.arange(len(exps)).repeat(count)
+    wi = order[np.arange(len(si)) + (lo + count - count.cumsum()).repeat(count)]
+    total = exps[si] + wexps[wi]
+    alive = np.logical_and.reduce(total < n, axis=1)
+    si, wi, total = si[alive], wi[alive], total[alive]
+    qexp = total @ phase - (exps[si] * (wexps @ eps.T)[wi]).sum(axis=1)
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
-
-    rest = sorted(set(range(len(slots))).difference(diff))
-    return total[:, rest], [slots[i] for i in rest], table.digits[si], wi, value
+    return total[:, rest], list(rest_slots), table.digits[si], wi, value
 
 
 def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
@@ -559,11 +584,13 @@ class MonomialBasis(Sequence[Monomial]):
         """The monomials of the distinct rows idx (each in 0..len-1), in order:
         the rows not yet read are boxed from one tolist and kept, and a row
         read before returns its kept object."""
-        boxed, slots = self._boxed, self.slots
-        new = [i for i in idx if i not in boxed]
-        for i, row in zip(new, self.exps[new].tolist()):
-            boxed[i] = Monomial(itertools.compress(zip(slots, row), row))
-        return [boxed[i] for i in idx]
+        boxed = self._boxed
+        new = list(set(idx).difference(boxed))
+        if new:  # each (variable, exponent) block is built once, and rows share them
+            blocks = [[(v, e) for e in range(self.radix)] for v in self.slots]
+            for i, row in zip(new, self.exps[new].tolist()):
+                boxed[i] = Monomial(itertools.compress(map(operator.getitem, blocks, row), row))
+        return list(map(boxed.__getitem__, idx))
 
 
 def _column_norms(cols: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -589,7 +616,8 @@ def _block_lstsq(
     """Min-norm least squares for A[rows, cols] = vals, block by block, never building A.
 
     Each (row, column) appears at most once.  Columns that share a row form
-    one block (union-find over the shared rows); the min-norm solution,
+    one block (union-find over the shared rows, set up only when some row
+    is shared; else every column is its own block); the min-norm solution,
     residual and spectrum of A are those of its blocks together.  A
     one-column block c keeps every nonzero column, with x = (<c, b> / |c|) / |c|
     (|c|**2 underflows on the 1/k! columns of large grades) and singular
@@ -602,34 +630,34 @@ def _block_lstsq(
     to min(M, N), as lstsq's.
     """
     m, n = shape
-    parent = list(range(n))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    first: dict[int, int] = {}
-    shared = np.bincount(rows, minlength=m)[rows] > 1
-    for r, j in zip(rows[shared].tolist(), cols[shared].tolist()):
-        a, b = find(j), find(first.setdefault(r, j))
-        if a != b:
-            parent[a] = b
-    root = np.arange(n)  # only a column with a shared row can have another root
-    linked = np.flatnonzero(np.bincount(cols[shared], minlength=n))
-    root[linked] = [find(j) for j in linked.tolist()]
-    single = np.bincount(root, minlength=n)[root] == 1
-
     norm = _column_norms(cols, vals, n)
     dot = _sum_by(cols, vals.conj() * rhs[rows], n)
-    values = [norm[single & (np.bincount(cols, minlength=n) > 0)]]
     x = np.zeros(n, dtype=complex)
-    keep = single & (norm > 0)
-    x[keep] = dot[keep] / norm[keep] / norm[keep]
-    rank = int(np.sum(keep))
-    multi = ~single[cols]
-    if multi.any():
+    alone = np.bincount(cols, minlength=n) > 0  # a column with rows, alone in its block
+    keep = norm > 0
+    spectra, rank = [], 0
+    shared = np.bincount(rows, minlength=m)[rows] > 1
+    if shared.any():  # else every column is its own block
+        parent = list(range(n))
+
+        def find(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            return j
+
+        first: dict[int, int] = {}
+        for r, j in zip(rows[shared].tolist(), cols[shared].tolist()):
+            a, b = find(j), find(first.setdefault(r, j))
+            if a != b:
+                parent[a] = b
+        root = np.arange(n)  # only a column with a shared row can have another root
+        linked = np.flatnonzero(np.bincount(cols[shared], minlength=n))
+        root[linked] = [find(j) for j in linked.tolist()]
+        single = np.bincount(root, minlength=n)[root] == 1
+        alone &= single
+        keep &= single
+        multi = ~single[cols]
         order = np.argsort(root[cols[multi]], kind="stable")
         r, c, v = rows[multi][order], cols[multi][order], vals[multi][order]
         cuts = np.flatnonzero(np.diff(root[c])) + 1
@@ -643,12 +671,26 @@ def _block_lstsq(
             inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
             x[block_cols] = vh.conj().T @ ((u.conj().T @ rhs[block_rows]) * inv)
             rank += int(np.sum(kept))
-            values.append(s)
+            spectra.append(s)
+    x[keep] = dot[keep] / norm[keep] / norm[keep]
+    rank += int(np.sum(keep))
 
-    values = np.sort(np.concatenate(values))[::-1]
+    values = np.sort(np.concatenate([norm[alone]] + spectra))[::-1]
     padded = np.zeros(min(m, n))
     padded[: len(values)] = values
     return x, rank, padded
+
+
+def _numbered(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """np.unique(keys, return_inverse=True)[1] and the number of distinct
+    keys, from one stable argsort and the starts of its runs."""
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = ranked[1:] != ranked[:-1]
+    row = np.empty(len(keys), dtype=np.intp)
+    row[order] = start.cumsum() - 1
+    return row, int(start.sum())
 
 
 def solve_weight(
@@ -661,15 +703,18 @@ def solve_weight(
     """Solve min || integrate(w * state) - target || over weights on the basis.
 
     Column j is integral(basis[j] * state); all columns come from one
-    array join (_join) over the basis, in which a basis monomial w meets
-    only the state terms with w_d + m_d = n-1 on every differential d.  A
+    array join over the basis (_join, on the frame cached for this
+    structure), in which a basis monomial w meets only the state terms
+    with w_d + m_d = n-1 on every differential d.  A
     MonomialBasis of radix n over exactly the differentials is the grid
     that the index join reads: each state term's one column is computed,
     not searched for.  Any other basis (a listed one, a max_exponent below
     n-1, other variables) runs the sort-merge join.
     Rows cover every term the candidate weights can produce, including
     residual Grassmann terms (targeted to zero), so feasibility demands a
-    clean Grassmann-free match.  The least-squares step is _block_lstsq:
+    clean Grassmann-free match.  The rows are numbered from their keys
+    (_row_keys, called once) by one stable sort (_numbered), as
+    np.unique's inverse would.  The least-squares step is _block_lstsq:
     one block per set of columns that share rows, each under its own
     cutoff, so rank counts the values kept block by block and
     singular_values holds every block's values.  The dense matrix is never
@@ -725,12 +770,12 @@ def solve_weight(
         keys[: len(cols), -1] = np.ravel_multi_index(ket.T, target.dims)
         keys[len(cols) :, -1] = want
         radices = [ctx.n] * rest.shape[1] + [target.amps.size]
-        uniq, row = np.unique(_row_keys(keys, radices), return_inverse=True)
+        row, size = _numbered(_row_keys(keys, radices))
         rows = row[: len(cols)]
-        rhs = np.zeros(len(uniq), dtype=complex)
+        rhs = np.zeros(size, dtype=complex)
         rhs[row[len(cols) :]] = target.amps[want]
 
-        x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (len(uniq), len(basis)))
+        x, rank, singular_values = _block_lstsq(rows, cols, vals, rhs, (size, len(basis)))
         residual = float(np.linalg.norm(_sum_by(rows, vals * x[cols], len(rhs)) - rhs))
     # a zero column adds no term; adding 0.0 writes a zero part as 0.0, never -0.0
     nonzero = np.flatnonzero(x)

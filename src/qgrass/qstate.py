@@ -217,11 +217,13 @@ def _sum_rows(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
     return first[nonzero], coef[nonzero]
 
 
-def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _upper_eps(ctx: AlgebraContext, slots: tuple[Variable, ...]) -> np.ndarray:
     """K x K int64 U mod n: U[y, x] = eps(slots[y], slots[x]) for y < x, else 0.
 
     Read from the context's phase table, so overrides count.  A block y**e
-    moving left past a block x**f (y < x) collects -U[y, x]*e*f.
+    moving left past a block x**f (y < x) collects -U[y, x]*e*f.  One
+    read-only array per (context, slots), shared by _stacked and _join.
     """
     n = ctx.n
     idx = np.arange(len(slots))
@@ -231,6 +233,7 @@ def _upper_eps(ctx: AlgebraContext, slots: Sequence[Variable]) -> np.ndarray:
         y, x = slot_of.get(a), slot_of.get(b)
         if y is not None and x is not None and y < x:
             eps[y, x] = e % n
+    eps.flags.writeable = False
     return eps
 
 

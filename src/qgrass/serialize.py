@@ -57,6 +57,14 @@ def _integer(x: Any, what: str) -> int:
     return int(x)
 
 
+def _integers(x: Any, what: str, each: str) -> tuple[int, ...]:
+    """x, which must be a list, as a tuple of ints; what names x in an error
+    and each names its entries."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list of integers, got {x!r}")
+    return tuple(_integer(v, each) for v in x)
+
+
 def _objects(x: Any, what: str) -> list[dict]:
     """x, which must be a list of objects; anything else is a ValueError naming what."""
     if not isinstance(x, list):
@@ -105,11 +113,11 @@ def graded_to_dict(s: GradedState) -> dict[str, Any]:
 
 def graded_from_dict(d: dict[str, Any], ctx: AlgebraContext | None = None) -> GradedState:
     ctx = ctx or AlgebraContext(_integer(d["grade_n"], "grade_n"))
-    space = LevelSpace(tuple(_integer(x, "a site dimension") for x in d["sites"]))
+    space = LevelSpace(_integers(d["sites"], "state sites", "a site dimension"))
     terms: dict[tuple[Monomial, tuple[int, ...]], complex] = {}
     for t in _objects(d["terms"], "state terms"):
         mono = monomial_from_dict(t.get("monomial", {}))
-        key = (mono, tuple(_integer(x, "a ket level") for x in t["ket"]))
+        key = (mono, _integers(t["ket"], "a state ket", "a ket level"))
         terms[key] = terms.get(key, 0.0) + _pair2c(t["coeff"])
     return GradedState(ctx, space, terms)
 
@@ -124,12 +132,14 @@ def plain_to_dict(s: PlainState, grade_n: int | None = None) -> dict[str, Any]:
 
 def plain_from_dict(d: dict[str, Any], what: str = "state") -> PlainState:
     """The plain state of d; what names d in an error (a solve spec's "target")."""
-    dims = tuple(_integer(x, "a site dimension") for x in d["sites"])
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be an object, got {d!r}")
+    dims = _integers(d["sites"], f"{what} sites", "a site dimension")
     terms: dict[tuple[int, ...], complex] = {}
     for t in _objects(d["terms"], f"{what} terms"):
         if t.get("monomial"):
             raise ValueError("plain state cannot carry monomials")
-        ket = tuple(_integer(x, "a ket level") for x in t["ket"])
+        ket = _integers(t["ket"], f"a {what} ket", "a ket level")
         terms[ket] = terms.get(ket, 0.0) + _pair2c(t["coeff"])
     return PlainState.from_terms(dims, terms)
 

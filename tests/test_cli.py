@@ -460,6 +460,48 @@ def test_solve_weight_malformed_field_exits_two(tmp_path, capsys, field, bad, li
     assert "Traceback" not in err
 
 
+def _without_kind(spec):
+    del spec["factors"][0]["kind"]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "malformed, line",
+    [
+        (lambda s: {**s, "target": {**s["target"], "sites": 3}},
+         "target sites must be a list of integers, got 3"),
+        (lambda s: {**s, "target": {"sites": [2, 2], "terms": [{"coeff": [1, 0], "ket": 0}]}},
+         "a target ket must be a list of integers, got 0"),
+        (lambda s: {**s, "target": 1}, "target must be an object, got 1"),
+        (lambda s: [s], "the spec must be an object, got list"),
+        (_without_kind, "missing field 'kind'"),
+    ],
+    ids=["number_sites", "number_ket", "number_target", "list_spec", "factor_without_kind"],
+)
+def test_solve_weight_malformed_field_is_named(tmp_path, capsys, malformed, line):
+    # these used to print "'int' object is not iterable", "'int' object is
+    # not subscriptable", "list indices must be integers or slices, not str"
+    # and "'kind'"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(malformed(_ghz2_spec())))
+    code, out, err = run_cli(capsys, "solve-weight", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: malformed solve spec: {line}\n"  # one line, no traceback
+    assert "Traceback" not in err
+
+
+def test_serialized_sites_and_kets_must_be_lists():
+    ctx = AlgebraContext(2)
+    state = graded_to_dict(coherent_state(ctx, ctx.theta(1), 2))
+    with pytest.raises(ValueError, match="state sites must be a list of integers, got 2"):
+        graded_from_dict({**state, "sites": 2})
+    with pytest.raises(ValueError, match="a state ket must be a list of integers, got 0"):
+        graded_from_dict({**state, "terms": [{**state["terms"][0], "ket": 0}]})
+    with pytest.raises(ValueError, match="state must be an object, got 1"):
+        plain_from_dict(1)
+
+
 def test_serialized_terms_must_be_a_list_of_objects():
     ctx = AlgebraContext(2)
     state = graded_to_dict(coherent_state(ctx, ctx.theta(1), 2))

@@ -10,6 +10,10 @@ the spectra built their side masks and place values with array passes.
 The kernels must give the same arrays, bit for bit.  The index join that
 _join runs on a solver's grid basis (every exponent row 0..n-1 on exactly
 the differentials) is checked against the sort-merge _ref_join as well.
+_ref_block_lstsq is entangle._block_lstsq as it was when it always set up
+its union-find, and np.unique's inverse is what the solver's one-sort row
+numbering (entangle._numbered) must give; the join frame that entangle
+caches per structure is checked against _ref_join across phase tables.
 """
 
 import itertools
@@ -32,6 +36,7 @@ from qgrass.catalog import build_recipe
 from qgrass.entangle import IntegralSpec, _exponents
 from qgrass.qstate import GradedState, LevelSpace, PlainState, _Table, coherent_state
 from qgrass.suites import CATALOG_RUNS
+from test_entangle import SOLVE_PROBLEMS
 
 LARGE_RUNS = [("ghz_n", {"n": 12}), ("ghz_n", {"n": 10}), ("w_n", {"n": 11}),
               ("qudit_mes_n", {"n": 11})]
@@ -215,6 +220,65 @@ def _ref_integrate(spec, factors):
     if not np.isfinite(table[1]).all():
         raise ValueError("the weight integral overflowed; scale the weight or the factors down")
     return GradedState._from_table(ctx, state.space, _Table(tuple(rest_slots), *table))
+
+
+def _ref_column_norms(cols, vals, n):
+    mag = np.abs(vals)
+    top = np.zeros(n)
+    np.fmax.at(top, cols, mag)
+    _, e = np.frexp(top)
+    return np.ldexp(np.sqrt(np.bincount(cols, np.ldexp(mag, -e[cols]) ** 2, minlength=n)), e)
+
+
+def _ref_block_lstsq(rows, cols, vals, rhs, shape):
+    m, n = shape
+    parent = list(range(n))
+
+    def find(j):
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first = {}
+    shared = np.bincount(rows, minlength=m)[rows] > 1
+    for r, j in zip(rows[shared].tolist(), cols[shared].tolist()):
+        a, b = find(j), find(first.setdefault(r, j))
+        if a != b:
+            parent[a] = b
+    root = np.arange(n)
+    linked = np.flatnonzero(np.bincount(cols[shared], minlength=n))
+    root[linked] = [find(j) for j in linked.tolist()]
+    single = np.bincount(root, minlength=n)[root] == 1
+
+    norm = _ref_column_norms(cols, vals, n)
+    dot = _ref_sum_by(cols, vals.conj() * rhs[rows], n)
+    values = [norm[single & (np.bincount(cols, minlength=n) > 0)]]
+    x = np.zeros(n, dtype=complex)
+    keep = single & (norm > 0)
+    x[keep] = dot[keep] / norm[keep] / norm[keep]
+    rank = int(np.sum(keep))
+    multi = ~single[cols]
+    if multi.any():
+        order = np.argsort(root[cols[multi]], kind="stable")
+        r, c, v = rows[multi][order], cols[multi][order], vals[multi][order]
+        cuts = np.flatnonzero(np.diff(root[c])) + 1
+        for rb, cb, vb in zip(np.split(r, cuts), np.split(c, cuts), np.split(v, cuts)):
+            block_rows, ri = np.unique(rb, return_inverse=True)
+            block_cols, ci = np.unique(cb, return_inverse=True)
+            a = np.zeros((len(block_rows), len(block_cols)), dtype=complex)
+            a[ri, ci] = vb
+            u, s, vh = np.linalg.svd(a, full_matrices=False)
+            kept = s > np.finfo(float).eps * max(a.shape) * s[0]
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+            x[block_cols] = vh.conj().T @ ((u.conj().T @ rhs[block_rows]) * inv)
+            rank += int(np.sum(kept))
+            values.append(s)
+
+    values = np.sort(np.concatenate(values))[::-1]
+    padded = np.zeros(min(m, n))
+    padded[: len(values)] = values
+    return x, rank, padded
 
 
 _REF_STACK_ENTRIES = 1 << 16
@@ -590,6 +654,162 @@ def test_axis_ranks_are_the_earlier_ranks(seed):
     got = entangle._axis_index(keys, length, len(keys))
     want = _ref_axis_index(keys, np.full(keys.shape[1], length), len(keys))
     _assert_same_arrays([got], [want])
+
+
+# -- the solver's set-up: block least squares, row numbering, cached frame ----------
+
+
+def _recorded_lstsq(monkeypatch, problems):
+    """The _block_lstsq arguments of each solve_weight on the problems."""
+    calls, real = [], entangle._block_lstsq
+    monkeypatch.setattr(entangle, "_block_lstsq", lambda *a: calls.append(a) or real(*a))
+    for _, recipe, target in problems:
+        entangle.solve_weight(recipe.state, recipe.differentials, target, recipe.solver_basis)
+    monkeypatch.undo()
+    assert len(calls) == len(problems)
+    return calls
+
+
+def _assert_same_lstsq(args):
+    (x, rank, sv), (rx, rrank, rsv) = entangle._block_lstsq(*args), _ref_block_lstsq(*args)
+    _assert_same_arrays([x, sv], [rx, rsv])
+    assert rank == rrank
+
+
+def test_block_lstsq_is_bitwise_the_earlier_one_on_the_solve_problems(monkeypatch):
+    # the 38 catalog solver checks and the solve benchmark's six problems
+    for args in _recorded_lstsq(monkeypatch, SOLVE_PROBLEMS):
+        _assert_same_lstsq(args)
+
+
+def _sparse_lstsq(seed, shared):
+    """A random A[rows, cols] = vals: some columns empty, some all zero, rows
+    that only the target reaches; with shared, a few rows meet several
+    columns, else each row meets one at most."""
+    rng = np.random.default_rng(700 + seed + 100 * shared)
+    m, n = int(rng.integers(4, 40)), int(rng.integers(1, 25))
+    rows, cols = [], []
+    free = list(rng.permutation(m))
+    for j in range(n):
+        size = int(rng.integers(0, 4))
+        taken = rng.choice(m, size=min(size, m), replace=False).tolist() if shared else [
+            free.pop() for _ in range(min(size, len(free)))]
+        rows += taken
+        cols += [j] * len(taken)
+    values = [COEFFICIENTS[int(i)] * 10.0 ** int(rng.integers(-150, 150))
+              for i in rng.integers(len(COEFFICIENTS), size=len(rows))]
+    vals = np.array(values, dtype=complex) * (rng.random(len(rows)) > 0.1)
+    rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), vals, rhs, (m, n))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_block_lstsq_is_bitwise_the_earlier_one_on_sparse_problems(seed, shared):
+    args = _sparse_lstsq(seed, shared)
+    if not shared:  # no row is shared: the union-find is skipped
+        assert np.bincount(args[0], minlength=args[4][0]).max(initial=0) <= 1
+    _assert_same_lstsq(args)
+
+
+def test_sparse_problems_reach_every_case():
+    seen = set()
+    for seed, shared in itertools.product(range(12), (False, True)):
+        rows, cols, vals, _, (m, n) = _sparse_lstsq(seed, shared)
+        counts = np.bincount(rows, minlength=m)
+        seen.add("shared" if counts.max(initial=0) > 1 else "not shared")
+        if (np.bincount(cols, minlength=n) == 0).any():
+            seen.add("empty column")
+        if (counts == 0).any():
+            seen.add("target-only row")
+        if len(vals) and not vals.all():
+            seen.add("zero entry")
+    assert seen == {"shared", "not shared", "empty column", "target-only row", "zero entry"}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_numbering_is_the_inverse_of_unique(seed):
+    # duplicates, a single key, no key, and keys past 2**63 that _row_keys ranks
+    rng = np.random.default_rng(900 + seed)
+    size = [0, 1][seed] if seed < 2 else int(rng.integers(2, 60))
+    if seed >= 6:
+        rows = rng.integers(0, 3, (size, 70))
+        keys = qstate._row_keys(rows, [3] * 70)  # 3**70 >= 2**63: ranks
+    else:
+        keys = rng.integers(0, [5, 1 << 62][seed % 2], size).astype(np.int64)
+    row, count = entangle._numbered(keys)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    _assert_same_arrays([row], [inverse])
+    assert count == len(uniq)
+
+
+def test_join_frames_follow_the_phase_table():
+    # one grade, one set of slots, two phase tables: each context gets its own
+    # U and frame, and every join is bitwise the earlier join
+    slots = tuple(VARIABLES)
+    contexts = [AlgebraContext(4, phase_table=TABLES[name]) for name in sorted(TABLES)]
+    assert contexts[0] != contexts[1]
+    eps = [qstate._upper_eps(ctx, slots) for ctx in contexts]
+    assert (eps[0] != eps[1]).any()
+    for ctx, u in zip(contexts * 2, eps * 2):  # twice, so the second pass reads the cache
+        assert (qstate._upper_eps(ctx, slots) == u).all()
+        state = qstate.tensor([coherent_state(ctx, v, 3) for v in slots])
+        for diffs in ((T2, TB1, T1), (T1, T2), (T3, TB2, T1, T2, TB1)):
+            args = _grid_join_args(ctx, diffs, state)
+            _assert_same_arrays(entangle._join(*args, grid=True), _ref_join(*args))
+            _assert_same_arrays(entangle._join(*args), _ref_join(*args))
+            weight = _random_weight(ctx, np.random.default_rng(len(diffs)), [state], diffs)
+            spec = IntegralSpec(weight, diffs)
+            _assert_same_arrays(entangle._join(*_weight_table(spec), diffs, state),
+                                _ref_join(*_weight_table(spec), diffs, state))
+
+
+def test_a_phase_table_given_lists_keys_the_caches_as_its_tuples():
+    # the caches hash the context, so a table built from lists holds tuples
+    table = TABLES["override"]
+    listed = PhaseTable(overrides=[list(o) for o in table.overrides])
+    assert listed == table and hash(listed) == hash(table)
+    ctx = AlgebraContext(3, phase_table=listed)
+    state = qstate.tensor([coherent_state(ctx, v, 3) for v in (T1, T2)])
+    args = _grid_join_args(ctx, (T2, T1), state)
+    _assert_same_arrays(entangle._join(*args, grid=True), _ref_join(*args))
+
+
+def test_cached_frames_refuse_writes_and_repeat_bitwise():
+    recipe = build_recipe("ghz_n", n=4)
+    args = _grid_join_args(recipe.ctx, recipe.differentials, recipe.state)
+    first = entangle._join(*args, grid=True)
+    key = (recipe.ctx, recipe.state._table.slots, args[0], tuple(recipe.differentials))
+    frame = entangle._frame(*key)
+    assert entangle._frame(*key) is frame
+    arrays = [part for part in frame if isinstance(part, np.ndarray)]
+    assert len(arrays) == 6  # diff, U, (n-1)*p, rest, the grid matrix, roots
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+    with pytest.raises(TypeError):
+        frame[1][recipe.differentials[0]] = 0  # the slot map
+    _assert_same_arrays(entangle._join(*args, grid=True), first)
+    _assert_same_arrays(first, _ref_join(*args))
+
+
+def test_boxed_rows_equal_the_earlier_boxing():
+    # the 44 solve bases, a width-0 basis and negative max_exponents; each row
+    # read alone, then all rows at once from a fresh basis
+    bases = [recipe.solver_basis for _, recipe, _ in SOLVE_PROBLEMS]
+    ctx = AlgebraContext(3)
+    bases += [entangle.MonomialBasis(ctx, []), entangle.MonomialBasis(ctx, [], -1),
+              entangle.MonomialBasis(ctx, [T1, T2], -1), entangle.MonomialBasis(ctx, [T1, T2], 0)]
+    for basis in bases:
+        want = [Monomial(itertools.compress(zip(basis.slots, row), row))
+                for row in basis.exps.tolist()]
+        fresh = entangle.MonomialBasis(ctx, basis.slots, basis.radix - 1)
+        alone = [fresh[i] for i in range(len(fresh))[::-1]][::-1]
+        for got in (alone, list(entangle.MonomialBasis(ctx, basis.slots, basis.radix - 1))):
+            assert got == want
+            assert [hash(m) for m in got] == [hash(m) for m in want]
+            assert all(type(m) is Monomial for m in got)
 
 
 # -- overflow -------------------------------------------------------------------------
