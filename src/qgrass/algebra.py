@@ -63,15 +63,19 @@ _Q_POWERS: dict[tuple[int, int], complex] = {}
 def q_power(n: int, k: int) -> complex:
     """exp(2*pi*i*k/n), with the exponent reduced mod n before evaluation.
 
-    Memoized per (n, k mod n).  The entry is evaluated from a Python int
-    exponent, so an int and a numpy integer k give the same bits.
+    Memoized per (n, k mod n) and read with n and k as given, as a numpy
+    integer hashes and compares as the Python int of its value.  A miss (or
+    a Python k past the range of a numpy n) evaluates the entry from Python
+    ints and keys it by them, so an int and a numpy integer give the same bits.
     """
-    n = int(n)
-    key = (n, k % n)
-    q = _Q_POWERS.get(key)
+    try:
+        q = _Q_POWERS.get((n, k % n))
+    except OverflowError:
+        q = None
     if q is None:
-        k = int(key[1])
-        q = _Q_POWERS[key] = cmath.exp(2j * cmath.pi * k / n) if k else 1.0 + 0.0j
+        n = int(n)
+        k = int(k) % n
+        q = _Q_POWERS[n, k] = cmath.exp(2j * cmath.pi * k / n) if k else 1.0 + 0.0j
     return q
 
 

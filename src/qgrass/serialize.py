@@ -23,7 +23,7 @@ from .algebra import (
     Monomial,
     parse_variable,
 )
-from .entangle import WeightSolution
+from .entangle import MonomialBasis, WeightSolution
 from .qstate import GradedState, LevelSpace, PlainState
 from .catalog import ConstructionResult
 
@@ -145,12 +145,18 @@ def plain_from_dict(d: dict[str, Any], what: str = "state") -> PlainState:
 
 
 def solution_to_dict(sol: WeightSolution) -> dict[str, Any]:
+    """A MonomialBasis is written from its exponent table, boxing no row."""
+    if isinstance(sol.basis, MonomialBasis):
+        names = [v.name for v in sol.basis.slots]
+        basis = [{name: e for name, e in zip(names, row) if e} for row in sol.basis.exps.tolist()]
+    else:
+        basis = [monomial_to_dict(m) for m in sol.basis]
     return {
         "weight": element_to_dict(sol.weight),
         "residual": float(sol.residual),
         "feasible": bool(sol.feasible),
         "rank": int(sol.rank),
-        "basis": [monomial_to_dict(m) for m in sol.basis],
+        "basis": basis,
     }
 
 

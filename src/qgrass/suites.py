@@ -59,8 +59,34 @@ class SuiteItem:
 # -- random element machinery -------------------------------------------------
 
 
-def _random_variable(rng: random.Random, max_index: int = 3) -> Variable:
-    return Variable(rng.randrange(1, max_index + 1), rng.random() < 0.5)
+def _randrange(bits, a: int, b: int) -> int:
+    """rng.randrange(a, b) for ints a < b, bits being rng.getrandbits: a plus a
+    rejection draw of (b - a).bit_length() bits, randrange's draws and value."""
+    m = b - a
+    k = m.bit_length()
+    r = bits(k)
+    while r >= m:
+        r = bits(k)
+    return a + r
+
+
+def _gauss_pair(rng: random.Random) -> complex:
+    """complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)), bit for bit: gauss's
+    Box-Muller pair from two random() calls, each part as 0.0 + z (a -0.0 reads
+    0.0).  It holds while rng.gauss_next is None, as in the suites: every gauss
+    call there comes in such a pair, from a fresh random.Random(seed)."""
+    x2pi = rng.random() * math.tau
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+    return complex(0.0 + math.cos(x2pi) * g2rad, 0.0 + math.sin(x2pi) * g2rad)
+
+
+# the variables the suite draws: _VARIABLES[index - 1][barred]
+_VARIABLES = tuple((Variable(i), Variable(i, barred=True)) for i in (1, 2, 3))
+
+
+def _random_variable(rng: random.Random) -> Variable:
+    """Variable(randrange(1, 4), random() < 0.5), read from _VARIABLES."""
+    return _VARIABLES[_randrange(rng.getrandbits, 0, 3)][rng.random() < 0.5]
 
 
 def _random_element(
@@ -71,27 +97,25 @@ def _random_element(
 ) -> AlgebraElement:
     """Random sum of monomials; kind restricts to barred or unbarred variables.
 
-    Draws from a ``random.Random``: term and variable counts and exponents by
-    ``randrange``, each coefficient as two ``gauss(0.0, 1.0)`` parts.
+    Draws from a ``random.Random`` as ``randrange`` and ``gauss`` would: counts
+    and exponents by _randrange, each coefficient by _gauss_pair.
     """
+    bits, unit, n = rng.getrandbits, rng.random, ctx.n
     terms: dict[Monomial, complex] = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        nvars = rng.randrange(0, 3)
+    for _ in range(_randrange(bits, 1, max_terms + 1)):
         blocks = []
-        for _ in range(nvars):
-            v = _random_variable(rng)
-            if kind is not None:
-                v = Variable(v.index, kind)
-            blocks.append((v, rng.randrange(1, ctx.n)))
-        coeff = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        qexp, mono = normal_order(blocks, ctx.phase_table, ctx.n)
+        for _ in range(_randrange(bits, 0, 3)):  # _random_variable's draws, kind overriding barred
+            pair, barred = _VARIABLES[_randrange(bits, 0, 3)], unit() < 0.5
+            blocks.append((pair[barred if kind is None else kind], _randrange(bits, 1, n)))
+        coeff = _gauss_pair(rng)
+        qexp, mono = normal_order(blocks, ctx.phase_table, n)
         if mono is not None:
-            terms[mono] = terms.get(mono, 0.0) + q_power(ctx.n, qexp) * coeff
+            terms[mono] = terms.get(mono, 0.0) + q_power(n, qexp) * coeff
     return AlgebraElement._adopt(ctx, terms)
 
 
 def _random_word(rng: random.Random, max_len: int = 6) -> list[Variable]:
-    return [_random_variable(rng) for _ in range(rng.randrange(1, max_len + 1))]
+    return [_random_variable(rng) for _ in range(_randrange(rng.getrandbits, 1, max_len + 1))]
 
 
 def oracle_reorder(word: list[Variable], ctx: AlgebraContext, rng: random.Random):
@@ -144,7 +168,7 @@ def suite_algebra(
 
     def nilpotency(ctx: AlgebraContext) -> float:  # v^k * (v^(n-k) * a) == 0
         v = _random_variable(rng)
-        k = rng.randrange(1, ctx.n)
+        k = _randrange(rng.getrandbits, 1, ctx.n)
         a = _random_element(ctx, rng)
         return (ctx.gen(v, k) * (ctx.gen(v, ctx.n - k) * a)).norm()
 
@@ -166,8 +190,7 @@ def suite_algebra(
 
     def integration_linearity(ctx: AlgebraContext) -> float:
         a, b = _random_element(ctx, rng), _random_element(ctx, rng)
-        alpha = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        beta = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        alpha, beta = _gauss_pair(rng), _gauss_pair(rng)
         v = _random_variable(rng)
         lhs = (alpha * a + beta * b).berezin_integrate(v)
         rhs = alpha * a.berezin_integrate(v) + beta * b.berezin_integrate(v)

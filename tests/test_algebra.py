@@ -7,6 +7,7 @@ two-variable exchange rule) and frozen against the production path.
 
 import cmath
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -96,6 +97,24 @@ def test_q_power_memo_is_bitwise_the_closed_form_for_either_exponent_type(first)
         assert _bits(q_power(n, second(k))) == want, (n, k)
     # one entry per power met, never a whole grade
     assert len(algebra._Q_POWERS) == len({(n, k % n) for n, k in cases})
+
+
+def test_q_power_reads_numpy_arguments_from_the_memo_with_the_ints_bits():
+    # numpy n and k, each read before the Python-int call fills the entry,
+    # including a Python k past the range of an int32 n
+    big = 10**9 + 7
+    small = np.iinfo(np.int32)
+    types = (np.int32, np.int64, int)
+    algebra._Q_POWERS.clear()
+    for n in (2, 3, 5, 7, big):
+        for k in (0, 1, -1, -n - 2, n, 3 * n + 1, 10**6 * n + 2, 2**40 + 5, -(2**40)):
+            want = _bits(_closed_q_power(n, k))
+            for tn, tk in itertools.product(types, types):
+                if tk is np.int32 and not small.min <= k <= small.max:
+                    continue
+                assert _bits(q_power(tn(n), tk(k))) == want, (tn, n, tk, k)
+            assert _bits(q_power(n, k)) == want, (n, k)
+    assert all(type(n) is int and type(k) is int for n, k in algebra._Q_POWERS)
 
 
 def test_grade_config_rejects_small_n():
@@ -661,16 +680,20 @@ def test_monomial_from_dict_rejects_a_repeated_variable():
     assert type(mono) is Monomial
 
 
-def _random_element_by_fold(ctx, rng, max_terms=3, kind=None):
-    """The suite's random element as it was first written: one element sum per term."""
-    from qgrass.suites import _random_variable
+def _random_variable_by_randrange(rng, max_index=3):
+    """The suite's random variable as it was first written, drawn by randrange."""
+    return Variable(rng.randrange(1, max_index + 1), rng.random() < 0.5)
 
+
+def _random_element_by_fold(ctx, rng, max_terms=3, kind=None):
+    """The suite's random element as it was first written: one element sum per term,
+    every draw through randrange and gauss."""
     acc = ctx.zero()
     for _ in range(rng.randrange(1, max_terms + 1)):
         nvars = rng.randrange(0, 3)
         blocks = []
         for _ in range(nvars):
-            v = _random_variable(rng)
+            v = _random_variable_by_randrange(rng)
             if kind is not None:
                 v = Variable(v.index, kind)
             blocks.append((v, rng.randrange(1, ctx.n)))
@@ -694,6 +717,47 @@ def test_random_element_matches_the_element_fold(table):
                 assert got.terms == want.terms  # same monomials, bitwise equal coefficients
                 assert list(got.terms) == list(want.terms)
                 assert rng_new.random() == rng_old.random()  # same draws
+
+
+@pytest.mark.parametrize("lo", [0, 1])
+def test_draw_helpers_are_randrange_and_gauss(lo):
+    # the same values and the same generator state as random.Random's own calls
+    from qgrass.suites import _gauss_pair, _random_variable, _random_word, _randrange
+
+    widths = [*range(1, 8), 2**31, 2**32 + 1, 10**9 + 6, 2**70 + 3]
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for m in widths:
+            assert _randrange(new.getrandbits, lo, lo + m) == old.randrange(lo, lo + m)
+            want = complex(old.gauss(0.0, 1.0), old.gauss(0.0, 1.0))
+            assert _bits(_gauss_pair(new)) == _bits(want)
+        assert _random_variable(new) == _random_variable_by_randrange(old)
+        want = [_random_variable_by_randrange(old) for _ in range(old.randrange(1, 7))]
+        assert _random_word(new) == want
+        assert new.getstate() == old.getstate()
+
+
+class _Scripted(random.Random):
+    """A generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_gauss_pair_reads_a_negative_zero_part_as_gauss_does():
+    # random() = 0.0 for the radius gives sqrt(-0.0) = -0.0, and gauss's
+    # 0.0 + z turns each -0.0 part into 0.0
+    from qgrass.suites import _gauss_pair
+
+    for angle in (0.1, 0.3, 0.6, 0.9):
+        got = _gauss_pair(_Scripted([angle, 0.0]))
+        old = _Scripted([angle, 0.0])
+        want = complex(old.gauss(0.0, 1.0), old.gauss(0.0, 1.0))
+        assert _bits(got) == _bits(want) == _bits(0j)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

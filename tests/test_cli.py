@@ -732,3 +732,28 @@ def test_construct_unknown_parameter_exits_two_without_builder_name(capsys, argv
     assert out == ""
     assert err.startswith(f"error: bad parameters for {argv[0]!r}: {argv[0]} takes ")
     assert err.count("\n") == 1 and builder not in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("construct", "qutrit_psi_pm", "--sign", "x"),
+     "qgrass construct: error: argument --sign: invalid choice: 'x'"),
+    (("construct", "ghz_n", "--n", "four"),
+     "qgrass construct: error: argument --n: invalid int value: 'four'"),
+    (("verify", "everything"), "qgrass verify: error: argument suite: invalid choice: 'everything'"),
+    (("verify", "all", "--format", "yaml"),
+     "qgrass verify: error: argument --format: invalid choice: 'yaml'"),
+    (("solve-weight",), "qgrass solve-weight: error: the following arguments are required: --spec"),
+    (("frobnicate",), "qgrass: error: argument command: invalid choice: 'frobnicate'"),
+])
+def test_argparse_errors_exit_two_with_the_error_line_last(capsys, argv, error):
+    # argparse's own errors print its usage block, then its error line, and
+    # exit 2; the one-line contract covers the errors qgrass raises itself
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith("usage: qgrass")
+    assert lines[-1].startswith(error)
+    assert "Traceback" not in captured.err

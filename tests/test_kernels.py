@@ -14,9 +14,12 @@ _ref_block_lstsq is entangle._block_lstsq as it was when it always set up
 its union-find, and np.unique's inverse is what the solver's one-sort row
 numbering (entangle._numbered) must give; the join frame that entangle
 caches per structure is checked against _ref_join across phase tables.
+solution_to_dict writes a MonomialBasis from its exponent table, which must
+give the dicts of its boxed monomials.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -35,6 +38,7 @@ from qgrass.algebra import (
 from qgrass.catalog import build_recipe
 from qgrass.entangle import IntegralSpec, _exponents
 from qgrass.qstate import GradedState, LevelSpace, PlainState, _Table, coherent_state
+from qgrass.serialize import monomial_to_dict, solution_to_dict
 from qgrass.suites import CATALOG_RUNS
 from test_entangle import SOLVE_PROBLEMS
 
@@ -810,6 +814,23 @@ def test_boxed_rows_equal_the_earlier_boxing():
             assert got == want
             assert [hash(m) for m in got] == [hash(m) for m in want]
             assert all(type(m) is Monomial for m in got)
+
+
+def test_table_basis_serializes_as_its_monomials():
+    # the 44 solve bases, a width-0 basis and max_exponent -1 and 0, each
+    # fresh: solution_to_dict writes the table's rows as the per-monomial
+    # dicts, key order and int exponents included, and boxes no row
+    ctx = AlgebraContext(3)
+    tables = [(b.slots, b.radix - 1) for b in (r.solver_basis for _, r, _ in SOLVE_PROBLEMS)]
+    tables += [((), 2), ((), -1), ((T1, T2), -1), ((T1, T2), 0)]
+    for slots, top in tables:
+        basis = entangle.MonomialBasis(ctx, slots, top)
+        got = solution_to_dict(entangle.WeightSolution(ctx.zero(), 0.0, True, basis, 0))
+        assert len(basis._boxed) == 0
+        listed = entangle.WeightSolution(ctx.zero(), 0.0, True, tuple(basis), 0)
+        want = [monomial_to_dict(m) for m in basis]
+        assert solution_to_dict(listed)["basis"] == want
+        assert json.dumps(got["basis"]) == json.dumps(want)
 
 
 # -- overflow -------------------------------------------------------------------------
