@@ -8,13 +8,13 @@ contribute when w_d + m_d = n-1 on every differential slot d, so the
 product and the integrals run as one join on the differential exponents
 and the dead pairs are never multiplied.  The join reads only the state's
 term table (qstate: one row of exponents over the canonical slots per
-term, with its coefficient and ket digits, kets ascending), so no state is
-boxed into per-ket algebra elements, and integrate_graded returns such a
-table, kets ascending.  _integrate takes the factors of the product
-instead, and folds them with the weight's differential exponents as a
-prune (qstate._fold): a row that no weight term completes is dropped as
-soon as its differential exponents are final, and the full product is
-never built.
+term, with its coefficient and its ket's flat index, which indexes
+PlainState.amps too; kets ascending), so no state is boxed into per-ket
+algebra elements, and integrate_graded returns such a table.  _integrate
+takes the factors of the product instead, and folds them with the
+weight's differential exponents as a prune (qstate._fold): a row that no
+weight term completes is dropped as soon as its differential exponents
+are final, and the full product is never built.
 The weight becomes a table over the same slots, pairs are matched by
 sorted keys, and the reordering and integration phases are integer dot
 products with the phase table's eps matrix.  A successful construction
@@ -151,8 +151,8 @@ def _join(
     The weight is a table: term i is wcoef[i] times the monomial with
     exponents wexps[i] (each in 0..n-1) on the sorted variables wslots.
     Returns (rest, rest_slots, ket, term, value): pair i leaves value[i]
-    times the monomial with exponents rest[i] on rest_slots, on the ket
-    with digits ket[i], from weight term term[i].  Pairs run state term by
+    times the monomial with exponents rest[i] on rest_slots, on the ket of
+    flat index ket[i], from weight term term[i].  Pairs run state term by
     state term (the rows of the state's term table, so kets ascending),
     weight terms in order.
 
@@ -190,7 +190,7 @@ def _join(
         wi = top - cross[:, -1]
         qexp = (exps * cross[:, :k]).sum(axis=1) + cross[:, k]
         value = wcoef[wi] * table.coef * roots[qexp % n]
-        return exps[:, rest], list(rest_slots), table.digits, wi, value
+        return exps[:, rest], list(rest_slots), table.kets, wi, value
 
     if k > len(wslots):
         wexps = _widened(wslots, wexps, slot_of, k)
@@ -207,7 +207,7 @@ def _join(
     si, wi, total = si[alive], wi[alive], total[alive]
     qexp = total @ phase - (exps[si] * (wexps @ eps.T)[wi]).sum(axis=1)
     value = wcoef[wi] * table.coef[si] * _roots(n)[qexp % n]
-    return total[:, rest], list(rest_slots), table.digits[si], wi, value
+    return total[:, rest], list(rest_slots), table.kets[si], wi, value
 
 
 def integrate_graded(spec: IntegralSpec, state: GradedState) -> GradedState:
@@ -246,8 +246,8 @@ def _integrate(spec: IntegralSpec, factors: Sequence[GradedState]) -> GradedStat
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         state = _fold(factors, (diffs, dexps))
-        rest, rest_slots, digits, _, value = _join(wslots, wexps, wcoef, diffs, state)
-        table = _summed(n, rest, value, digits, state.space.dims)
+        rest, rest_slots, kets, _, value = _join(wslots, wexps, wcoef, diffs, state)
+        table = _summed(n, rest, value, kets, state.space.size)
     if not np.isfinite(table[1]).all():
         raise ValueError("the weight integral overflowed; scale the weight or the factors down")
     return GradedState._from_table(ctx, state.space, _Table(tuple(rest_slots), *table))
@@ -767,7 +767,7 @@ def solve_weight(
         want = np.flatnonzero(target.amps)
         keys = np.zeros((len(cols) + len(want), rest.shape[1] + 1), dtype=np.int64)
         keys[: len(cols), :-1] = rest
-        keys[: len(cols), -1] = np.ravel_multi_index(ket.T, target.dims)
+        keys[: len(cols), -1] = ket
         keys[len(cols) :, -1] = want
         radices = [ctx.n] * rest.shape[1] + [target.amps.size]
         row, size = _numbered(_row_keys(keys, radices))

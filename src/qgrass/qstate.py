@@ -4,10 +4,10 @@ A GradedState is a sum over basis kets k of f_k(theta)|k>, with the
 monomials to the LEFT of the ket.  Its one store is the term table, built
 by every constructor and never mutated: the canonical slots (sorted
 Variables), a T x K int64 exponent array over them, a complex coefficient
-per row and the ket digits per row.  Its one form: kets ascending
-(lexicographic digits), exponents in 0..n-1 (0: the slot is absent), no
-coefficient exactly zero and no (monomial, ket) pair repeated.  tensor,
-the weight join (entangle) and the one-site builders (coherent_state,
+per row and its ket's int64 flat index, the C-order index PlainState.amps
+uses.  Its one form: kets ascending, exponents in 0..n-1 (0: the slot is
+absent), no coefficient exactly zero and no (monomial, ket) pair repeated.
+tensor, the weight join (entangle) and the one-site builders (coherent_state,
 squeezed_state_exp) build and read only tables; _exponents is where
 monomials become rows and _summed adds equal (monomial, ket) rows (rows
 whose keys already ascend strictly are left ungrouped).  The fold behind
@@ -118,7 +118,7 @@ class _Table(NamedTuple):
     slots: tuple[Variable, ...]
     exps: np.ndarray  # T x K int64, column c the exponent of slots[c]
     coef: np.ndarray  # T complex
-    digits: np.ndarray  # T x S int64, the ket of each row
+    kets: np.ndarray  # T int64, the ket of each row as its C-order flat index
 
 
 def _exponents(n: int, monos: Sequence[Monomial]) -> tuple[tuple[Variable, ...], np.ndarray]:
@@ -138,11 +138,23 @@ def _exponents(n: int, monos: Sequence[Monomial]) -> tuple[tuple[Variable, ...],
     return slots, exps
 
 
+def _places(dims: Sequence[int]) -> np.ndarray:
+    """C-order place values: a ket's flat index is its digits times these.  A
+    term table keys kets by that int64 index, which a space of 2**63 kets or
+    more does not have: such dims raise ValueError."""
+    size = math.prod(dims)
+    if size >= 1 << 63:
+        raise ValueError(f"{len(dims)} sites span {size} kets, past the int64 flat ket index "
+                         "of a term table (fewer than 2**63 kets)")
+    return np.array([math.prod(dims[i + 1 :]) for i in range(len(dims))], dtype=np.int64)
+
+
 def _tabulate(n: int, space: LevelSpace,
               parts: Mapping[BasisKet, Mapping[Monomial, complex]]) -> _Table:
     """The term table of per-ket terms at grade n: kets ascending, each ket's
     terms in order, exact zeros dropped unchecked; the kets of nonzero terms
-    are checked against space and their monomials by _exponents."""
+    are checked against space and their monomials by _exponents, and a space
+    without an int64 flat index raises ValueError (_places)."""
     monos: list[Monomial] = []
     coef: list[complex] = []
     kets: list[BasisKet] = []
@@ -155,20 +167,21 @@ def _tabulate(n: int, space: LevelSpace,
             kets += [ket] * len(terms)
     slots, exps = _exponents(n, monos)
     digits = np.array(kets, dtype=np.int64).reshape(len(kets), space.nsites)
-    return _Table(slots, exps, np.array(coef, dtype=complex), digits)
+    return _Table(slots, exps, np.array(coef, dtype=complex), digits @ _places(space.dims))
 
 
-def _boxed(ctx: AlgebraContext, table: _Table) -> dict[BasisKet, AlgebraElement]:
-    """The per-ket view of a term table."""
+def _boxed(ctx: AlgebraContext, dims: Sequence[int],
+           table: _Table) -> dict[BasisKet, AlgebraElement]:
+    """The per-ket view of a term table on dims; each distinct ket is unravelled once."""
     slots = table.slots
-    grouped: dict[BasisKet, dict[Monomial, complex]] = {}
-    rows = zip(table.exps.tolist(), table.coef.tolist(), map(tuple, table.digits.tolist()))
-    for row, c, ket in rows:
+    grouped: dict[int, dict[Monomial, complex]] = {}
+    for row, c, ket in zip(table.exps.tolist(), table.coef.tolist(), table.kets.tolist()):
         terms = grouped.get(ket)
         if terms is None:
             terms = grouped[ket] = {}
         terms[Monomial(compress(zip(slots, row), row))] = c
-    return {k: AlgebraElement(ctx, t) for k, t in grouped.items()}
+    digits = np.fromiter(grouped, np.int64, len(grouped))[:, None] // _places(dims) % dims
+    return {tuple(k): AlgebraElement(ctx, t) for k, t in zip(digits.tolist(), grouped.values())}
 
 
 def _row_keys(rows: np.ndarray, radices: Sequence[int]) -> np.ndarray:
@@ -192,22 +205,22 @@ def _sum_by(group: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
 
 
-def _summed(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
-            dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows with equal (exponents in 0..n-1, ket digits below dims) summed in row order,
-    exact zeros dropped; out by ket, then by exponent row, lexicographically ascending."""
-    rows, coef = _sum_rows(n, exps, coef, digits, dims)
-    return exps[rows], coef, digits[rows]
+def _summed(n: int, exps: np.ndarray, coef: np.ndarray, kets: np.ndarray,
+            size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows with equal (exponents in 0..n-1, flat ket index below size) summed in row
+    order, exact zeros dropped; out by ket, then by exponent row, ascending."""
+    rows, coef = _sum_rows(n, exps, coef, kets, size)
+    return exps[rows], coef, kets[rows]
 
 
-def _sum_rows(n: int, exps: np.ndarray, coef: np.ndarray, digits: np.ndarray,
-              dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows(n: int, exps: np.ndarray, coef: np.ndarray, kets: np.ndarray,
+              size: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, sums) of _summed: the first row of each group with a nonzero sum, and
     that sum.  Keys already strictly ascending need no grouping, as no two rows
     meet; each sum is then its one value plus 0.0, which writes a -0.0 part as
     0.0, as the summing bincount does."""
-    keys = _row_keys(np.concatenate([exps[:, ::-1], digits[:, ::-1]], axis=1),
-                     [n] * exps.shape[1] + list(dims[::-1]))
+    keys = _row_keys(np.concatenate([exps[:, ::-1], kets[:, None]], axis=1),
+                     [n] * exps.shape[1] + [size])
     if (keys[1:] > keys[:-1]).all():
         first, coef = np.arange(len(keys)), coef + 0.0
     else:
@@ -223,7 +236,7 @@ def _upper_eps(ctx: AlgebraContext, slots: tuple[Variable, ...]) -> np.ndarray:
 
     Read from the context's phase table, so overrides count.  A block y**e
     moving left past a block x**f (y < x) collects -U[y, x]*e*f.  One
-    read-only array per (context, slots), shared by _stacked and _join.
+    read-only array per (context, slots), read by _stacked and entangle._frame.
     """
     n = ctx.n
     idx = np.arange(len(slots))
@@ -254,6 +267,10 @@ class GradedState:
     never box a Monomial.  ``parts`` maps each ket to its nonzero element and
     is boxed from the table on first read; ``terms`` is the flat view,
     rebuilt on every access.
+
+    Each ket is held as its int64 flat index, so a space of 2**63 kets or
+    more (63 qubit sites) has no table: building one, by a constructor or a
+    tensor product, raises ValueError.
     """
 
     __slots__ = ("ctx", "space", "_parts", "_table")
@@ -284,7 +301,7 @@ class GradedState:
     def parts(self) -> dict[BasisKet, AlgebraElement]:
         """Each ket's nonzero element, kets ascending; boxed once, on first read."""
         if self._parts is None:
-            self._parts = _boxed(self.ctx, self._table)
+            self._parts = _boxed(self.ctx, self.space.dims, self._table)
         return self._parts
 
     @property
@@ -356,7 +373,7 @@ class GradedState:
         table = self._table
         plain = ~table.exps.any(axis=1)
         amps = np.zeros(self.space.size, dtype=complex)  # += turns a -0.0 part into 0.0
-        amps[np.ravel_multi_index(table.digits[plain].T, self.space.dims)] += table.coef[plain]
+        amps[table.kets[plain]] += table.coef[plain]
         return PlainState(self.space.dims, amps)
 
     def _part(self, ket: BasisKet) -> AlgebraElement:
@@ -428,16 +445,17 @@ def _fold(states: Sequence[GradedState],
     Everything that depends on one factor alone is formed once, before the
     loop, on the factors' tables stacked into one int64 array (_stacked):
     a row holds the term's exponents over the canonical slots, its S over
-    its own sites and its digits at its sites' columns of the product ket.
-    So a pair's row is the sum of its two rows (exponents and S add, the
-    digits concatenate), and every pair's e is one matrix product with the
-    stacked rows' -(U.b, u - v).  A step then does only the pair work.
-    Rows run left factor major, so the product's kets stay ascending, and
-    pairs reaching one (monomial, ket) are summed in pair order (_sum_rows,
-    over the dims of the product so far; only needed once a factor has a
-    ket with several rows); exact zeros are dropped.  No Monomial or
-    AlgebraElement is built.  A coefficient of a kept row past the float
-    range raises ValueError.
+    its own sites and its ket's share of the product's flat ket index.  So
+    a pair's row is the sum of its two rows (exponents, S and flat index
+    add), and every pair's e is one matrix product with the stacked rows'
+    -(U.b, u - v).  A step then does only the pair work.  Rows run left
+    factor major, so the product's kets stay ascending, and pairs reaching
+    one (monomial, ket) are summed in pair order (_sum_rows, keyed on the
+    whole product's flat index; only needed once a factor has a ket with
+    several rows); exact zeros are dropped.  No Monomial or AlgebraElement
+    is built.  A coefficient of a kept row past the float range raises
+    ValueError, and so does a product of 2**63 kets or more, before anything
+    is stacked.
 
     prune = (differentials, wexps), wexps[i, j] the exponent of
     differentials[j] in weight term i, keeps only the rows that some weight
@@ -463,18 +481,17 @@ def _fold(states: Sequence[GradedState],
     slots = tuple(sorted(set().union(*(t.slots for t in tables))))
     slot_of = {v: i for i, v in enumerate(slots)}
     k = len(slots)
-    dims = tuple(chain.from_iterable(s.space.dims for s in states))
-    stack, ends, reorder, shared_from = _stacked(ctx, slots, tables, len(dims))
+    space = LevelSpace(tuple(chain.from_iterable(s.space.dims for s in states)))
+    stack, ends, reorder, shared_from = _stacked(ctx, slots, tables, space.dims,
+                                                  [s.space.nsites for s in states])
     steps = (_pruning(n, tables, slot_of, *prune, stack.shape[1])
              if prune is not None and len(tables) > 2 else {})
     roots = _roots(n)
     rows, coef = stack[: ends[0]], tables[0].coef
-    sites = states[0].space.nsites  # of the product so far
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, len(tables)):
             lo, hi = ends[step - 1], ends[step]
-            sites += states[step].space.nsites
             total = rows[:, None] + stack[lo:hi]  # A x B x row width
             live = np.logical_and.reduce(total[:, :, :k] < n, axis=2)
             if step in steps:
@@ -485,8 +502,7 @@ def _fold(states: Sequence[GradedState],
             coef = (coef[:, None] * tables[step].coef * phase)[live]
             rows = total[live]
             if step >= shared_from:  # rows of one ket pair may meet
-                keep, coef = _sum_rows(n, rows[:, :k], coef, rows[:, k + 1 : k + 1 + sites],
-                                       dims[:sites])
+                keep, coef = _sum_rows(n, rows[:, :k], coef, rows[:, k + 1], space.size)
                 rows = rows[keep]
             elif not coef.all():
                 nonzero = coef != 0
@@ -494,42 +510,46 @@ def _fold(states: Sequence[GradedState],
     if not np.isfinite(coef).all():
         raise ValueError("the tensor product overflowed (a coefficient is not finite); "
                          "scale the factors down")
-    table = _Table(slots, rows[:, :k], coef, rows[:, k + 1 :])
-    return GradedState._from_table(ctx, LevelSpace(dims), table)
+    table = _Table(slots, rows[:, :k], coef, rows[:, k + 1])
+    return GradedState._from_table(ctx, space, table)
 
 
 def _stacked(ctx: AlgebraContext, slots: tuple[Variable, ...], tables: Sequence[_Table],
-             nsites: int) -> tuple[np.ndarray, list[int], np.ndarray, int]:
+             dims: Sequence[int], widths: Sequence[int]
+             ) -> tuple[np.ndarray, list[int], np.ndarray, int]:
     """(stack, ends, reorder, shared_from): _fold's per-factor set-up, formed once.
 
-    stack holds every table's rows, table i at rows ends[i-1]:ends[i], each
-    as exponents over slots (K columns), then S = sum(m-1) over the table's
-    own sites, then the nsites digits of the product ket, zero off the
-    table's own sites.  reorder is the (K+1) x rows matrix -(U.b, u - v)
-    of every row b, so a row [a, S] of the product times reorder[:, b]
-    is the q-exponent of the pair.  shared_from is the first fold step
-    whose factor, or an earlier one, has a ket with several rows (the
-    number of tables when none has).
+    stack holds every table's rows, table i (widths[i] sites of the product
+    on dims) at rows ends[i-1]:ends[i], each as [exponents over slots (K
+    columns) | S | flat]: flat is the row's own ket index times the product
+    of the dims after its table's sites, its share of the product's flat ket
+    index, and S = sum(m-1) over its table's sites, read from flat
+    unravelled over dims.  A product of 2**63 kets or more raises ValueError.
+    reorder is the (K+1) x rows matrix -(U.b, u - v) of every row b, so a
+    row [a, S] of the product times reorder[:, b] is the q-exponent of the
+    pair.  shared_from is the first fold step whose factor, or an earlier
+    one, has a ket with several rows (the number of tables when none has).
     """
     k = len(slots)
     slot_of = {v: i for i, v in enumerate(slots)}
     ends = list(accumulate(len(t.coef) for t in tables))
-    stack = np.zeros((ends[-1], k + 1 + nsites), dtype=np.int64)
-    lo, site = 0, k + 1
-    for t, hi in zip(tables, ends):
-        width = t.digits.shape[1]
+    places = _places(dims)  # raises when the product has no int64 flat index
+    stack = np.zeros((ends[-1], k + 2), dtype=np.int64)
+    lo = site = 0
+    for t, width, hi in zip(tables, widths, ends):
+        site += width
         stack[lo:hi, [slot_of[v] for v in t.slots]] = t.exps
         stack[lo:hi, k] = -width
-        stack[lo:hi, site : site + width] = t.digits
-        lo, site = hi, site + width
-    ket = stack[:, k + 1 :]
-    stack[:, k] += ket.sum(axis=1)
+        stack[lo:hi, k + 1] = t.kets * math.prod(dims[site:])
+        lo = hi
+    flat = stack[:, k + 1]
+    stack[:, k] += (flat[:, None] // places % dims).sum(axis=1)
     phase = np.empty((k, k + 1), dtype=np.int64)  # U, then u - v: 1 unbarred, -1 barred
     phase[:, :k] = _upper_eps(ctx, slots)
     phase[:, k] = [1 if v[1] else -1 for v in slots]
     reorder = -(stack[:, :k] @ phase).T
-    # adjacent rows of one table with equal digits share a ket
-    same = np.logical_and.reduce(ket[1:] == ket[:-1], axis=1)
+    # adjacent rows of one table with one flat index share a ket
+    same = flat[1:] == flat[:-1]
     same[[e - 1 for e in ends[:-1] if 0 < e < ends[-1]]] = False  # rows of two tables
     hit = same.nonzero()[0]
     shared_from = max(bisect_right(ends, int(hit[0])), 1) if len(hit) else len(tables)
@@ -714,9 +734,9 @@ def _one_site(ctx: AlgebraContext, v: Variable, space: LevelSpace, powers: Seque
     coef = np.array(coef, dtype=complex)
     keep = coef != 0
     exps = np.array(powers, dtype=np.int64)[keep].reshape(-1, 1)
-    digits = np.array(levels, dtype=np.int64)[keep].reshape(-1, 1)
+    kets = np.array(levels, dtype=np.int64)[keep]  # a level is its one site's flat index
     slots = (v,) if exps.any() else ()
-    table = _Table(slots, exps[:, : len(slots)], coef[keep], digits)
+    table = _Table(slots, exps[:, : len(slots)], coef[keep], kets)
     return GradedState._from_table(ctx, space, table)
 
 
@@ -855,6 +875,9 @@ def apply_annihilation(state: GradedState, site: int = 0) -> GradedState:
     conj(q) per unit exponent ([b, theta]_q = 0 and its conjugates), so
     b f|m> = _twist(f, 1) sqrt(m)|m-1> on the site.
     """
+    nsites = state.space.nsites
+    if not 0 <= site < nsites:
+        raise ValueError(f"site {site} out of range for {nsites} sites")
     parts: dict[BasisKet, AlgebraElement] = {}
     for ket, f in state.parts.items():
         m = ket[site]

@@ -412,7 +412,8 @@ def test_construct_with_the_solver_folds_the_product_once(monkeypatch):
 def test_ghz_construct_never_boxes_its_tensor_state(monkeypatch):
     boxed, tabulated = [], []
     real_boxed, real_tabulate = qstate._boxed, qstate._tabulate
-    monkeypatch.setattr(qstate, "_boxed", lambda ctx, t: boxed.append(len(t.coef)) or real_boxed(ctx, t))
+    monkeypatch.setattr(qstate, "_boxed",
+                        lambda ctx, dims, t: boxed.append(len(t.coef)) or real_boxed(ctx, dims, t))
     monkeypatch.setattr(qstate, "_tabulate", lambda *a: tabulated.append(a) or real_tabulate(*a))
     result = catalog_construct("ghz_n", n=10, solver_check=False)
     assert result.match == "signature" and boxed == []

@@ -16,6 +16,11 @@ numbering (entangle._numbered) must give; the join frame that entangle
 caches per structure is checked against _ref_join across phase tables.
 solution_to_dict writes a MonomialBasis from its exponent table, which must
 give the dicts of its boxed monomials.
+
+A term table holds each ket as its C-order flat index; the earlier kernels
+keep their ket digits, unravelled from the tables they read (_digits) and
+ravelled where they return a table or a sum (_kets), so the comparisons
+stay bitwise.
 """
 
 import itertools
@@ -64,6 +69,16 @@ def _ref_sum_by(group, values, size):
     return np.bincount(group, values.real, size) + 1j * np.bincount(group, values.imag, size)
 
 
+def _digits(kets, dims):
+    """The len(kets) x len(dims) ket digits of flat C-order indices."""
+    return np.stack(np.unravel_index(kets, dims), axis=1)
+
+
+def _kets(digits, dims):
+    """The flat C-order index of each row of ket digits."""
+    return np.ravel_multi_index(digits.T, dims)
+
+
 def _ref_summed(n, exps, coef, digits, dims):
     keys = _ref_row_keys(np.column_stack([exps[:, ::-1], digits[:, ::-1]]),
                          [n] * exps.shape[1] + list(dims[::-1]))
@@ -72,6 +87,12 @@ def _ref_summed(n, exps, coef, digits, dims):
     nonzero = coef != 0
     rows = first[nonzero]
     return exps[rows], coef[nonzero], digits[rows]
+
+
+def _ref_summed_kets(n, exps, coef, kets, dims):
+    """_ref_summed on flat kets: unravelled on the way in, ravelled on the way out."""
+    exps, coef, digits = _ref_summed(n, exps, coef, _digits(kets, dims), dims)
+    return exps, coef, _kets(digits, dims)
 
 
 def _ref_upper_eps(ctx, slots):
@@ -135,20 +156,21 @@ def _ref_fold(states, prune=None):
     roots = _ref_roots(n)
     sign = np.array([1 if v[1] else -1 for v in slots], dtype=np.int64)
     exps = _ref_widened(tables[0].slots, tables[0].exps, slot_of, len(slots))
-    coef, digits = tables[0].coef, tables[0].digits
+    coef, digits = tables[0].coef, _digits(tables[0].kets, states[0].space.dims)
     dims = states[0].space.dims
     shared = _ref_shares_kets(digits)
     with np.errstate(over="ignore", invalid="ignore"):
         for step, (state, t) in enumerate(zip(states[1:], tables[1:]), 1):
             dims += state.space.dims
+            tdigits = _digits(t.kets, state.space.dims)
             texps = _ref_widened(t.slots, t.exps, slot_of, len(slots))
             shift = digits.sum(axis=1) - digits.shape[1]
             qexp = -(exps @ (texps @ eps).T) - np.outer(shift, texps @ sign)
             total = exps[:, None] + texps
             ai, bi = np.nonzero((total < n).all(axis=2))
             coef = coef[ai] * t.coef[bi] * roots[qexp[ai, bi] % n]
-            exps, joined = total[ai, bi], np.concatenate([digits[ai], t.digits[bi]], axis=1)
-            shared = shared or _ref_shares_kets(t.digits)
+            exps, joined = total[ai, bi], np.concatenate([digits[ai], tdigits[bi]], axis=1)
+            shared = shared or _ref_shares_kets(tdigits)
             if shared:
                 exps, coef, digits = _ref_summed(n, exps, coef, joined, dims)
             elif coef.all():
@@ -164,7 +186,8 @@ def _ref_fold(states, prune=None):
     if not np.isfinite(coef).all():
         raise ValueError("the tensor product overflowed (a coefficient is not finite); "
                          "scale the factors down")
-    return GradedState._from_table(ctx, LevelSpace(dims), _Table(slots, exps, coef, digits))
+    return GradedState._from_table(ctx, LevelSpace(dims),
+                                   _Table(slots, exps, coef, _kets(digits, dims)))
 
 
 def _ref_join(wslots, wexps, wcoef, differentials, state):
@@ -204,7 +227,7 @@ def _ref_join(wslots, wexps, wcoef, differentials, state):
     value = wcoef[wi] * table.coef[si] * _ref_roots(n)[qexp % n]
 
     rest = sorted(set(range(len(slots))).difference(diff))
-    return total[:, rest], [slots[i] for i in rest], table.digits[si], wi, value
+    return total[:, rest], [slots[i] for i in rest], table.kets[si], wi, value
 
 
 def _ref_integrate(spec, factors):
@@ -219,8 +242,8 @@ def _ref_integrate(spec, factors):
     dexps = _ref_widened(wslots, wexps, slot_of, len(union))[:, [slot_of[d] for d in diffs]]
     with np.errstate(over="ignore", invalid="ignore"):
         state = _ref_fold(factors, (diffs, dexps))
-        rest, rest_slots, digits, _, value = _ref_join(wslots, wexps, wcoef, diffs, state)
-        table = _ref_summed(n, rest, value, digits, state.space.dims)
+        rest, rest_slots, kets, _, value = _ref_join(wslots, wexps, wcoef, diffs, state)
+        table = _ref_summed_kets(n, rest, value, kets, state.space.dims)
     if not np.isfinite(table[1]).all():
         raise ValueError("the weight integral overflowed; scale the weight or the factors down")
     return GradedState._from_table(ctx, state.space, _Table(tuple(rest_slots), *table))
@@ -404,9 +427,9 @@ def test_fold_join_and_sum_are_bitwise_the_earlier_kernels_on_the_catalog(entry_
                        _ref_integrate(spec, recipe.factors))
     joined = entangle._join(*_weight_table(spec), spec.differentials, product)
     _assert_same_arrays(joined, _ref_join(*_weight_table(spec), spec.differentials, product))
-    rest, _, digits, _, value = joined
-    args = (recipe.ctx.n, rest, value, digits, product.space.dims)
-    _assert_same_arrays(qstate._summed(*args), _ref_summed(*args))
+    rest, _, kets, _, value = joined
+    _assert_same_arrays(qstate._summed(recipe.ctx.n, rest, value, kets, product.space.size),
+                        _ref_summed_kets(recipe.ctx.n, rest, value, kets, product.space.dims))
 
 
 def _grid_join_args(ctx, differentials, state):
@@ -553,8 +576,7 @@ def test_random_cases_reach_every_branch(monkeypatch):
     seen = set()
     for case in RANDOM_CASES:
         factors, spec = _random_case(*case)
-        if any(f._table.coef.size > len({tuple(k) for k in f._table.digits.tolist()})
-               for f in factors):
+        if any(f._table.coef.size > len(set(f._table.kets.tolist())) for f in factors):
             seen.add("shared kets")
         full = qstate._fold(factors)
         if len(qstate._fold(factors, _prune(spec))._table.coef) < len(full._table.coef):
@@ -594,8 +616,10 @@ def test_summed_is_bitwise_the_earlier_sum(seed):
     elif seed % 3 == 1:  # every row twice, the second cancelling the first
         exps, digits = np.concatenate([exps, exps]), np.concatenate([digits, digits])
         coef = np.concatenate([coef, -coef])
-    args = (n, exps, coef, digits, (3,) * nsites)
-    _assert_same_arrays(qstate._summed(*args), _ref_summed(*args))
+    dims = (3,) * nsites
+    want = _ref_summed(n, exps, coef, digits, dims)
+    got = qstate._summed(n, exps, coef, _kets(digits, dims), 3**nsites)
+    _assert_same_arrays(got, want[:2] + (_kets(want[2], dims),))
 
 
 # -- every cut, and the rank branch ---------------------------------------------------

@@ -17,7 +17,7 @@ from qgrass.algebra import (
     monomial_product,
     q_power,
 )
-from qgrass.entangle import IntegralSpec, MonomialBasis, integrate_graded, solve_weight
+from qgrass.entangle import IntegralSpec, MonomialBasis, _integrate, integrate_graded, solve_weight
 from qgrass.qstate import (
     GradedState,
     GrassmannResidueError,
@@ -395,6 +395,44 @@ def test_apply_annihilation_crosses_monomials_with_q_phase():
     lowered = apply_annihilation(state)
     shifted = state.left_multiply(ctx.gen(t))
     assert (lowered - shifted).norm() < 1e-12
+    # a site outside 0..nsites-1, negative ones too, raises one ValueError
+    two = tensor([state, coherent_state(ctx, ctx.theta(2), 3)])
+    for site in (2, 3, -1, -3):
+        with pytest.raises(ValueError, match=rf"^site {site} out of range for 2 sites$"):
+            apply_annihilation(two, site)
+
+
+def test_a_space_of_2_pow_63_kets_or_more_has_no_table():
+    # a term table keys each ket by its int64 flat index: 62 qubit sites fit,
+    # 63 do not, whether the table is tabulated or reached by a fold
+    ctx = AlgebraContext(2)
+    theta = Monomial(((T1, 1),))
+
+    def qubits(nsites):
+        return GradedState(ctx, LevelSpace((2,) * nsites),
+                           {(MONOMIAL_ONE, (0,) * nsites): 1.0, (theta, (1,) * nsites): 2.0})
+
+    def refused(nsites, size):
+        return pytest.raises(
+            ValueError, match=rf"^{nsites} sites span {size} kets, past the int64 flat ket index")
+
+    wide = qubits(62)
+    assert wide._table.kets.tolist() == [0, 2**62 - 1]
+    assert list(wide.parts) == [(0,) * 62, (1,) * 62]
+    for nsites in (63, 64):
+        with refused(nsites, 2**nsites):
+            qubits(nsites)
+    with refused(40, 3**40):
+        GradedState(ctx, LevelSpace((3,) * 40), {(MONOMIAL_ONE, (2,) * 40): 1.0})
+
+    folded = tensor([qubits(31), qubits(31)])
+    assert folded.space.size == 2**62
+    assert list(folded.parts) == [(0,) * 62, (0,) * 31 + (1,) * 31, (1,) * 31 + (0,) * 31]
+    for factors in ([qubits(31), qubits(32)], [qubits(40), qubits(22), qubits(1)]):
+        with refused(63, 2**63):
+            tensor(factors)
+        with refused(63, 2**63):
+            _integrate(IntegralSpec(ctx.gen(T1), (T1,)), factors)
 
 
 def test_squeezed_symmetric_takes_no_level_count():
@@ -589,24 +627,28 @@ def _fold_tensor(states):
 
 
 def _assert_well_formed(state):
-    """The term table's invariants; returns its kets in row order.
+    """The term table's invariants; returns its distinct kets in row order.
 
-    No coefficient is exactly zero, no (monomial, ket) repeats, kets run
-    strictly ascending from one ket's rows to the next, and every digit and
-    exponent is in range.
+    The kets are one int64 flat index per row, below the space's size; no
+    coefficient is exactly zero, no (monomial, ket) repeats, kets run
+    strictly ascending from one ket's rows to the next, every exponent is in
+    range, and the kets, unravelled, are exactly those of parts.
     """
     table = state._table
     rows = len(table.coef)
     assert table.exps.shape == (rows, len(table.slots))
-    assert table.digits.shape == (rows, state.space.nsites)
+    assert table.kets.dtype == np.int64 and table.kets.shape == (rows,)
     assert list(table.slots) == sorted(set(table.slots))
     assert np.all(table.coef != 0)
     assert np.all((table.exps >= 0) & (table.exps < state.ctx.n))
-    assert np.all((table.digits >= 0) & (table.digits < state.space.dims))
-    kets = [tuple(k) for k in table.digits.tolist()]
-    assert len(set(zip(map(tuple, table.exps.tolist()), kets))) == rows
-    runs = [k for i, k in enumerate(kets) if i == 0 or k != kets[i - 1]]
-    assert all(a < b for a, b in zip(runs, runs[1:])), "kets are not strictly ascending"
+    assert np.all((table.kets >= 0) & (table.kets < state.space.size))
+    flat = table.kets.tolist()
+    assert len(set(zip(map(tuple, table.exps.tolist()), flat))) == rows
+    starts = [k for i, k in enumerate(flat) if i == 0 or k != flat[i - 1]]
+    assert all(a < b for a, b in zip(starts, starts[1:])), "kets are not strictly ascending"
+    digits = np.unravel_index(np.array(starts, dtype=np.int64), state.space.dims)
+    runs = list(zip(*(d.tolist() for d in digits)))
+    assert runs == list(state.parts)
     return runs
 
 
@@ -794,7 +836,8 @@ def test_summed_matches_a_dict_sum(seed):
         width = 64
     rows = int(rng.integers(1, 40)) if seed else 0  # seed 0: the empty input
     nkets = int(rng.integers(1, 5))
-    ket_digits = np.array(list(np.ndindex(*[3] * nsites)))[rng.permutation(3**nsites)[:nkets]]
+    dims = (3,) * nsites
+    ket_digits = np.array(list(np.ndindex(*dims)))[rng.permutation(3**nsites)[:nkets]]
     which = rng.integers(0, nkets, rows)
     exps = rng.integers(0, n, (rows, width)) * (rng.random((rows, width)) < 0.3)
     coef = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
@@ -810,8 +853,10 @@ def test_summed_matches_a_dict_sum(seed):
         want[key] = want.get(key, 0.0) + coef[i]
     want = sorted((k, c) for k, c in want.items() if c != 0)  # by ket, then exponent row
 
-    got_exps, got_coef, got_digits = _summed(n, exps, coef, digits, (3,) * nsites)
-    assert got_exps.shape == (len(want), width) and got_digits.shape == (len(want), nsites)
+    kets = np.ravel_multi_index(digits.T, dims)
+    got_exps, got_coef, got_kets = _summed(n, exps, coef, kets, 3**nsites)
+    assert got_exps.shape == (len(want), width) and got_kets.shape == (len(want),)
+    got_digits = np.stack(np.unravel_index(got_kets, dims), axis=1)
     got = [((tuple(d), tuple(e)), c)
            for e, c, d in zip(got_exps.tolist(), got_coef.tolist(), got_digits.tolist())]
     assert got == want  # same rows, same order, the same sums bit for bit
@@ -928,9 +973,9 @@ def _dict_squeezed_exp(ctx, v, d):
 
 
 def _table_bits(state):
-    """slots, then dtype, shape and bytes of exps, coef and digits."""
+    """slots, then dtype, shape and bytes of exps, coef and kets."""
     table = state._table
-    arrays = (table.exps, table.coef, table.digits)
+    arrays = (table.exps, table.coef, table.kets)
     return table.slots, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -963,10 +1008,10 @@ def test_a_vanishing_scale_leaves_the_level_zero_row_over_no_slots():
     ctx = AlgebraContext(4)
     table = coherent_state(ctx, ctx.theta(1), 4, 0)._table
     assert table.slots == () and table.exps.shape == (1, 0)
-    assert table.coef.tolist() == [1 + 0j] and table.digits.tolist() == [[0]]
+    assert table.coef.tolist() == [1 + 0j] and table.kets.tolist() == [0]
     partial = coherent_state(ctx, ctx.theta(1), 4, 1e-200)._table  # scale**2 underflows
     assert partial.slots == (ctx.theta(1),)
-    assert partial.exps.tolist() == [[0], [1]] and partial.digits.tolist() == [[0], [1]]
+    assert partial.exps.tolist() == [[0], [1]] and partial.kets.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("n", [3, 172])
