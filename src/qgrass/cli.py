@@ -8,7 +8,10 @@
 Common flags: --tol, --seed, --format {text,json}, --out PATH.
 Exit codes: 0 = all pass (flagged items allowed), 1 = failure, 2 = usage
 error.  JSON reports are schema-stable and list items sorted by id; the
-discrepancy ledger section explains every flag that appears.
+discrepancy ledger section explains every flag that appears.  Every payload
+is built of JSON values where it is made (complex numbers as [re, im] lists,
+string keys), so a report is written as it stands; text mode prints each
+item's scalar fields.
 """
 
 from __future__ import annotations
@@ -107,31 +110,13 @@ class Report:
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    if isinstance(v, complex):
-        return f"{v.real:.6g}{v.imag:+.6g}j"
-    return str(v)
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return obj
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 def _emit(report: Report, config: RunConfig) -> None:
     report.finalize()
     if config.fmt == "json":
-        text = json.dumps(_json_safe(report.to_dict()), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     else:
         text = report.to_text()
     _write(text, config)
@@ -202,7 +187,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         items = run_suites(names, seed=config.seed, tol=config.tolerance)
     report = Report("verify", {**_config_dict(config), "suite": args.suite})
     for it in items:
-        report.add(it.item_id, it.status, _json_safe(it.payload), it.flags)
+        report.add(it.item_id, it.status, it.payload, it.flags)
     _emit(report, config)
     return 1 if report.failed else 0
 

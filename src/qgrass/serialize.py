@@ -125,7 +125,7 @@ def graded_from_dict(d: dict[str, Any], ctx: AlgebraContext | None = None) -> Gr
 def plain_to_dict(s: PlainState, grade_n: int | None = None) -> dict[str, Any]:
     terms = [
         {"coeff": _c2pair(c), "monomial": {}, "ket": list(k)}
-        for k, c in sorted(s.terms(tol=0.0).items())
+        for k, c in s.terms(tol=0.0).items()  # kets ascend
     ]
     return {"grade_n": grade_n, "sites": list(s.dims), "terms": terms}
 

@@ -5,7 +5,8 @@ Each suite returns a list of SuiteItem records with status 'pass',
 ids from the issues ledger) and do not fail a run; a 'fail' is an
 unexpected regression.  All randomness derives from an explicit seed: the
 algebra suite draws from one ``random.Random(seed)`` per call, and the
-other suites draw nothing.
+other suites draw nothing.  Payloads hold JSON values only: a complex
+constant is an [re, im] pair and every key is a string.
 
 The reordering oracle here is deliberately independent of the production
 normal-ordering path: it sorts explicit variable words one random
@@ -46,6 +47,7 @@ from .catalog import (
 )
 from .entangle import bipartition_spectrum, reduced_density, schmidt_rank
 from .qstate import check_squeeze_closure, check_su_q2_closure
+from .serialize import _c2pair
 
 
 @dataclass
@@ -233,7 +235,7 @@ def suite_algebra(
         rhs = b.conjugate() * a.conjugate()
         dev = (lhs - rhs).norm()
         expected = abs(q_power(ctx.n, 2) - 1.0)
-        deviations[ctx.n] = {"deviation": dev, "expected": expected}
+        deviations[str(ctx.n)] = {"deviation": dev, "expected": expected}
     as_predicted = all(
         abs(d["deviation"] - d["expected"]) <= tol for d in deviations.values()
     )
@@ -260,7 +262,7 @@ def suite_closure(tol: float = 1e-12) -> list[SuiteItem]:
         SuiteItem(
             "closure.su_q2.d2",
             "pass" if r2.closes else "fail",
-            {"lambda": r2.constants["lambda"], "residual": r2.residuals["joint"]},
+            {"lambda": _c2pair(r2.constants["lambda"]), "residual": r2.residuals["joint"]},
         )
     )
 
@@ -271,8 +273,8 @@ def suite_closure(tol: float = 1e-12) -> list[SuiteItem]:
             "closure.su_q2.d3",
             "pass" if (r3.closes and lam_ok) else "fail",
             {
-                "lambda": r3.constants["lambda"],
-                "expected_lambda": -3 * r3.q,
+                "lambda": _c2pair(r3.constants["lambda"]),
+                "expected_lambda": _c2pair(-3 * r3.q),
                 "residual": r3.residuals["joint"],
             },
         )
@@ -283,7 +285,7 @@ def suite_closure(tol: float = 1e-12) -> list[SuiteItem]:
         SuiteItem(
             "closure.su_q2.d4",
             "pass" if (not r4.closes and r4.residuals["joint"] > 0.1) else "fail",
-            {"lambda": r4.constants["lambda"], "residual": r4.residuals["joint"]},
+            {"lambda": _c2pair(r4.constants["lambda"]), "residual": r4.residuals["joint"]},
         )
     )
 
@@ -295,8 +297,8 @@ def suite_closure(tol: float = 1e-12) -> list[SuiteItem]:
             "closure.squeeze.d3",
             ("flagged" if rs.flags else "pass") if ok else "fail",
             {
-                "mu": mu,
-                "nu": nu,
+                "mu": _c2pair(mu),
+                "nu": _c2pair(nu),
                 "residual_mu": rs.residuals["mu"],
                 "residual_nu": rs.residuals["nu"],
             },

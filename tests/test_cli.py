@@ -5,13 +5,24 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from qgrass import cli
+from qgrass.catalog import catalog_construct
 from qgrass.cli import main
-from qgrass.serialize import graded_from_dict, graded_to_dict, plain_from_dict, plain_to_dict
+from qgrass.entangle import MonomialBasis, solve_weight
+from qgrass.serialize import (
+    construction_to_dict,
+    graded_from_dict,
+    graded_to_dict,
+    plain_from_dict,
+    plain_to_dict,
+    solution_to_dict,
+)
 from qgrass.algebra import AlgebraContext
 from qgrass.qstate import PlainState, coherent_state, tensor
+from qgrass.suites import CATALOG_RUNS, SUITES, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +88,57 @@ def test_verify_closure_reports_constants(capsys):
     assert by_id["closure.su_q2.d4"]["residual"] > 0.1
     mu = complex(*by_id["closure.squeeze.d3"]["mu"])
     assert abs(mu + 4.0) < 1e-9
+
+
+def _assert_json_native(payload):
+    """The payload is made of JSON values: writing it and reading it back gives it again."""
+    assert payload == json.loads(json.dumps(payload, allow_nan=False))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_every_suite_payload_is_json_native(seed):
+    # reports are dumped as built: a complex or a numpy integer here would be
+    # a TypeError out of json.dumps, and a tuple or an int key would be
+    # written as something else
+    items = run_suites(list(SUITES), seed=seed)
+    assert {it.item_id.split(".")[0] for it in items} == set(SUITES)
+    for it in items:
+        _assert_json_native(it.payload)
+
+
+def test_every_construction_and_solution_payload_is_json_native():
+    for entry_id, params, _ in CATALOG_RUNS:
+        _assert_json_native(construction_to_dict(catalog_construct(entry_id, **params)))
+    ctx = AlgebraContext(3)
+    variables = [ctx.theta(1), ctx.theta(2)]
+    state = tensor([coherent_state(ctx, v, 3) for v in variables])
+    target = PlainState.from_terms((3, 3), {(m, m): 3**-0.5 for m in range(3)})
+    grid = MonomialBasis(ctx, variables)
+    for basis in (grid, list(grid)):
+        _assert_json_native(solution_to_dict(solve_weight(state, variables, target, basis)))
+
+
+def test_verify_text_prints_residuals_and_hides_constant_pairs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "closure", "--format", "text")
+    assert code == 0
+    lines = {line.split()[1]: line for line in out.splitlines()[1:5]}
+    assert set(lines) == {"closure.su_q2.d2", "closure.su_q2.d3", "closure.su_q2.d4",
+                          "closure.squeeze.d3"}
+    for item_id in ("closure.su_q2.d2", "closure.su_q2.d3", "closure.su_q2.d4"):
+        assert " residual=" in lines[item_id]
+    assert "residual_mu=" in lines["closure.squeeze.d3"]
+    assert "residual_nu=" in lines["closure.squeeze.d3"]
+    for name in ("lambda=", "expected_lambda=", "mu=", "nu="):
+        assert f" {name}" not in out
+
+
+def test_fmt_value_formats_floats_to_six_digits_and_the_rest_as_str():
+    assert cli._fmt_value(1 / 3) == "0.333333"
+    assert cli._fmt_value(np.float64(1.5e-16)) == "1.5e-16"
+    assert cli._fmt_value(True) == "True"
+    assert cli._fmt_value(False) == "False"
+    assert cli._fmt_value(12) == "12"
+    assert cli._fmt_value("exact") == "exact"
 
 
 def test_verify_all_exits_zero_with_flags(capsys):
