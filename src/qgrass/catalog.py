@@ -227,7 +227,7 @@ class Recipe:
     @functools.cached_property
     def solver_basis(self) -> MonomialBasis:
         """Full monomial basis of the differentials, for the solver cross-check:
-        an exponent table whose monomials are boxed on first read."""
+        its variables and radix, whose monomials are boxed on first read."""
         return MonomialBasis(self.ctx, self.differentials)
 
 

@@ -43,12 +43,14 @@ solve_weight inverts the pipeline: it assembles the linear map from
 weight coefficients on a monomial basis to integrated amplitudes in one
 join over the whole basis and returns the minimum-norm least-squares
 weight, with the residual formed from the join's own entries.  The full
-basis is a MonomialBasis, an int64 exponent table; a basis monomial is
-boxed only when read, and the solve reads only those of the weight's
-nonzero terms, in bulk, from one tolist of x's nonzero entries and one of
-their basis rows.  On the grid basis every catalog solve uses (every
-exponent 0..n-1 on exactly the differentials) each state term meets one
-column, whose index the join computes; any other basis is sort-merged.
+basis is a MonomialBasis, its variables and radix: row i holds the digits
+of i, a basis monomial is boxed only when read, and the solve reads only
+those of the weight's nonzero terms, in bulk, from one tolist of x's
+nonzero entries and one of their unravelled rows.  On the grid basis
+every catalog solve uses (every exponent 0..n-1 on exactly the
+differentials) each state term meets one column, whose index the join
+computes, and no exponent table is built; any other basis is
+sort-merged with its table.
 The map is block diagonal up to a permutation (columns sharing a row form
 a block), so it is solved block by block, each block under its own
 cutoff, and never stored densely.
@@ -166,7 +168,8 @@ def _join(
     one term, at index (n-1-m).place over the sorted differentials, and
     the pair survives, as every differential sums to n-1 and every other
     slot keeps m's own exponent: the index join reads that index and the
-    q-exponent from one product with the frame's grid matrix.  Any other
+    q-exponent from one product with the frame's grid matrix, and never
+    reads wexps, which may be None.  Any other
     weight is matched by sort plus searchsorted, any number of w per key.
     A pair's q-exponent is
 
@@ -544,17 +547,21 @@ class WeightSolution:
 class MonomialBasis(Sequence[Monomial]):
     """All products of powers 0..max_exponent (default n-1) of the variables.
 
-    An exponent table, not a list: slots holds the variables sorted, radix
-    is max_exponent + 1 (0 for a negative one), and exps the
-    radix**len(slots) x len(slots) int64 exponents, one row per monomial in
-    itertools.product order (the last variable counts fastest), so row i
-    holds the digits of i in base radix.  len reads the table; indexing and
-    iteration box a row into a Monomial on first read and keep it.  Every
-    read boxes through _box, which takes the rows not yet read from one
-    tolist (a slice, iteration and solve_weight's read of the weight pass
-    many rows at once), and a row read before returns its kept object.  A
-    negative max_exponent gives no monomials over one or more variables,
-    and the monomial 1 over none.
+    Its variables and radix, not a list or a table: slots holds the
+    variables sorted and radix is max_exponent + 1 (0 for a negative one).
+    Monomial i, in itertools.product order (the last variable counts
+    fastest), has the digits of i in base radix as its exponents, so len is
+    radix**len(slots).  exps derives the radix**len(slots) x len(slots)
+    int64 table of those digits on each read, for the readers that need
+    every row (the sort-merge join of a basis that is not the grid, the
+    JSON basis list).  Indexing and iteration box a row into a Monomial on
+    first read and keep it.  Every read boxes through _box, which unravels
+    only the rows not yet read, from one tolist (a slice, iteration and
+    solve_weight's read of the weight pass many rows at once), and a row
+    read before returns its kept object.  A negative max_exponent gives no
+    monomials over one or more variables, and the monomial 1 over none.  A
+    basis of 2**63 monomials or more has no int64 column index and raises
+    ValueError.
     """
 
     def __init__(
@@ -563,12 +570,24 @@ class MonomialBasis(Sequence[Monomial]):
         top = ctx.n - 1 if max_exponent is None else max_exponent
         self.slots = tuple(sorted(set(variables)))
         self.radix, width = max(top + 1, 0), len(self.slots)
-        place = self.radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        self.exps = np.arange(self.radix**width, dtype=np.int64)[:, None] // place % self.radix
+        self._size = self.radix**width
+        if self._size >= 1 << 63:
+            raise ValueError(f"a basis of {width} variables at radix {self.radix} spans "
+                             f"{self._size} monomials, past the int64 column index of a solve "
+                             "(fewer than 2**63 monomials)")
+        self._place = self.radix ** np.arange(width - 1, -1, -1, dtype=np.int64)
         self._boxed: dict[int, Monomial] = {}
 
+    @property
+    def exps(self) -> np.ndarray:
+        """The int64 exponent table, derived on each read: row i is the digits of i."""
+        return self._digits(np.arange(len(self), dtype=np.int64))
+
+    def _digits(self, idx: np.ndarray) -> np.ndarray:
+        return idx[:, None] // self._place % self.radix
+
     def __len__(self) -> int:
-        return len(self.exps)
+        return self._size
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self._box(range(len(self))))
@@ -582,13 +601,14 @@ class MonomialBasis(Sequence[Monomial]):
 
     def _box(self, idx: Sequence[int]) -> list[Monomial]:
         """The monomials of the distinct rows idx (each in 0..len-1), in order:
-        the rows not yet read are boxed from one tolist and kept, and a row
-        read before returns its kept object."""
+        the rows not yet read are unravelled and boxed from one tolist and
+        kept, and a row read before returns its kept object."""
         boxed = self._boxed
         new = list(set(idx).difference(boxed))
         if new:  # each (variable, exponent) block is built once, and rows share them
             blocks = [[(v, e) for e in range(self.radix)] for v in self.slots]
-            for i, row in zip(new, self.exps[new].tolist()):
+            rows = self._digits(np.array(new, dtype=np.int64)).tolist()
+            for i, row in zip(new, rows):
                 boxed[i] = Monomial(itertools.compress(map(operator.getitem, blocks, row), row))
         return list(map(boxed.__getitem__, idx))
 
@@ -693,6 +713,11 @@ def _numbered(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return row, int(start.sum())
 
 
+# a solve's weight coefficients are this 1 at stride 0; np.broadcast_to builds
+# the same view through Python calls that cost more than np.ones on a small basis
+_ONE = _frozen([1], complex)
+
+
 def solve_weight(
     state: GradedState,
     differentials: Sequence[Variable],
@@ -723,10 +748,13 @@ def solve_weight(
     1..n-1 and the differentials must be distinct, and a residual that
     overflows to inf or nan raises ValueError too.
 
-    A MonomialBasis enters the join as its exponent table, which is
-    scanned for exponents >= n only when its radix exceeds n; any other
-    iterable is read once into a tuple, before the emptiness check, and
-    tabulated once (_exponents), a repeated monomial getting a column each.
+    A MonomialBasis enters the grid join as its slots alone and the
+    sort-merge join as its derived exponent table (MonomialBasis.exps);
+    when its radix exceeds n, row n, the first row to hold an exponent
+    >= n, raises as it would in a list.  The weight coefficients are one
+    1 at stride 0 (_ONE), not a vector of ones.  Any other iterable is
+    read once into a tuple, before the emptiness check, and tabulated once
+    (_exponents), a repeated monomial getting a column each.
     The weight reads the nonzero entries of x at once (one flatnonzero,
     one tolist), a zero part written as 0.0, never -0.0.  A MonomialBasis
     boxes their rows in bulk (MonomialBasis._box) and, its rows being
@@ -746,20 +774,20 @@ def solve_weight(
     _check_distinct(differentials)
     grid = False
     if isinstance(basis, MonomialBasis):
-        wslots, wexps = basis.slots, basis.exps
-        if basis.radix > ctx.n:  # only then can a row hold an exponent >= n
-            bad = np.flatnonzero((wexps >= ctx.n).any(axis=1))
-            if len(bad):  # raises on the first bad row's first exponent, as on a list
-                _exponents(ctx.n, [basis[bad[0]]])
+        wslots = basis.slots
+        if basis.radix > ctx.n and wslots:
+            # row n, (0, ..., 0, n), is the first row that holds an exponent >= n:
+            # raise on it, as on a list
+            _exponents(ctx.n, [basis[ctx.n]])
         grid = basis.radix == ctx.n and set(wslots) == set(differentials)
+        wexps = None if grid else basis.exps  # the index join reads no table
     else:
         wslots, wexps = _exponents(ctx.n, basis)
 
     # an overflow is reported once, below, not as numpy warnings on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        rest, _, ket, cols, vals = _join(
-            wslots, wexps, np.ones(len(basis), complex), differentials, state, grid
-        )
+        ones = np.ndarray(len(basis), complex, _ONE, strides=(0,))
+        rest, _, ket, cols, vals = _join(wslots, wexps, ones, differentials, state, grid)
         # rows: the (monomial, ket) keys of the join's entries and of the
         # target's nonzero amplitudes, kets by flat index; within a column
         # every entry has its own key, as removing the differential blocks

@@ -145,7 +145,7 @@ def plain_from_dict(d: dict[str, Any], what: str = "state") -> PlainState:
 
 
 def solution_to_dict(sol: WeightSolution) -> dict[str, Any]:
-    """A MonomialBasis is written from its exponent table, boxing no row."""
+    """A MonomialBasis is written from its exponent table, derived on read, boxing no row."""
     if isinstance(sol.basis, MonomialBasis):
         names = [v.name for v in sol.basis.slots]
         basis = [{name: e for name, e in zip(names, row) if e} for row in sol.basis.exps.tolist()]

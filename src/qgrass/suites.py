@@ -6,7 +6,11 @@ ids from the issues ledger) and do not fail a run; a 'fail' is an
 unexpected regression.  All randomness derives from an explicit seed: the
 algebra suite draws from one ``random.Random(seed)`` per call, and the
 other suites draw nothing.  Payloads hold JSON values only: a complex
-constant is an [re, im] pair and every key is a string.
+constant is an [re, im] pair and every key is a string.  The tol that
+run_suites passes (the CLI's --tol) reaches the algebra, catalog and
+boson suites; the closure items compare at 1e-12 whatever it is
+(SUITES["closure"] calls suite_closure at its default), and so do
+algebra.confluence and algebra.integration_linearity (confluence_tol).
 
 The reordering oracle here is deliberately independent of the production
 normal-ordering path: it sorts explicit variable words one random

@@ -118,6 +118,17 @@ def test_every_construction_and_solution_payload_is_json_native():
         _assert_json_native(solution_to_dict(solve_weight(state, variables, target, basis)))
 
 
+def test_closure_items_compare_at_their_own_tolerance(capsys):
+    # --tol reaches the algebra, catalog and boson suites, not the closure
+    # items, which compare at 1e-12: closure.su_q2.d4 passes because it does
+    # not close (joint residual 1/3), which a --tol above 1/3 would turn over
+    default = json.loads(run_cli(capsys, "verify", "closure", "--format", "json")[1])
+    loose = json.loads(run_cli(capsys, "verify", "closure", "--tol", "0.5", "--format", "json")[1])
+    assert loose["config"]["tolerance"] == 0.5
+    assert len(default["items"]) == 4
+    assert loose["items"] == default["items"]
+
+
 def test_verify_text_prints_residuals_and_hides_constant_pairs(capsys):
     code, out, _ = run_cli(capsys, "verify", "closure", "--format", "text")
     assert code == 0
@@ -474,8 +485,13 @@ def test_solve_weight_basis_exponent_out_of_range_exits_two(tmp_path, capsys, ba
         ([{"theta_1": 1}, "x"], "a monomial must be an object of variable exponents, got 'x'"),
         ({"variables": "theta_1"},
          "basis variables must be a list of variable names, got 'theta_1'"),
+        # 2**64 monomials, which no int64 column index numbers
+        ({"variables": [f"theta_{i}" for i in range(1, 65)]},
+         f"a basis of 64 variables at radix 2 spans {2**64} monomials, past the int64 "
+         "column index of a solve (fewer than 2**63 monomials)"),
     ],
-    ids=["string_basis", "number_entry", "string_entry", "string_variables"],
+    ids=["string_basis", "number_entry", "string_entry", "string_variables",
+         "2_pow_64_monomials"],
 )
 def test_solve_weight_malformed_basis_exits_two(tmp_path, capsys, basis, line):
     # the listed forms used to exit 1 with an AttributeError traceback, and a

@@ -22,7 +22,7 @@ from qgrass.algebra import (
     PhaseTable,
     Variable,
 )
-from qgrass.catalog import build_recipe, ghz_target, w_target
+from qgrass.catalog import build_recipe, catalog_construct, ghz_target, w_target
 from qgrass.entangle import (
     IntegralSpec,
     apply_weight_and_integrate,
@@ -1056,6 +1056,55 @@ def test_solver_bases_take_the_index_join(problem, monkeypatch):
     assert calls == [1]
     solve_weight(recipe.state, recipe.differentials, target, list(recipe.solver_basis))
     assert calls == [1, 1, 1]
+
+
+def test_grid_solves_read_no_basis_table(monkeypatch):
+    """A grid basis enters the index join as its slots: with MonomialBasis.exps
+    raising, the solver check of every catalog run and every solve of
+    SOLVE_PROBLEMS on its solver basis (each a grid) equal their unpatched
+    results bitwise."""
+    runs = [(e, p) for e, p, _ in CATALOG_RUNS]
+    grids = [(recipe, target) for _, recipe, target in SOLVE_PROBLEMS
+             if recipe.solver_basis.radix == recipe.ctx.n
+             and set(recipe.solver_basis.slots) == set(recipe.differentials)]
+    assert len(grids) == len(SOLVE_PROBLEMS)
+
+    def solve(recipe, target):
+        basis = entangle.MonomialBasis(recipe.ctx, recipe.differentials)
+        return solve_weight(recipe.state, recipe.differentials, target, basis)
+
+    want = ([_solution_bits(catalog_construct(e, **p).solver) for e, p in runs],
+            [_solution_bits(solve(*g)) for g in grids])
+
+    def read(self):
+        raise AssertionError("a grid solve read the basis's exponent table")
+
+    monkeypatch.setattr(entangle.MonomialBasis, "exps", property(read))
+    got = ([_solution_bits(catalog_construct(e, **p).solver) for e, p in runs],
+           [_solution_bits(solve(*g)) for g in grids])
+    assert got == want
+
+
+def test_a_basis_is_its_variables_and_radix():
+    """len and boxing unravel indices: 2**40 monomials over 40 variables need
+    no table (which would take 8 TiB), and 2**63 or more have no int64
+    column index."""
+    ctx = AlgebraContext(2)
+    variables = [Variable(i) for i in range(40, 0, -1)]
+    basis = entangle.MonomialBasis(ctx, variables)
+    ordered = sorted(variables)
+    assert len(basis) == 2**40
+    assert basis[-1] == Monomial(tuple((v, 1) for v in ordered))
+    assert basis[2**39] == Monomial(((ordered[0], 1),))
+    assert basis[1:3] == [Monomial(((ordered[-1], 1),)), Monomial(((ordered[-2], 1),))]
+    assert len(entangle.MonomialBasis(ctx, [Variable(i) for i in range(1, 63)])) == 2**62
+    for k, top in ((63, None), (64, None), (40, 2)):
+        with pytest.raises(ValueError) as exc:
+            entangle.MonomialBasis(ctx, [Variable(i) for i in range(1, k + 1)], top)
+        radix = 2 if top is None else top + 1
+        assert str(exc.value) == (
+            f"a basis of {k} variables at radix {radix} spans {radix**k} monomials, past the "
+            "int64 column index of a solve (fewer than 2**63 monomials)")
 
 
 def test_table_basis_boxes_only_the_weights_monomials(monkeypatch):
